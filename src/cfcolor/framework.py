@@ -31,6 +31,7 @@ objects in the last set, deletions finish with two recolorings there.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .augtree import ViolationReport
@@ -44,6 +45,12 @@ UP = "up-migration"
 DOWN = "down-migration"
 
 
+class BoundExceeded(AssertionError):
+    """An update broke one of the paper's per-update bounds.
+
+    Raised by explicit checks, so it fires under `python -O` too."""
+
+
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n >= 1 else 0
 
@@ -54,9 +61,10 @@ class PalettePool:
 
     def __init__(self) -> None:
         self.in_use: set[PaletteKey] = set()
+        self.load: dict[int, int] = {}  # level -> palettes of that level in use
 
     def level_load(self, level: int) -> int:
-        return sum(1 for lv, _ in self.in_use if lv == level)
+        return self.load.get(level, 0)
 
     def allocate(self, level: int, t_limit: int) -> PaletteKey:
         """Smallest free slot; the caller's lemma guarantees t <= t_limit."""
@@ -64,14 +72,16 @@ class PalettePool:
         while (level, t) in self.in_use:
             t += 1
         if t > t_limit:
-            raise AssertionError(
+            raise BoundExceeded(
                 f"no free color set C({level}, t) within t <= {t_limit}")
         key = (level, t)
         self.in_use.add(key)
+        self.load[level] = self.load.get(level, 0) + 1
         return key
 
     def release(self, key: PaletteKey) -> None:
         self.in_use.remove(key)
+        self.load[key[0]] -= 1
 
 
 @dataclass
@@ -135,9 +145,6 @@ class _EngineBase:
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
         return dict(self.actual)
 
-    def colored_objects(self) -> list[tuple[object, GlobalColor]]:
-        return [(self.objects[oid], c) for oid, c in sorted(self.actual.items())]
-
     # -- piece helpers ---------------------------------------------------------
 
     def _resolve(self, piece: Piece, oid: ObjectId) -> GlobalColor:
@@ -181,8 +188,8 @@ class _EngineBase:
             target.add(piece.pinned)
         added = target - piece.star
         removed = piece.star - target
-        assert len(added) <= budget and len(removed) <= budget, \
-            "star repair exceeded the weak-deletion budget"
+        if len(added) > budget or len(removed) > budget:
+            raise BoundExceeded("star repair exceeded the weak-deletion budget")
         piece.star = target
         return added | removed
 
@@ -307,6 +314,9 @@ class _EngineBase:
                     return ViolationReport(None, f"level {lv.index} migration already complete")
         if seen_palettes != self.pool.in_use:
             return ViolationReport(None, "palette pool out of sync with live colorings")
+        # Counter equality treats a level whose load fell to 0 as absent
+        if Counter(self.pool.load) != Counter(lv for lv, _ in seen_palettes):
+            return ViolationReport(None, "palette pool level loads out of sync")
         for oid in self.objects:
             piece = self.levels[self.locate[oid]].piece
             if self._resolve(piece, oid) != self.actual[oid]:
@@ -330,7 +340,8 @@ class SemiDynamicEngine(_EngineBase):
 
         # the color sets for level i are C(i, 0..l-i); one must be free
         t_limit = self.ell - i
-        assert self.pool.level_load(i) <= t_limit, "color-set availability lemma failed"
+        if self.pool.level_load(i) > t_limit:
+            raise BoundExceeded("color-set availability lemma failed")
         palette = self.pool.allocate(i, t_limit)
         colorer = self.colorer_cls({o: self.objects[o] for o in members})
         piece = Piece(palette, colorer, members, star={oid}, pinned=oid,
@@ -348,8 +359,8 @@ class SemiDynamicEngine(_EngineBase):
                 cands |= self._progress_one(lv)
         diff = RecolorDiff()
         self._reconcile(cands | {oid}, diff, assigned=oid)
-        assert diff.recolorings <= ceil_log2(len(self.objects)), \
-            "recoloring bound per insertion exceeded"
+        if diff.recolorings > ceil_log2(len(self.objects)):
+            raise BoundExceeded("recoloring bound per insertion exceeded")
         return diff
 
     def check_invariants(self, unimax_limit: int = 32) -> ViolationReport | None:
@@ -383,7 +394,8 @@ class FullyDynamicEngine(_EngineBase):
         members.add(oid)
         self.objects[oid] = obj
 
-        assert self.pool.level_load(j) <= self.ell, "color-set availability lemma failed"
+        if self.pool.level_load(j) > self.ell:
+            raise BoundExceeded("color-set availability lemma failed")
         palette = self.pool.allocate(j, self.ell + 1)
         colorer = self.colorer_cls({o: self.objects[o] for o in members})
         piece = Piece(palette, colorer, members, star={oid}, pinned=oid,
@@ -406,8 +418,8 @@ class FullyDynamicEngine(_EngineBase):
                     cands |= self._progress_one(lv)
         diff = RecolorDiff()
         self._reconcile(cands | {oid}, diff, assigned=oid)
-        assert diff.recolorings <= 2 * (self.ell + 1), \
-            "recoloring bound per insertion exceeded"
+        if diff.recolorings > 2 * (self.ell + 1):
+            raise BoundExceeded("recoloring bound per insertion exceeded")
         return diff
 
     def delete(self, oid: ObjectId) -> RecolorDiff:
@@ -448,7 +460,8 @@ class FullyDynamicEngine(_EngineBase):
         self._reconcile(cands - {oid}, diff)
         diff.removed = (oid, old_color)
         r = self.colorer_cls.max_recolorings(len(self.objects) + 1)
-        assert diff.recolorings <= 6 * r + 2, "recoloring bound per deletion exceeded"
+        if diff.recolorings > 6 * r + 2:
+            raise BoundExceeded("recoloring bound per deletion exceeded")
         return diff
 
     def _merge_last_three(self, oid: ObjectId) -> set[ObjectId]:
@@ -482,8 +495,8 @@ class FullyDynamicEngine(_EngineBase):
             self.levels.pop()
         target = self.levels[ell_prime - 1 if fits else ell_prime]
 
-        assert self.pool.level_load(target.index) <= self.ell + 1, \
-            "color-set availability lemma failed at downward migration"
+        if self.pool.level_load(target.index) > self.ell + 1:
+            raise BoundExceeded("color-set availability lemma failed at downward migration")
         palette = self.pool.allocate(target.index, self.ell + 1)
         colorer = self.colorer_cls(
             {o: self.objects[o] for o in members})

@@ -1,20 +1,48 @@
 """Workload generation, replay, verification, and reporting.
 
 Workloads are JSONL event streams: one {"op", "id", "object"} record per
-line, where "object" is a tagged union present on inserts.  Replay applies
-events in order against one of the named structures, produces a per-step
-report row (size, recolorings, distinct colors in use over live objects,
-verification verdict, and the framework's level states where applicable),
-and writes the report as JSON plus a CSV mirror of the step table.
+line, where "object" is a tagged union present on inserts.  Each kind has a
+fixed set of coordinate fields (see OBJECT_FIELDS); read_workload rejects a
+record with a missing or non-finite coordinate, inverted rectangle bounds,
+or an id that is not an int.  Replay applies events in order against one of
+the named structures and writes the report as JSON plus a CSV mirror of
+the step table.
+
+Report schema (run_workload):
+
+  config   {"structure", "verify", and "c" / "universe" / "workload" when
+           given}
+  steps    one row per event:
+             step             event index
+             op, id           the event
+             n                live objects after the event
+             recolorings      len(diff.changed): pre-existing objects whose
+                              color the event changed
+             distinct_colors  colors in use over the live objects
+             verified         true / false, or "skipped" when no check ran
+             level            framework structures only: the last level l
+             set_states       framework structures only: each level's state,
+                              comma-separated
+  summary  {"events", "final_n", "max_recolorings", "max_distinct_colors",
+           "total_recolorings" (sum of the recolorings column),
+           "structure_recoloring_counter" (the structure's own counter),
+           "violations": [{"step", "check", "detail"}], where check is
+           "invariants", "colors" or "oracle"}
+
+distinct_colors is counted from the RecolorDiff of each update: replay
+keeps a color -> multiplicity map, so a step costs O(recolorings), not
+O(n).  At every step where invariants are checked, the multiplicities are
+recounted from the structure's global_colors() and compared, as sorted
+lists, with the map's; a mismatch is a violation with check "colors".
 
 Generation is deterministic for a fixed seed: the documented generator is
 Python's Mersenne Twister (random.Random(seed)), so workloads regenerate
 identically across platforms.
 
-Verification modes: "none", "invariants" (structure audits every step),
-"oracle-sampled" (ground-truth conflict-free checks every step while
-n <= 256, every 32nd step beyond, and always at the final state), and
-"oracle-every-step".
+Verification modes: "none", "invariants" (structure audits and the color
+count every step), "oracle-sampled" (both, plus ground-truth conflict-free
+checks, every step while n <= 256, every 32nd step beyond, and always at
+the final state), and "oracle-every-step".
 """
 
 from __future__ import annotations
@@ -23,6 +51,8 @@ import csv
 import io
 import json
 import random
+import sys
+from collections import Counter
 
 from .anchored import AnchoredCF
 from .framework import FullyDynamicEngine, SemiDynamicEngine
@@ -68,6 +98,18 @@ KIND_FOR_STRUCTURE = {
     "full-1d": "point_1d",
     "full-2d": "point_2d",
 }
+
+# Coordinate fields of each object kind; rectangles with four fields must
+# have x1 <= x2 and y1 <= y2, anchored rectangles x2, y2 >= 0.
+OBJECT_FIELDS = {
+    "anchored_rect": ("x2", "y2"),
+    "unit_square": ("x", "y"),
+    "bounded_rect": ("x1", "x2", "y1", "y2"),
+    "universe_rect": ("x1", "x2", "y1", "y2"),
+    "point_1d": ("x",),
+    "point_2d": ("x", "y"),
+}
+_FLOAT_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +193,53 @@ def write_workload(events: list[dict], path: str) -> None:
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
+def _object_error(obj) -> str | None:
+    """Why an insert's object breaks its kind's schema, or None."""
+    if type(obj) is not dict:
+        return f"object is not a JSON object: {obj!r}"
+    kind = obj.get("kind")
+    fields = OBJECT_FIELDS.get(kind) if type(kind) is str else None
+    if fields is None:
+        return f"unknown object kind {kind!r}"
+    for name in fields:
+        if name not in obj:
+            return f"{kind} without field {name!r}"
+        v = obj[name]
+        # type() rules out bool; the chained comparison rules out NaN and +-inf
+        if type(v) not in (int, float) or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            return f"{kind} field {name!r} is not a finite number: {v!r}"
+    if len(fields) == 4:
+        if obj["x1"] > obj["x2"] or obj["y1"] > obj["y2"]:
+            return f"{kind} with inverted bounds: {obj!r}"
+    elif kind == "anchored_rect" and (obj["x2"] < 0 or obj["y2"] < 0):
+        return f"anchored_rect corner below the origin: {obj!r}"
+    return None
+
+
 def read_workload(path: str) -> list[dict]:
+    """Parse and validate a JSONL workload; any bad record raises ParseError."""
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 ev = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # ValueError covers bad JSON and bytes that are not UTF-8
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-            if ev.get("op") not in ("insert", "delete") or "id" not in ev:
+            if type(ev) is not dict or ev.get("op") not in ("insert", "delete") \
+                    or "id" not in ev:
                 raise ParseError(f"line {lineno}: malformed event {ev!r}")
-            if ev["op"] == "insert" and "object" not in ev:
-                raise ParseError(f"line {lineno}: insert without object")
+            if type(ev["id"]) is not int:
+                raise ParseError(f"line {lineno}: id must be an int, got {ev['id']!r}")
+            if ev["op"] == "insert":
+                if "object" not in ev:
+                    raise ParseError(f"line {lineno}: insert without object")
+                error = _object_error(ev["object"])
+                if error is not None:
+                    raise ParseError(f"line {lineno}: {error}")
             events.append(ev)
     return events
 
@@ -301,15 +375,43 @@ def _should_verify(mode: str, step: int, total: int, n: int) -> tuple[bool, bool
     raise InvalidParams(f"unknown verify mode {mode!r}")
 
 
+def _count(counts: dict, color, delta: int) -> None:
+    k = counts.get(color, 0) + delta
+    if k:
+        counts[color] = k
+    else:
+        del counts[color]
+
+
+def _count_diff(counts: dict, diff) -> None:
+    """Apply one update's RecolorDiff to a color -> multiplicity map."""
+    for old, new in diff.changed.values():
+        _count(counts, old, -1)
+        _count(counts, new, 1)
+    if diff.assigned is not None:
+        _count(counts, diff.assigned[1], 1)
+    if diff.removed is not None:
+        _count(counts, diff.removed[1], -1)
+
+
+def _multiplicity_mismatch(recount: list[int], counted: list[int]) -> str:
+    extra = sorted((Counter(recount) - Counter(counted)).elements())
+    missing = sorted((Counter(counted) - Counter(recount)).elements())
+    return (f"color multiplicities {extra} in global_colors() but not in the diffs, "
+            f"{missing} in the diffs but not in global_colors()")
+
+
 def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                  c: float | None = None, universe: int | None = None,
                  config_extra: dict | None = None) -> dict:
-    """Replay events; returns the full report dict (see README for schema)."""
+    """Replay events; returns the report dict (schema in the module docstring)."""
     adapter = make_structure(structure_name, c=c, universe=universe)
     expected_kind = KIND_FOR_STRUCTURE[structure_name]
     steps = []
     violations = []
     live_ids: set[int] = set()
+    # colors in use, in the structure's own color space (that of its diffs)
+    color_counts: dict = {}
     for step, ev in enumerate(events):
         op = ev["op"]
         oid = ev["id"]
@@ -327,6 +429,7 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                 raise ParseError(f"step {step}: delete of non-live id {oid}")
             diff = adapter.delete(oid)
             live_ids.discard(oid)
+        _count_diff(color_counts, diff)
 
         n = len(adapter)
         inv_due, oracle_due = _should_verify(verify, step, len(events), n)
@@ -339,6 +442,14 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                     verified = False
                     violations.append({"step": step, "check": "invariants",
                                        "detail": str(report.reason)})
+                # diff and global color spaces may differ (AnchoredCF's diffs
+                # carry local ints), so only the multiplicities are compared
+                recount = sorted(Counter(adapter.colors().values()).values())
+                counted = sorted(color_counts.values())
+                if recount != counted:
+                    verified = False
+                    violations.append({"step": step, "check": "colors",
+                                       "detail": _multiplicity_mismatch(recount, counted)})
             if oracle_due and verified is True:
                 witness = adapter.check_oracle()
                 if witness is not None:
@@ -351,7 +462,7 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
             "id": oid,
             "n": n,
             "recolorings": diff.recolorings,
-            "distinct_colors": len(set(adapter.colors().values())),
+            "distinct_colors": len(color_counts),
             "verified": verified,
         }
         info = adapter.framework_info()

@@ -39,13 +39,10 @@ def interval_palette_size(n0: int) -> int:
 class IntervalPointColorer:
     """Unimax coloring of 1-D points w.r.t. intervals, with weak deletions."""
 
-    max_recolorings_per_delete = 1
-
     def __init__(self, points: dict[ObjectId, float]) -> None:
         order = sorted(points, key=lambda oid: (points[oid], oid))
         self.n0 = len(order)
         self.order = order
-        self.coordinate = dict(points)
         self.colors: dict[ObjectId, int] = {}
         self._prev: dict[ObjectId, ObjectId | None] = {}
         self._next: dict[ObjectId, ObjectId | None] = {}
@@ -70,9 +67,6 @@ class IntervalPointColorer:
     @staticmethod
     def max_recolorings(n0: int) -> int:
         return 1
-
-    def live_points(self) -> dict[ObjectId, float]:
-        return {oid: self.coordinate[oid] for oid in self.colors}
 
     def weak_delete(self, oid: ObjectId) -> dict[ObjectId, int]:
         if oid not in self.colors:
@@ -142,11 +136,8 @@ def chain_decompose(points: dict[ObjectId, Pt]) -> list[list[ObjectId]]:
 class RectPointColorer:
     """Unimax coloring of planar points w.r.t. axis-parallel rectangles."""
 
-    max_recolorings_per_delete = 1
-
     def __init__(self, points: dict[ObjectId, Pt]) -> None:
         self.n0 = len(points)
-        self.points = dict(points)
         self.chains = chain_decompose(points)
         self.chain_of: dict[ObjectId, int] = {}
         self.sub: list[IntervalPointColorer] = []
@@ -179,10 +170,6 @@ class RectPointColorer:
     @staticmethod
     def max_recolorings(n0: int) -> int:
         return 1
-
-    def live_points(self) -> dict[ObjectId, Pt]:
-        return {oid: self.points[oid] for k, sub in enumerate(self.sub)
-                for oid in sub.colors}
 
     def weak_delete(self, oid: ObjectId) -> dict[ObjectId, int]:
         k = self.chain_of.get(oid)

@@ -308,3 +308,47 @@ def test_palette_exclusivity_checked():
         pieces[0].palette = pieces[1].palette
         report = e.check_invariants()
         assert report is not None
+
+
+def test_level_loads_checked():
+    e = full_1d()
+    for oid in range(8):
+        e.insert(oid, float(oid))
+    assert e.check_invariants() is None
+    for lv, _ in e.pool.in_use:
+        assert e.pool.level_load(lv) == sum(1 for m, _ in e.pool.in_use if m == lv)
+    e.pool.load[e.ell] += 1
+    report = e.check_invariants()
+    assert report is not None and "level loads" in report.reason
+
+
+def test_bound_checks_survive_python_O():
+    # a colorer that promises no deletion recolorings at all makes the
+    # deletion bound 6r+2 negative, so the first deletion breaks it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from cfcolor.framework import BoundExceeded, FullyDynamicEngine\n"
+        "from cfcolor.unimax import IntervalPointColorer\n"
+        "class Overpromising(IntervalPointColorer):\n"
+        "    @staticmethod\n"
+        "    def max_recolorings(n0):\n"
+        "        return -1\n"
+        "e = FullyDynamicEngine(Overpromising)\n"
+        "e.insert(0, 0.0)\n"
+        "e.insert(1, 1.0)\n"
+        "try:\n"
+        "    e.delete(0)\n"
+        "except BoundExceeded as exc:\n"
+        "    print('optimized', not __debug__, 'raised', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "optimized True raised recoloring bound per deletion exceeded"

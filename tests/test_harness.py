@@ -233,3 +233,143 @@ def test_full_framework_runs():
     events2 = generate_workload("point_2d", 80, 0.4, seed=8)
     report2 = run_workload("full-2d", events2, verify="oracle-sampled")
     assert report2["summary"]["violations"] == []
+
+
+STRUCTURE_STREAMS = {
+    # structure: (kind, inserts, delete ratio, make_structure params)
+    "anchored": ("anchored_rect", 150, 0.3, {}),
+    "squares": ("unit_square", 150, 0.3, {}),
+    "bounded": ("bounded_rect", 150, 0.3, {"c": 3.0}),
+    "universe": ("universe_rect", 150, 0.3, {"universe": 32}),
+    "semi-1d": ("point_1d", 150, 0.0, {}),
+    "full-1d": ("point_1d", 150, 0.6, {}),
+    "full-2d": ("point_2d", 60, 0.3, {}),
+}
+
+
+@pytest.mark.parametrize("structure", sorted(STRUCTURE_STREAMS))
+def test_distinct_colors_match_global_colors(structure):
+    kind, n, ratio, params = STRUCTURE_STREAMS[structure]
+    events = generate_workload(kind, n, ratio, seed=31, **params)
+    report = run_workload(structure, events, verify="none", **params)
+    # an independent replay that counts every step from global_colors()
+    s = harness.make_structure(structure, **params)
+    expected = []
+    for ev in events:
+        if ev["op"] == "insert":
+            s.insert(ev["id"], ev["object"])
+        else:
+            s.delete(ev["id"])
+        expected.append(len(set(s.colors().values())))
+    assert [row["distinct_colors"] for row in report["steps"]] == expected
+    assert report["summary"]["max_distinct_colors"] == max(expected)
+    checked = run_workload(structure, events, verify="invariants", **params)
+    assert checked["summary"]["violations"] == []
+    assert checked["steps"] == [dict(row, verified=True) for row in report["steps"]]
+
+
+def _leaky_squares(name, c=None, universe=None):
+    """Squares whose every insert also rewrites one other square's stored
+    color without reporting it in the diff."""
+    import cfcolor.squares as squares
+    from cfcolor.geom import UnitSquare
+
+    class LeakySquares(squares.GridSquareCF):
+        def insert(self, sq):
+            diff = super().insert(sq)
+            cell = self.cells[self.location[sq.id]]
+            victim = min((o for o in cell.colors if o != sq.id), default=None)
+            if victim is not None:
+                cell.colors[victim] += 1000
+            return diff
+
+    return harness._GeometricAdapter(
+        LeakySquares(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+
+
+def test_unreported_recoloring_is_a_colors_violation(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "make_structure", _leaky_squares)
+    events = generate_workload("unit_square", 40, 0.0, seed=3, span=3.0)
+    assert run_workload("squares", events, verify="none")["summary"]["violations"] == []
+    report = run_workload("squares", events, verify="invariants")
+    bad = report["summary"]["violations"]
+    assert bad and {v["check"] for v in bad} == {"colors"}
+    assert all(report["steps"][v["step"]]["verified"] is False for v in bad)
+
+    wl = tmp_path / "w.jsonl"
+    write_workload(events, str(wl))
+    rc = cli_main(["run", "--structure", "squares", "--workload", str(wl),
+                   "--verify", "invariants", "--report", str(tmp_path / "rep.json")])
+    assert rc == 2
+
+
+BAD_INPUTS = {
+    # case: (structure arguments, the workload's only line, as bytes)
+    "inverted_bounded_rect": (
+        ["bounded", "--c", "3"],
+        b'{"op": "insert", "id": 0, "object": {"kind": "bounded_rect", '
+        b'"x1": 5, "x2": 3, "y1": 0, "y2": 2}}'),
+    "unit_square_missing_x": (
+        ["squares"],
+        b'{"op": "insert", "id": 0, "object": {"kind": "unit_square", "y": 1.0}}'),
+    "point_nan": (
+        ["full-1d"],
+        b'{"op": "insert", "id": 0, "object": {"kind": "point_1d", "x": NaN}}'),
+    "point_infinite": (
+        ["full-1d"],
+        b'{"op": "insert", "id": 0, "object": {"kind": "point_1d", "x": -Infinity}}'),
+    "string_id": (
+        ["full-1d"],
+        b'{"op": "insert", "id": "a", "object": {"kind": "point_1d", "x": 1.0}}'),
+    "bool_id": (
+        ["full-1d"],
+        b'{"op": "delete", "id": true}'),
+    "bool_coordinate": (
+        ["full-1d"],
+        b'{"op": "insert", "id": 0, "object": {"kind": "point_1d", "x": false}}'),
+    "anchored_below_origin": (
+        ["anchored"],
+        b'{"op": "insert", "id": 0, "object": {"kind": "anchored_rect", "x2": -1, "y2": 2}}'),
+    "event_not_an_object": (
+        ["full-1d"],
+        b'[1, 2]'),
+    "object_not_an_object": (
+        ["full-1d"],
+        b'{"op": "insert", "id": 0, "object": 7}'),
+    "deeply_nested": (
+        ["full-1d"],
+        b"[" * 100_000),
+    "not_utf8": (
+        ["full-1d"],
+        b'{"op": "delete", "id": 0, "note": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exit_code(case, tmp_path, capsys):
+    structure, line = BAD_INPUTS[case]
+    wl = tmp_path / "w.jsonl"
+    wl.write_bytes(line + b"\n")
+    rc = cli_main(["run", "--structure", *structure, "--workload", str(wl),
+                   "--report", str(tmp_path / "rep.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and "Traceback" not in err
+
+
+def test_python_dash_m_front_end(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    wl = tmp_path / "w.jsonl"
+    wl.write_bytes(BAD_INPUTS["unit_square_missing_x"][1] + b"\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfcolor", "run", "--structure", "squares",
+         "--workload", str(wl), "--report", str(tmp_path / "rep.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: line 1: unit_square without field 'x'\n"
