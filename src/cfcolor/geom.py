@@ -122,32 +122,6 @@ def pair_decode(z: int) -> tuple[int, int]:
     return s - b, b
 
 
-class ColorCodec:
-    """Dense-integer view of the colors actually issued.
-
-    encode() assigns consecutive ints in first-seen order; the mapping is a
-    bijection on everything issued so far.
-    """
-
-    def __init__(self) -> None:
-        self._to_dense: dict[GlobalColor, int] = {}
-        self._from_dense: list[GlobalColor] = []
-
-    def encode(self, color: GlobalColor) -> int:
-        dense = self._to_dense.get(color)
-        if dense is None:
-            dense = len(self._from_dense)
-            self._to_dense[color] = dense
-            self._from_dense.append(color)
-        return dense
-
-    def decode(self, dense: int) -> GlobalColor:
-        return self._from_dense[dense]
-
-    def __len__(self) -> int:
-        return len(self._from_dense)
-
-
 @dataclass
 class RecolorDiff:
     """Effect of one update on an existing color assignment.

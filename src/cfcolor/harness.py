@@ -31,9 +31,12 @@ Report schema (run_workload):
 
 distinct_colors is counted from the RecolorDiff of each update: replay
 keeps a color -> multiplicity map, so a step costs O(recolorings), not
-O(n).  At every step where invariants are checked, the multiplicities are
-recounted from the structure's global_colors() and compared, as sorted
-lists, with the map's; a mismatch is a violation with check "colors".
+O(n).  At every step where invariants are checked, the map is recounted
+from the structure's global_colors() and compared with it color by color,
+after the adapter has mapped the diffs' colors into global_colors()' color
+space (AnchoredCF's plain ints c become GlobalColor(ANCHORED_SCHEME_TAG,
+c)).  Any color whose count differs, including an unreported recoloring
+to a color nobody else wears, is a violation with check "colors".
 
 Generation is deterministic for a fixed seed: the documented generator is
 Python's Mersenne Twister (random.Random(seed)), so workloads regenerate
@@ -54,9 +57,9 @@ import random
 import sys
 from collections import Counter
 
-from .anchored import AnchoredCF
+from .anchored import ANCHORED_SCHEME_TAG, AnchoredCF
 from .framework import FullyDynamicEngine, SemiDynamicEngine
-from .geom import AxisRect, Pt, UnitSquare
+from .geom import AxisRect, GlobalColor, Pt, UnitSquare
 from .oracle import (
     check_cf,
     check_cf_intervals,
@@ -257,9 +260,11 @@ def _rect_checker(points, colors):
 
 
 class _GeometricAdapter:
-    def __init__(self, structure, to_object):
+    def __init__(self, structure, to_object, global_color=None):
         self.structure = structure
         self.to_object = to_object
+        # maps a diff color to its global_colors() color; None: they agree
+        self.global_color = global_color
 
     def insert(self, oid, payload):
         return self.structure.insert(self.to_object(oid, payload))
@@ -272,6 +277,12 @@ class _GeometricAdapter:
 
     def colors(self):
         return self.structure.global_colors()
+
+    def global_counts(self, counts):
+        """A diff-space color -> count map, keyed in global_colors()' space."""
+        if self.global_color is None:
+            return counts
+        return {self.global_color(c): k for c, k in counts.items()}
 
     def total_recolorings(self):
         return self.structure.total_recolorings
@@ -307,6 +318,9 @@ class _FrameworkAdapter:
     def colors(self):
         return self.engine.global_colors()
 
+    def global_counts(self, counts):
+        return counts  # engine diffs carry the GlobalColor they report
+
     def total_recolorings(self):
         return self.engine.total_recolorings
 
@@ -328,7 +342,8 @@ def _payload_to_rect(oid, payload):
 def make_structure(name: str, c: float | None = None, universe: int | None = None):
     if name == "anchored":
         return _GeometricAdapter(
-            AnchoredCF(), lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid))
+            AnchoredCF(), lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid),
+            lambda c: GlobalColor(ANCHORED_SCHEME_TAG, c))
     if name == "squares":
         return _GeometricAdapter(
             GridSquareCF(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
@@ -394,10 +409,10 @@ def _count_diff(counts: dict, diff) -> None:
         _count(counts, diff.removed[1], -1)
 
 
-def _multiplicity_mismatch(recount: list[int], counted: list[int]) -> str:
+def _colors_mismatch(recount: dict, counted: dict) -> str:
     extra = sorted((Counter(recount) - Counter(counted)).elements())
     missing = sorted((Counter(counted) - Counter(recount)).elements())
-    return (f"color multiplicities {extra} in global_colors() but not in the diffs, "
+    return (f"colors {extra} in global_colors() but not in the diffs, "
             f"{missing} in the diffs but not in global_colors()")
 
 
@@ -442,14 +457,12 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                     verified = False
                     violations.append({"step": step, "check": "invariants",
                                        "detail": str(report.reason)})
-                # diff and global color spaces may differ (AnchoredCF's diffs
-                # carry local ints), so only the multiplicities are compared
-                recount = sorted(Counter(adapter.colors().values()).values())
-                counted = sorted(color_counts.values())
+                recount = Counter(adapter.colors().values())
+                counted = adapter.global_counts(color_counts)
                 if recount != counted:
                     verified = False
                     violations.append({"step": step, "check": "colors",
-                                       "detail": _multiplicity_mismatch(recount, counted)})
+                                       "detail": _colors_mismatch(recount, counted)})
             if oracle_due and verified is True:
                 witness = adapter.check_oracle()
                 if witness is not None:

@@ -5,13 +5,22 @@ Two families of checks:
 * object colorings (rectangles/squares vs. probe points): the probe set is
   the coordinate grid of all object edges plus midpoints between
   consecutive coordinates, so every cell, edge and vertex of the
-  axis-parallel arrangement carries a probe.  `check_cf` runs an exact
-  sweep over that grid organized by y-slab; `check_cf_probes` /
-  `check_unimax_probes` are the direct per-probe versions for small inputs.
+  axis-parallel arrangement carries a probe.  `check_cf` sweeps that grid
+  exactly with numpy over dense int color codes: coordinates are ranked in
+  Python (exact for any int/float mix), each rectangle is expanded into
+  the probe rows it spans that need a check, and blocks of those (rect,
+  row) pairs are sorted by (row, color, column) so one cumulative sum
+  gives each color's count, and a second, in (row, column) order, the
+  number of colors seen exactly once at every probe.  Blocks hold about
+  CF_BLOCK_PAIRS pairs, so a call's working memory does not grow with the
+  number of rows.  `check_cf_probes` / `check_unimax_probes` are the
+  direct per-probe versions for small inputs.
 
 * point colorings (points vs. interval or rectangle ranges): canonical
   ranges span all coordinate pairs.  Exhaustive below a size cutoff,
-  deterministic random sampling beyond it.
+  deterministic random sampling beyond it.  `check_cf_intervals` and the
+  sampled rectangle ranges are vectorized over dense color codes in
+  bounded blocks of windows.
 
 Also hosts the definitional color recomputations: colors evaluated
 directly from tree shape with freshly computed heights and summaries, used
@@ -21,7 +30,6 @@ to cross-check the incremental assignments.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,8 @@ from .geom import AxisRect, Pt
 EXHAUSTIVE_2D_LIMIT = 40      # exhaustive canonical rectangles up to this many points
 EXHAUSTIVE_1D_LIMIT = 640     # exhaustive canonical intervals up to this many points
 SAMPLED_RANGES = 100_000      # ranges drawn beyond the exhaustive cutoffs
+CF_BLOCK_PAIRS = 4096         # (rect, probe row) pairs per check_cf block
+BLOCK_CELLS = 1 << 15         # (window, point) cells per block of range checks
 
 
 @dataclass
@@ -100,14 +110,27 @@ def _has_singleton(colors: list) -> bool:
     return any(v == 1 for v in counts.values())
 
 
+def _dense_codes(colors: list, ordered: bool = False) -> tuple[np.ndarray, int]:
+    """Colors as ints 0..k-1 for k distinct colors, equal colors to equal
+    ints.  Numbered in first-seen order, or, when `ordered`, in the colors'
+    own order, so that a maximum carries over to the codes too."""
+    code: dict = {}
+    dense = np.array([code.setdefault(c, len(code)) for c in colors], dtype=np.int32)
+    if ordered:
+        rank = np.empty(len(code), dtype=np.int32)
+        rank[sorted(range(len(code)), key=list(code).__getitem__)] = np.arange(len(code))
+        dense = rank[dense]
+    return dense, len(code)
+
+
 def check_cf(colored: list[tuple[AxisRect, object]]) -> Witness | None:
     """Exact conflict-free check over the whole probe grid.
 
-    Equivalent to check_cf_probes on the full grid, but organized as a
-    sweep over y-slabs so it stays usable at thousands of objects: rows are
-    probe rows (coordinates and gaps), and within a row a single pass over
-    the active rectangles' x-events tracks how many colors occur exactly
-    once.
+    Equivalent to check_cf_probes on the full grid.  Rows are probe rows
+    (coordinates and gaps); only row 0, rows where a rectangle starts and
+    rows right after one ends can hold a violation first, so only those are
+    checked, in blocks of about CF_BLOCK_PAIRS (rect, row) pairs.  The
+    witness is the violating probe in the lowest checked row, leftmost.
     """
     if not colored:
         return None
@@ -115,71 +138,92 @@ def check_cf(colored: list[tuple[AxisRect, object]]) -> Witness | None:
     ys = sorted({v for r, _ in colored for v in (r.y1, r.y2)})
     xi = {v: i for i, v in enumerate(xs)}
     yi = {v: i for i, v in enumerate(ys)}
-    color_code: dict = {}
-    for _, c in colored:
-        if c not in color_code:
-            color_code[c] = len(color_code)
+    codes, k = _dense_codes([c for _, c in colored])
 
-    # per rect: probe-index spans (even = coordinate cell, odd = gap cell)
-    n_rows = 2 * len(ys) - 1
-    starts: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_rows)]
-    ends: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_rows)]
-    for uid, (r, c) in enumerate(colored):
-        item = (2 * xi[r.x1], 2 * xi[r.x2], color_code[c], uid)
-        starts[2 * yi[r.y1]].append(item)
-        ends[2 * yi[r.y2]].append(item)
-
-    # events kept sorted across rows; (position, delta, code, uid)
-    events: list[tuple[int, int, int, int]] = []
-    counts = [0] * len(color_code)
-    for row in range(n_rows):
-        changed = bool(starts[row])
-        for px1, px2, code, uid in starts[row]:
-            insort(events, (px1, 1, code, uid))
-            insort(events, (px2 + 1, -1, code, uid))
-        if changed or row == 0 or (row > 0 and ends[row - 1]):
-            bad = _sweep_row(events, counts)
-            if bad is not None:
-                return _make_witness(colored, xs, ys, bad, row)
-        for px1, px2, code, uid in ends[row]:
-            del events[bisect_left(events, (px1, 1, code, uid))]
-            del events[bisect_left(events, (px2 + 1, -1, code, uid))]
+    # probe indices: even = coordinate, odd = gap.  A rect covers columns
+    # [x_on, x_off) and rows [y_on, y_off].
+    x_on = np.array([2 * xi[r.x1] for r, _ in colored], dtype=np.int64)
+    x_off = np.array([2 * xi[r.x2] + 1 for r, _ in colored], dtype=np.int64)
+    y_on = [2 * yi[r.y1] for r, _ in colored]
+    y_off = [2 * yi[r.y2] for r, _ in colored]
+    # the row after the top coordinate's is past the grid
+    rows = np.array(sorted({0, *y_on, *(y + 1 for y in y_off)} - {2 * len(ys) - 1}))
+    # each rect spans checked rows [first, stop)
+    first = np.searchsorted(rows, y_on)
+    stop = np.searchsorted(rows, y_off, side="right")
+    m = len(rows)
+    if 2 * m * k * 2 * len(xs) >= 2**63:
+        raise ValueError(f"check_cf: {len(colored)} objects overflow its int64 sort keys")
+    pairs_through = np.cumsum(np.cumsum(np.bincount(first, minlength=m + 1)
+                                        - np.bincount(stop, minlength=m + 1))[:m])
+    a = 0
+    while a < m:
+        done = pairs_through[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(pairs_through, done + CF_BLOCK_PAIRS,
+                                           side="right")))
+        bad = _cf_block(first, stop, x_on, x_off, codes, k, 2 * len(xs), a, b)
+        if bad is not None:
+            row, col = bad
+            return _make_witness(colored, xs, ys, col, int(rows[row]))
+        a = b
     return None
 
 
-def _sweep_row(events: list[tuple[int, int, int, int]], counts: list[int]) -> int | None:
-    """One left-to-right pass; returns the first violating probe column."""
-    singles = 0
-    covering = 0
-    bad = None
-    k = 0
-    m = len(events)
-    while k < m:
-        pos = events[k][0]
-        while k < m and events[k][0] == pos:
-            _, delta, code, _ = events[k]
-            c = counts[code]
-            if delta > 0:
-                if c == 0:
-                    singles += 1
-                elif c == 1:
-                    singles -= 1
-                counts[code] = c + 1
-                covering += 1
-            else:
-                if c == 1:
-                    singles -= 1
-                elif c == 2:
-                    singles += 1
-                counts[code] = c - 1
-                covering -= 1
-            k += 1
-        if covering > 0 and singles == 0:
-            bad = pos
-            break
-    for _, _, code, _ in events:  # reset touched counters
-        counts[code] = 0
-    return bad
+def _cf_block(first, stop, x_on, x_off, codes, k, n_cols, a, b):
+    """The first violating (checked row, column) among checked rows [a, b),
+    or None."""
+    sel = np.flatnonzero((first < b) & (stop > a))
+    lo = np.maximum(first[sel], a)
+    span = np.minimum(stop[sel], b) - lo
+    rect = np.repeat(sel, span)
+    # (row relative to a, color) of each pair, each rect's run of rows in turn
+    group = np.repeat(lo - a - np.cumsum(span) + span, span)
+    group += np.arange(len(rect))
+    group *= k
+    group += codes[rect]
+    group *= n_cols
+    # one +1 event where a rect starts covering a row, one -1 where it
+    # stops.  Events are sorted by value, which is cheaper than argsort, so
+    # a key carries all an event needs: (row, color, column), then the sign
+    # in the low bit.  Arrays are updated in place to keep a block small.
+    key = np.concatenate((group + x_on[rect], group + x_off[rect]))
+    del group, rect
+    key <<= 1
+    key[:len(key) // 2] += 1
+    key.sort()
+    up = (key & 1).astype(np.int8)
+    delta = 2 * up - 1
+    # a color's count within its row: each (row, color) run of events nets
+    # to zero, so one running sum restarts at every run
+    count = np.cumsum(delta, dtype=np.int32)
+    # +1 when a count becomes 1, -1 when it leaves 1; at equal keys the
+    # order does not matter, since the changes telescope over a tie
+    trans = (count == 1).astype(np.int8) - (count - delta == 1)
+    del count, delta
+
+    # re-sorted by probe (row, column), with trans + 1 and the sign in the
+    # low three bits
+    key >>= 1
+    col = key % n_cols
+    key //= k * n_cols
+    key *= n_cols
+    key += col
+    del col
+    key <<= 3
+    key |= (trans + 1) << 1
+    key |= up
+    del trans, up
+    key.sort()
+    covering = np.cumsum((key & 1) * 2 - 1, dtype=np.int32)
+    singles = np.cumsum(((key >> 1) & 3) - 1, dtype=np.int32)
+    key >>= 3
+    # the state at a probe is the one after its last event
+    last = np.append(key[1:] != key[:-1], True)
+    hit = np.flatnonzero(last & (covering > 0) & (singles == 0))
+    if len(hit) == 0:
+        return None
+    p = int(key[hit[0]])
+    return a + p // n_cols, p % n_cols
 
 
 def _probe_value(coords: list[float], probe_index: int) -> float:
@@ -227,20 +271,39 @@ def check_cf_intervals(points: list[tuple[float, object]],
     if max_starts is not None and len(start_idxs) > max_starts:
         rng = random.Random(seed)
         start_idxs = sorted(rng.sample(start_idxs, max_starts))
-    for i in start_idxs:
-        counts: dict = {}
-        singles = 0
-        for j in range(i, n):
-            c = pts[j][1]
-            prev = counts.get(c, 0)
-            counts[c] = prev + 1
-            if prev == 0:
-                singles += 1
-            elif prev == 1:
-                singles -= 1
-            if singles == 0 and is_end[j]:
-                return Witness((pts[i][0], pts[j][0]),
-                               sorted(v for _, v in pts[i:j + 1]))
+    codes, _ = _dense_codes([c for _, c in pts])
+    # prev[j]: the previous index with j's color (-1 if none), prev2 the one
+    # before that.  In a window starting at i, j is its color's first
+    # occurrence iff prev[j] < i, and its second iff prev[j] >= i > prev2[j].
+    by_code = np.argsort(codes, kind="stable")
+    prev = np.full(n, -1, dtype=np.int64)
+    repeat = codes[by_code[1:]] == codes[by_code[:-1]]
+    prev[by_code[1:][repeat]] = by_code[:-1][repeat]
+    prev2 = np.where(prev >= 0, prev[np.maximum(prev, 0)], -1)
+    ends = np.array(is_end)
+    starts = np.array(start_idxs, dtype=np.int64)
+    a = 0
+    while a < len(starts):
+        i0 = int(starts[a])
+        block = starts[a:a + max(1, BLOCK_CELLS // (n - i0))]
+        a += len(block)
+        i = block[:, None]
+        # +1 where a color's count becomes 1, -1 where it becomes 2; each
+        # j < i counts +1 too, so singles over [i, j] is the sum less i - i0
+        first_seen = prev[i0:] < i
+        trans = first_seen.astype(np.int8)
+        trans -= ~first_seen & (prev2[i0:] < i)
+        del first_seen
+        bad = np.cumsum(trans, axis=1, dtype=np.int32) == i - i0
+        del trans
+        bad &= np.arange(i0, n) >= i
+        bad &= ends[i0:]
+        rows = np.flatnonzero(bad.any(axis=1))
+        if len(rows):
+            r = rows[0]
+            si, sj = int(block[r]), i0 + int(np.argmax(bad[r]))
+            return Witness((pts[si][0], pts[sj][0]),
+                           sorted(v for _, v in pts[si:sj + 1]))
     return None
 
 
@@ -329,11 +392,7 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
     n = len(points)
     px = np.array([p.x for p, _ in points])
     py = np.array([p.y for p, _ in points])
-    color_code: dict = {}
-    for _, c in points:
-        if c not in color_code:
-            color_code[c] = len(color_code)
-    codes = np.array([color_code[c] for _, c in points])
+    codes, _ = _dense_codes([c for _, c in points], ordered=unimax)
     xs = np.sort(np.unique(px))
     ys = np.sort(np.unique(py))
     rng = np.random.default_rng(seed)
@@ -349,20 +408,39 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
         ylo, yhi = ys[ay[:, 0]], ys[ay[:, 1]]
         mask = ((px >= xlo[:, None]) & (px <= xhi[:, None]) &
                 (py >= ylo[:, None]) & (py <= yhi[:, None]))
-        nonempty = mask.any(axis=1)
         if unimax:
+            nonempty = mask.any(axis=1)
             masked = np.where(mask, codes, -1)
             row_max = masked.max(axis=1)
             max_counts = (masked == row_max[:, None]).sum(axis=1)
-            bad_rows = np.nonzero(nonempty & (max_counts != 1))[0]
+            bad_rows = np.flatnonzero(nonempty & (max_counts != 1))
+            k = bad_rows[0] if len(bad_rows) else None
         else:
-            bad_rows = [k for k in np.nonzero(nonempty)[0]
-                        if not _has_singleton([points[i][1]
-                                               for i in np.nonzero(mask[k])[0]])]
-        for k in bad_rows:
-            cover = sorted(points[i][1] for i in np.nonzero(mask[k])[0])
-            if _window_violates(list(cover), unimax):
-                return Witness((xlo[k], xhi[k], ylo[k], yhi[k]), list(cover))
+            k = _first_row_without_singleton(mask, codes)
+        if k is not None:
+            cover = sorted(points[i][1] for i in np.flatnonzero(mask[k]))
+            return Witness((xlo[k], xhi[k], ylo[k], yhi[k]), cover)
+    return None
+
+
+def _first_row_without_singleton(mask: np.ndarray, codes: np.ndarray) -> int | None:
+    """The first nonempty row of mask whose points' codes include none seen
+    exactly once, or None; BLOCK_CELLS cells at a time."""
+    n = mask.shape[1]
+    step = max(1, BLOCK_CELLS // n)
+    for r0 in range(0, len(mask), step):
+        rows = mask[r0:r0 + step]
+        covered = np.where(rows, codes, -1)
+        covered.sort(axis=1)
+        # a code seen once differs from both neighbours in its sorted row
+        differs = np.ones((len(rows), n + 1), dtype=bool)
+        np.not_equal(covered[:, 1:], covered[:, :-1], out=differs[:, 1:-1])
+        single = covered >= 0
+        single &= differs[:, :-1]
+        single &= differs[:, 1:]
+        bad = np.flatnonzero(rows.any(axis=1) & ~single.any(axis=1))
+        if len(bad):
+            return r0 + int(bad[0])
     return None
 
 

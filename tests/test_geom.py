@@ -3,8 +3,6 @@ from hypothesis import given, strategies as st
 
 from cfcolor.geom import (
     AxisRect,
-    ColorCodec,
-    GlobalColor,
     KeyOrder,
     compare_keys,
     pair_decode,
@@ -53,15 +51,3 @@ def test_rect_rejects_inverted_bounds():
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))
 def test_pair_encoding_roundtrip(a, b):
     assert pair_decode(pair_encode(a, b)) == (a, b)
-
-
-@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1000)), max_size=60))
-def test_color_codec_dense_roundtrip(raw):
-    codec = ColorCodec()
-    colors = [GlobalColor(tag, local) for tag, local in raw]
-    dense = [codec.encode(c) for c in colors]
-    for c, d in zip(colors, dense):
-        assert codec.decode(d) == c
-        assert codec.encode(c) == d  # stable on re-encode
-    # dense side is exactly {0..k-1} for k distinct colors issued
-    assert set(dense) == set(range(len(set(colors))))

@@ -303,6 +303,40 @@ def test_unreported_recoloring_is_a_colors_violation(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_unreported_recoloring_to_a_fresh_color_is_flagged_at_its_step(monkeypatch):
+    """A uniquely colored object rewritten, unreported, to a color nobody
+    wears keeps every multiplicity; only a keyed count can see it."""
+    import cfcolor.squares as squares
+    from collections import Counter
+    from cfcolor.geom import UnitSquare
+
+    planted = []
+
+    class RewritingSquares(squares.GridSquareCF):
+        def insert(self, sq):
+            diff = super().insert(sq)
+            if sq.id == 12:
+                counts = Counter(self.global_colors().values())
+                victim = min(o for o, c in self.global_colors().items()
+                             if counts[c] == 1 and o != sq.id)
+                cell = self.cells[self.location[victim]]
+                cell.colors[victim] = 10**6
+                planted.append(victim)
+            return diff
+
+    def make(name, c=None, universe=None):
+        return harness._GeometricAdapter(
+            RewritingSquares(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+
+    monkeypatch.setattr(harness, "make_structure", make)
+    events = generate_workload("unit_square", 30, 0.0, seed=3, span=3.0)
+    report = run_workload("squares", events, verify="invariants")
+    bad = report["summary"]["violations"]
+    assert planted
+    assert bad[0]["step"] == 12 and bad[0]["check"] == "colors"
+    assert "1000000" in bad[0]["detail"]
+
+
 BAD_INPUTS = {
     # case: (structure arguments, the workload's only line, as bytes)
     "inverted_bounded_rect": (

@@ -1,7 +1,11 @@
 import random
+import tracemalloc
+from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from cfcolor.anchored import AnchoredCF
 from cfcolor.augtree import AugTree
 from cfcolor.geom import AxisRect, KeyOrder, Pt
 from cfcolor import oracle
@@ -64,6 +68,31 @@ def test_sweep_agrees_with_probe_grid(raw):
     assert (fast is None) == (slow is None)
 
 
+def test_sweep_witness_is_lowest_row_then_leftmost_column():
+    right_low = [(rect(10, 12, 0, 2, 0), 1), (rect(10, 12, 0, 2, 1), 1)]
+    left_high = [(rect(0, 2, 5, 7, 2), 2), (rect(0, 2, 5, 7, 3), 2)]
+    w = check_cf(left_high + right_low)
+    assert w.probe == Pt(10.0, 0.0) and w.colors == [1, 1]
+    left_low = [(rect(0, 2, 0, 2, 2), 2), (rect(0, 2, 0, 2, 3), 2)]
+    w = check_cf(right_low + left_low)
+    assert w.probe == Pt(0.0, 0.0) and w.colors == [2, 2]
+
+
+def test_sweep_memory_stays_bounded():
+    rng = random.Random(11)
+    cf = AnchoredCF()
+    for oid in range(1000):
+        cf.insert(rect(0, rng.uniform(0.001, 10), 0, rng.uniform(0.001, 10), oid))
+    colored = cf.colored_rects()
+    tracemalloc.start()
+    try:
+        assert check_cf(colored) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_probe_completeness_same_cell_same_cover():
     rng = random.Random(5)
     rects = [rect(rng.randint(0, 8), rng.randint(9, 16),
@@ -98,6 +127,30 @@ def test_intervals_trivial_and_violation():
     w = check_cf_intervals([(1.0, 0), (2.0, 0)])
     assert w is not None and w.probe == (1.0, 2.0)
     assert check_cf_intervals([(1.0, 0), (2.0, 1), (3.0, 0)]) is None
+
+
+def _intervals_reference(points, max_starts, seed):
+    """Every canonical window checked on its own, by coordinate value."""
+    xs = sorted({x for x, _ in points})
+    starts = xs
+    if max_starts is not None and len(xs) > max_starts:
+        starts = sorted(random.Random(seed).sample(xs, max_starts))
+    for lo in starts:
+        for hi in xs:
+            window = [c for x, c in points if lo <= x <= hi]
+            if hi >= lo and 1 not in Counter(window).values():
+                return (lo, hi), sorted(window)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=25),
+       st.sampled_from([None, 1, 2, 5]), st.integers(0, 3))
+def test_intervals_agree_with_per_window_reference(raw, max_starts, seed):
+    points = [(float(x), c) for x, c in raw]
+    w = check_cf_intervals(points, max_starts=max_starts, seed=seed)
+    want = _intervals_reference(points, max_starts, seed)
+    assert (None if w is None else (w.probe, w.colors)) == want
 
 
 def test_unimax_intervals_examples():
@@ -140,6 +193,48 @@ def test_rect_ranges_sampled_path_accepts_distinct_colors():
     pts = [(Pt(rng.random() * 100, rng.random() * 100), k) for k in range(60)]
     assert check_cf_rect_ranges(pts, samples=20_000, seed=1) is None
     assert check_unimax_rect_ranges(pts, samples=20_000, seed=1) is None
+
+
+def _sampled_ranges_reference(points, samples, seed, unimax):
+    """The same seeded ranges as the sampled path, each checked on its own."""
+    px = np.array([p.x for p, _ in points])
+    py = np.array([p.y for p, _ in points])
+    xs, ys = np.unique(px), np.unique(py)
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < samples:
+        b = min(4096, samples - done)
+        done += b
+        ax = np.sort(rng.integers(0, len(xs), size=(b, 2)), axis=1)
+        ay = np.sort(rng.integers(0, len(ys), size=(b, 2)), axis=1)
+        for k in range(b):
+            box = (xs[ax[k, 0]], xs[ax[k, 1]], ys[ay[k, 0]], ys[ay[k, 1]])
+            cover = sorted(c for p, c in points
+                           if box[0] <= p.x <= box[1] and box[2] <= p.y <= box[3])
+            if not cover:
+                continue
+            if cover.count(cover[-1]) != 1 if unimax else 1 not in Counter(cover).values():
+                return box, cover
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 999)),
+                min_size=1, max_size=20),
+       st.sampled_from([3, 1000]), st.integers(0, 5), st.booleans())
+def test_sampled_rect_ranges_agree_with_per_range_reference(raw, palette, seed, unimax):
+    points = [(Pt(float(x), float(y)), c % palette) for x, y, c in raw]
+    w = oracle._sampled_rect_ranges(points, 4500, seed, unimax=unimax)
+    want = _sampled_ranges_reference(points, 4500, seed, unimax)
+    assert (None if w is None else (w.probe, w.colors)) == want
+
+
+def test_sampled_unimax_sees_a_repeated_maximum():
+    # the maximum 5 is seen first and repeats; the lower 3 is unique
+    pts = [(Pt(0.0, 0.0), 5), (Pt(1.0, 1.0), 5), (Pt(0.5, 0.5), 3)]
+    pts += [(Pt(10.0 + i, 10.0 + i), 100 + i) for i in range(45)]
+    w = check_unimax_rect_ranges(pts, samples=20_000, seed=0)
+    assert w is not None and w.colors == [3, 5, 5]
 
 
 # -- definitional recompute --------------------------------------------------
