@@ -3,17 +3,18 @@ origin), maintained under insertions and deletions.
 
 Rectangles are keyed by the x-coordinate of their top-right corner in an
 augmented tree whose max-summary tracks the highest-reaching rectangle per
-subtree.  A rectangle's color is the maximum height over the nodes that
-"point at" it: its own leaf, and every internal node whose right child's
-max-summary is the rectangle.  After each tree update the colors of all
-candidate rectangles named by the dirty log are recomputed and diffed
-against the stored assignment, so the recoloring count is exact.
+subtree.  The coloring is the rule of cells.py with the single selector NE
+(k = 1): a rectangle's color is the height of the highest node whose right
+child's max-summary is the rectangle, or 0.  After each tree update the
+colors of all candidate rectangles named by the dirty log are recomputed
+and diffed against the stored assignment, so the recoloring count is
+exact.
 """
 
 from __future__ import annotations
 
-from .augtree import AugTree, ancestor_color_base, dirty_candidates
-from .geom import AxisRect, DuplicateId, GlobalColor, KeyOrder, ObjectId, RecolorDiff, UnknownId
+from .cells import NE, DirectionalCell
+from .geom import AxisRect, KeyOrder, ObjectId, Pt
 
 ANCHORED_SCHEME_TAG = 0
 
@@ -22,71 +23,20 @@ class NotAnchored(ValueError):
     pass
 
 
-class AnchoredCF:
+class AnchoredCF(DirectionalCell):
     """Dynamic CF-coloring of anchored rectangles; colors are small ints."""
 
+    SELECTORS = ((NE,),)
+
     def __init__(self) -> None:
-        self.tree = AugTree()
-        self.colors: dict[ObjectId, int] = {}
-        self.rects: dict[ObjectId, AxisRect] = {}
-        self.total_recolorings = 0
+        super().__init__(Pt(0.0, 0.0), ANCHORED_SCHEME_TAG)
+        (self.tree,) = self.trees
+        self.rects: dict[ObjectId, AxisRect] = self.objects
 
-    def __len__(self) -> int:
-        return len(self.rects)
-
-    def insert(self, r: AxisRect) -> RecolorDiff:
+    def check(self, r: AxisRect) -> None:
         if r.x1 != 0.0 or r.y1 != 0.0:
             raise NotAnchored(f"rectangle not anchored at the origin: {r}")
-        if r.id in self.rects:
-            raise DuplicateId(r.id)
-        log = self.tree.insert(KeyOrder(r.x2, r.id), r.id,
-                               KeyOrder(r.y2, r.id), KeyOrder(r.y2, r.id))
-        self.rects[r.id] = r
-        return self._apply(dirty_candidates(log), inserted=r.id)
 
-    def delete(self, oid: ObjectId) -> RecolorDiff:
-        r = self.rects.get(oid)
-        if r is None:
-            raise UnknownId(oid)
-        log = self.tree.delete(KeyOrder(r.x2, r.id))
-        del self.rects[oid]
-        old = self.colors.pop(oid)
-        diff = self._apply(dirty_candidates(log) - {oid})
-        diff.removed = (oid, old)
-        return diff
-
-    def color_of(self, oid: ObjectId) -> int:
-        if oid not in self.rects:
-            raise UnknownId(oid)
-        return self.colors[oid]
-
-    def _recompute(self, oid: ObjectId) -> int:
-        leaf = self.tree.leaf_by_payload[oid]
-        return ancestor_color_base(leaf, lambda v: v.right.ymax.tiebreak)
-
-    def _apply(self, candidates: set[ObjectId], inserted: ObjectId | None = None) -> RecolorDiff:
-        diff = RecolorDiff()
-        for oid in sorted(candidates):
-            if oid not in self.rects:
-                continue
-            new = self._recompute(oid)
-            if oid == inserted:
-                self.colors[oid] = new
-                diff.assigned = (oid, new)
-            elif self.colors[oid] != new:
-                diff.changed[oid] = (self.colors[oid], new)
-                self.colors[oid] = new
-        self.total_recolorings += diff.recolorings
-        return diff
-
-    # -- verification views -------------------------------------------------
-
-    def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        return {oid: GlobalColor(ANCHORED_SCHEME_TAG, c) for oid, c in self.colors.items()}
-
-    def colored_rects(self) -> list[tuple[AxisRect, GlobalColor]]:
-        return [(self.rects[oid], GlobalColor(ANCHORED_SCHEME_TAG, c))
-                for oid, c in sorted(self.colors.items())]
-
-    def audit(self):
-        return self.tree.audit()
+    def keys(self, r: AxisRect) -> tuple:
+        y = KeyOrder(r.y2, r.id)
+        return ((KeyOrder(r.x2, r.id), y, y),)

@@ -21,7 +21,7 @@ O(log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .geom import KeyOrder, ObjectId
 
@@ -153,18 +153,21 @@ class AugTree:
 
     # -- augmentation upkeep ----------------------------------------------
 
-    def _refresh(self, v: Node, log: DirtyLog) -> None:
+    def _refresh(self, v: Node, log: DirtyLog) -> bool:
+        """Recompute v's augmentation from its children; True if it changed."""
         h = max(v.left.height, v.right.height) + 1
         ymax = max(v.left.ymax, v.right.ymax)
         ymin = min(v.left.ymin, v.right.ymin)
         if h != v.height or ymax != v.ymax or ymin != v.ymin:
             log.touch(v)
             v.height, v.ymax, v.ymin = h, ymax, ymin
+            return True
+        return False
 
     def _refresh_to_root(self, v: Node | None, log: DirtyLog) -> None:
-        while v is not None:
-            if not v.is_leaf:
-                self._refresh(v, log)
+        # v is internal or None.  An ancestor depends only on its children,
+        # so above the first node that did not change nothing changes either.
+        while v is not None and self._refresh(v, log):
             v = v.parent
 
     # -- rotations ---------------------------------------------------------
@@ -415,19 +418,6 @@ class AugTree:
             if leaf.payload != oid:
                 return ViolationReport(leaf, "payload index out of sync")
         return None
-
-
-def ancestor_color_base(leaf: Node, references: Callable[[Node], ObjectId | None]) -> int:
-    """Max height over the leaf and its ancestors v where references(v) is the
-    leaf's payload.  Shared helper for the height-based coloring rules."""
-    best = 0
-    oid = leaf.payload
-    v = leaf.parent
-    while v is not None:
-        if references(v) == oid and v.height > best:
-            best = v.height
-        v = v.parent
-    return best
 
 
 def dirty_candidates(log: DirtyLog) -> set[ObjectId]:

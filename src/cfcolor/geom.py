@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Object identifiers are plain ints: unique within one structure instance,
 # strictly increasing in insertion order.
@@ -75,12 +76,12 @@ class Interval:
             raise ValueError(f"degenerate interval bounds: {self}")
 
 
-@dataclass(frozen=True, order=True)
-class KeyOrder:
+class KeyOrder(NamedTuple):
     """Total order on (coordinate, id): equal coordinates fall back to the id.
 
     Distinct objects always compare unequal, which is what lets every scheme
-    pretend all coordinates are distinct.
+    pretend all coordinates are distinct.  A plain tuple underneath, so
+    comparisons and construction stay cheap on the tree's hot paths.
     """
 
     coordinate: float
@@ -96,8 +97,7 @@ def compare_keys(k1: KeyOrder, k2: KeyOrder) -> int:
     return 0
 
 
-@dataclass(frozen=True, order=True)
-class GlobalColor:
+class GlobalColor(NamedTuple):
     """A color as (sub-scheme tag, local color).
 
     scheme_tag identifies the palette the local color is drawn from (grid

@@ -419,7 +419,8 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
             k = _first_row_without_singleton(mask, codes)
         if k is not None:
             cover = sorted(points[i][1] for i in np.flatnonzero(mask[k]))
-            return Witness((xlo[k], xhi[k], ylo[k], yhi[k]), cover)
+            return Witness((xlo[k].item(), xhi[k].item(), ylo[k].item(), yhi[k].item()),
+                           cover)
     return None
 
 

@@ -1,12 +1,12 @@
 """CF-colorings for rectangles: bounded side lengths, and arbitrary sizes
 over a fixed coordinate universe.
 
-CommonPointCF colors rectangles that all share one point (the pin).  Two
-trees are kept: the east tree in x2-order whose right-child summaries
-drive the NE (max y2) and SE (min y1) rules, and the west tree in x1-order
-whose left-child summaries drive NW/SW.  Each half yields 0 or 2*h + j
-with j in {0,1}; the color of a rectangle is the ordered (east, west)
-pair.
+CommonPointCF colors rectangles that all share one point (the pin) by the
+rule of cells.py in two trees: the east tree in x2-order with selectors
+(NE, SE), read from right-child summaries (max y2, min y1), and the west
+tree in x1-order with selectors (NW, SW), read from left-child summaries.
+Each half yields 0 or 2*h + j with j in {0,1}; the color of a rectangle is
+the ordered (east, west) pair.
 
 BoundedRectCF routes rectangles with side lengths in [1, c] to the
 lexicographically smallest contained integer grid point and runs one
@@ -25,22 +25,9 @@ from __future__ import annotations
 
 import math
 
-from .augtree import AugTree, ViolationReport, dirty_candidates
-from .geom import (
-    AxisRect,
-    DuplicateId,
-    GlobalColor,
-    KeyOrder,
-    ObjectId,
-    Pt,
-    RecolorDiff,
-    UnknownId,
-    pair_encode,
-)
-
-
-class PinNotContained(ValueError):
-    pass
+from .augtree import ViolationReport
+from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tree_color
+from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode
 
 
 class SizeOutOfRange(ValueError):
@@ -51,176 +38,54 @@ class CoordinateOutOfUniverse(ValueError):
     pass
 
 
-class CommonPointCF:
+class CommonPointCF(DirectionalCell):
     """Pair coloring of rectangles sharing the point `pin`."""
 
-    def __init__(self, pin: Pt) -> None:
-        self.pin = pin
-        self.east = AugTree()   # keyed by x2
-        self.west = AugTree()   # keyed by x1
-        self.colors: dict[ObjectId, tuple[int, int]] = {}
-        self.rects: dict[ObjectId, AxisRect] = {}
+    SELECTORS = ((NE, SE), (NW, SW))
 
-    def __len__(self) -> int:
-        return len(self.rects)
+    def __init__(self, pin: Pt, tag: int = 0) -> None:
+        super().__init__(pin, tag)
+        self.east, self.west = self.trees   # keyed by x2, by x1
+        self.rects: dict[ObjectId, AxisRect] = self.objects
 
-    def insert(self, r: AxisRect) -> RecolorDiff:
-        if not r.contains(self.pin):
-            raise PinNotContained(f"{r} does not contain pin {self.pin}")
-        if r.id in self.rects:
-            raise DuplicateId(r.id)
+    def keys(self, r: AxisRect) -> tuple:
         ymax = KeyOrder(r.y2, r.id)
         ymin = KeyOrder(r.y1, r.id)
-        log_e = self.east.insert(KeyOrder(r.x2, r.id), r.id, ymax, ymin)
-        log_w = self.west.insert(KeyOrder(r.x1, r.id), r.id, ymax, ymin)
-        self.rects[r.id] = r
-        cands = dirty_candidates(log_e) | dirty_candidates(log_w)
-        return self._apply(cands, inserted=r.id)
+        return (KeyOrder(r.x2, r.id), ymax, ymin), (KeyOrder(r.x1, r.id), ymax, ymin)
 
-    def delete(self, oid: ObjectId) -> RecolorDiff:
-        r = self.rects.pop(oid, None)
-        if r is None:
-            raise UnknownId(oid)
-        log_e = self.east.delete(KeyOrder(r.x2, oid))
-        log_w = self.west.delete(KeyOrder(r.x1, oid))
-        old = self.colors.pop(oid)
-        diff = self._apply((dirty_candidates(log_e) | dirty_candidates(log_w)) - {oid})
-        diff.removed = (oid, old)
-        return diff
+    def color(self, oid: ObjectId) -> tuple[int, int]:
+        east, west = self.RULES
+        return (tree_color(self.east.leaf_by_payload[oid], *east),
+                tree_color(self.west.leaf_by_payload[oid], *west))
 
-    def pair_of(self, oid: ObjectId) -> tuple[int, int]:
-        if oid not in self.rects:
-            raise UnknownId(oid)
-        return self.colors[oid]
+    def global_color(self, pair: tuple[int, int]) -> GlobalColor:
+        return GlobalColor(self.tag, pair_encode(*pair))
 
-    @staticmethod
-    def _half_color(tree: AugTree, oid: ObjectId, use_right: bool) -> int:
-        leaf = tree.leaf_by_payload[oid]
-        hi = lo = 0
-        v = leaf.parent
-        while v is not None:
-            child = v.right if use_right else v.left
-            if child.ymax.tiebreak == oid and v.height > hi:
-                hi = v.height
-            if child.ymin.tiebreak == oid and v.height > lo:
-                lo = v.height
-            v = v.parent
-        h = max(hi, lo)
-        if h == 0:
-            return 0
-        return 2 * h + (0 if hi == h else 1)
-
-    def _recompute(self, oid: ObjectId) -> tuple[int, int]:
-        return (self._half_color(self.east, oid, use_right=True),
-                self._half_color(self.west, oid, use_right=False))
-
-    def _apply(self, candidates: set[ObjectId], inserted: ObjectId | None = None) -> RecolorDiff:
-        diff = RecolorDiff()
-        for oid in sorted(candidates):
-            if oid not in self.rects:
-                continue
-            new = self._recompute(oid)
-            if oid == inserted:
-                self.colors[oid] = new
-                diff.assigned = (oid, new)
-            elif self.colors[oid] != new:
-                diff.changed[oid] = (self.colors[oid], new)
-                self.colors[oid] = new
-        return diff
-
-    def audit(self) -> ViolationReport | None:
-        for tree in (self.east, self.west):
-            report = tree.audit()
-            if report is not None:
-                return report
-        for oid, r in self.rects.items():
-            if not r.contains(self.pin):
-                return ViolationReport(None, f"rect {oid} lost its pin")
-        return None
+    pair_of = DirectionalCell.color_of
 
 
-def _globalize(local: RecolorDiff, tag: int) -> RecolorDiff:
-    def enc(pair: tuple[int, int]) -> GlobalColor:
-        return GlobalColor(tag, pair_encode(*pair))
-
-    diff = RecolorDiff()
-    diff.changed = {oid: (enc(old), enc(new)) for oid, (old, new) in local.changed.items()}
-    if local.assigned is not None:
-        diff.assigned = (local.assigned[0], enc(local.assigned[1]))
-    if local.removed is not None:
-        diff.removed = (local.removed[0], enc(local.removed[1]))
-    return diff
-
-
-class BoundedRectCF:
+class BoundedRectCF(Partition):
     """Rectangles with widths and heights in [1, c], grid-routed."""
+
+    CELL = CommonPointCF
 
     def __init__(self, c: float) -> None:
         if c < 1:
             raise ValueError("size bound c must be >= 1")
+        super().__init__()
         self.c = float(c)
         self.class_modulus = 2 * math.ceil(c) + 1
-        self.cells: dict[tuple[int, int], CommonPointCF] = {}
-        self.location: dict[ObjectId, tuple[int, int]] = {}
-        self.total_recolorings = 0
-
-    def __len__(self) -> int:
-        return len(self.location)
 
     def class_tag(self, ci: int, cj: int) -> int:
         m = self.class_modulus
         return (ci % m) * m + (cj % m)
 
-    def insert(self, r: AxisRect) -> RecolorDiff:
+    def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
         w, h = r.x2 - r.x1, r.y2 - r.y1
         if not (1.0 <= w <= self.c and 1.0 <= h <= self.c):
             raise SizeOutOfRange(f"sides ({w}, {h}) outside [1, {self.c}]")
-        if r.id in self.location:
-            raise DuplicateId(r.id)
         key = (math.ceil(r.x1), math.ceil(r.y1))
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = self.cells[key] = CommonPointCF(Pt(float(key[0]), float(key[1])))
-        local = cell.insert(r)
-        self.location[r.id] = key
-        diff = _globalize(local, self.class_tag(*key))
-        self.total_recolorings += diff.recolorings
-        return diff
-
-    def delete(self, oid: ObjectId) -> RecolorDiff:
-        key = self.location.pop(oid, None)
-        if key is None:
-            raise UnknownId(oid)
-        cell = self.cells[key]
-        local = cell.delete(oid)
-        if len(cell) == 0:
-            del self.cells[key]
-        diff = _globalize(local, self.class_tag(*key))
-        self.total_recolorings += diff.recolorings
-        return diff
-
-    def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        out = {}
-        for key, cell in self.cells.items():
-            tag = self.class_tag(*key)
-            for oid, pair in cell.colors.items():
-                out[oid] = GlobalColor(tag, pair_encode(*pair))
-        return out
-
-    def colored_rects(self):
-        out = []
-        for key, cell in sorted(self.cells.items()):
-            tag = self.class_tag(*key)
-            for oid in sorted(cell.rects):
-                out.append((cell.rects[oid], GlobalColor(tag, pair_encode(*cell.colors[oid]))))
-        return out
-
-    def audit(self) -> ViolationReport | None:
-        for cell in self.cells.values():
-            report = cell.audit()
-            if report is not None:
-                return report
-        return None
+        return key, Pt(float(key[0]), float(key[1])), self.class_tag(*key)
 
 
 def skeleton_locate(n_slots: int, lo_val: int, hi_val: int) -> tuple[int, int, int]:
@@ -258,24 +123,25 @@ def skeleton_path_values(n_slots: int, lo_val: int, hi_val: int) -> list[int]:
             lo = mid + 1
 
 
-class UniverseRectCF:
+class UniverseRectCF(Partition):
     """Arbitrary rectangles with integer coordinates from {0..N-1}."""
+
+    CELL = CommonPointCF
 
     def __init__(self, universe: int) -> None:
         if universe < 1:
             raise ValueError("universe size must be positive")
+        super().__init__()
         self.universe = int(universe)
         self.slots = 1
         while self.slots < self.universe:
             self.slots *= 2
         self.levels = self.slots.bit_length()  # level in 0..levels-1
-        self.cells: dict[tuple[int, int], CommonPointCF] = {}
-        self.location: dict[ObjectId, tuple[int, int]] = {}
-        self.cell_level: dict[tuple[int, int], tuple[int, int]] = {}
-        self.total_recolorings = 0
 
-    def __len__(self) -> int:
-        return len(self.location)
+    @property
+    def cell_level(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """(x-level, y-level) of every live cell, recovered from its tag."""
+        return {key: divmod(cell.tag, self.levels) for key, cell in self.cells.items()}
 
     def _check_coord(self, v: float) -> int:
         if not float(v).is_integer():
@@ -296,60 +162,17 @@ class UniverseRectCF:
     def level_tag(self, lx: int, ly: int) -> int:
         return lx * self.levels + ly
 
-    def insert(self, r: AxisRect) -> RecolorDiff:
-        if r.id in self.location:
-            raise DuplicateId(r.id)
-        key, pin, (lx, ly) = self.locate(r)
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = self.cells[key] = CommonPointCF(pin)
-            self.cell_level[key] = (lx, ly)
-        local = cell.insert(r)
-        self.location[r.id] = key
-        diff = _globalize(local, self.level_tag(lx, ly))
-        self.total_recolorings += diff.recolorings
-        return diff
-
-    def delete(self, oid: ObjectId) -> RecolorDiff:
-        key = self.location.pop(oid, None)
-        if key is None:
-            raise UnknownId(oid)
-        cell = self.cells[key]
-        lx, ly = self.cell_level[key]
-        local = cell.delete(oid)
-        if len(cell) == 0:
-            del self.cells[key]
-            del self.cell_level[key]
-        diff = _globalize(local, self.level_tag(lx, ly))
-        self.total_recolorings += diff.recolorings
-        return diff
-
-    def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        out = {}
-        for key, cell in self.cells.items():
-            tag = self.level_tag(*self.cell_level[key])
-            for oid, pair in cell.colors.items():
-                out[oid] = GlobalColor(tag, pair_encode(*pair))
-        return out
-
-    def colored_rects(self):
-        out = []
-        for key in sorted(self.cells):
-            cell = self.cells[key]
-            tag = self.level_tag(*self.cell_level[key])
-            for oid in sorted(cell.rects):
-                out.append((cell.rects[oid], GlobalColor(tag, pair_encode(*cell.colors[oid]))))
-        return out
+    def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
+        key, pin, levels = self.locate(r)
+        return key, pin, self.level_tag(*levels)
 
     def audit(self) -> ViolationReport | None:
-        for key, cell in self.cells.items():
-            report = cell.audit()
-            if report is not None:
-                return report
+        report = super().audit()
+        if report is not None:
+            return report
+        for cell in self.cells.values():
             for oid, r in cell.rects.items():
-                # routing soundness: the node value is contained, no ancestor's is
-                if not (r.x1 <= cell.pin.x <= r.x2 and r.y1 <= cell.pin.y <= r.y2):
-                    return ViolationReport(None, f"rect {oid} at a node it does not contain")
+                # routing soundness: no strict x-ancestor's value is contained
                 for av in skeleton_path_values(self.slots, int(r.x1), int(r.x2)):
                     if r.x1 <= av <= r.x2:
                         return ViolationReport(None, f"rect {oid} not at highest x-node")

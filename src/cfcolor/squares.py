@@ -3,11 +3,9 @@
 Each square is routed to the lexicographically smallest integer grid point
 it contains; all squares sharing a grid point live in one pinned cell.  A
 cell keeps a single augmented tree in square x-order (for unit squares the
-orderings of all four corners coincide) and colors squares by the
-four-direction rule: with h the maximum node height over the square's
-leaf and the internal nodes whose child summaries select it, the color is
-0 when h = 0 and otherwise 4*h + j, where j in {0,1,2,3} picks the first
-of NE, SE, SW, NW that attains h.
+orderings of all four corners coincide) and colors squares by the rule of
+cells.py with the four selectors NE, SE, SW, NW (k = 4): 0 when no node
+selects the square, otherwise 4*h + j.
 
 Cells whose grid classes coincide modulo 3 can never hold intersecting
 squares, so the 9 classes reuse the same color sets; a global color is
@@ -18,96 +16,43 @@ from __future__ import annotations
 
 import math
 
-from .augtree import AugTree, dirty_candidates
-from .geom import (
-    DuplicateId,
-    GlobalColor,
-    KeyOrder,
-    ObjectId,
-    Pt,
-    RecolorDiff,
-    UnitSquare,
-    UnknownId,
-)
+from .cells import NE, NW, SE, SW, DirectionalCell, Partition
+from .geom import KeyOrder, ObjectId, Pt, UnitSquare
 
 GRID_CLASS_MODULUS = 3
 
 
-class PinnedSquareCF:
+class PinnedSquareCF(DirectionalCell):
     """One cell: CF-coloring of unit squares that all contain `pin`."""
 
-    def __init__(self, pin: Pt) -> None:
-        self.pin = pin
-        self.tree = AugTree()
-        self.colors: dict[ObjectId, int] = {}
-        self.squares: dict[ObjectId, UnitSquare] = {}
+    SELECTORS = ((NE, SE, SW, NW),)
+    rect = staticmethod(UnitSquare.to_rect)
 
-    def __len__(self) -> int:
-        return len(self.squares)
+    def __init__(self, pin: Pt, tag: int = 0) -> None:
+        super().__init__(pin, tag)
+        (self.tree,) = self.trees
+        self.squares: dict[ObjectId, UnitSquare] = self.objects
 
-    def insert(self, sq: UnitSquare) -> RecolorDiff:
-        assert sq.contains(self.pin), "square routed to a cell it does not pin"
-        ykey = KeyOrder(sq.y, sq.id)
-        log = self.tree.insert(KeyOrder(sq.x, sq.id), sq.id, ykey, ykey)
-        self.squares[sq.id] = sq
-        return self._apply(dirty_candidates(log), inserted=sq.id)
-
-    def delete(self, oid: ObjectId) -> RecolorDiff:
-        sq = self.squares.pop(oid)
-        log = self.tree.delete(KeyOrder(sq.x, oid))
-        old = self.colors.pop(oid)
-        diff = self._apply(dirty_candidates(log) - {oid})
-        diff.removed = (oid, old)
-        return diff
+    def keys(self, sq: UnitSquare) -> tuple:
+        y = KeyOrder(sq.y, sq.id)
+        return ((KeyOrder(sq.x, sq.id), y, y),)
 
     def category_heights(self, oid: ObjectId) -> dict[str, int]:
-        """Max node height per direction whose summary selects this square."""
-        leaf = self.tree.leaf_by_payload[oid]
-        cat = {"ne": 0, "se": 0, "sw": 0, "nw": 0}
-        v = leaf.parent
+        """Max node height per direction whose summary selects this square,
+        over every ancestor of its leaf."""
+        cat = dict.fromkeys(("ne", "se", "sw", "nw"), 0)
+        v = self.tree.leaf_by_payload[oid].parent
         while v is not None:
-            h = v.height
-            if v.right.ymax.tiebreak == oid:
-                cat["ne"] = max(cat["ne"], h)
-            if v.right.ymin.tiebreak == oid:
-                cat["se"] = max(cat["se"], h)
-            if v.left.ymin.tiebreak == oid:
-                cat["sw"] = max(cat["sw"], h)
-            if v.left.ymax.tiebreak == oid:
-                cat["nw"] = max(cat["nw"], h)
+            for name, (side, summary) in zip(cat, self.SELECTORS[0]):
+                if getattr(getattr(v, side), summary).tiebreak == oid:
+                    cat[name] = max(cat[name], v.height)
             v = v.parent
         return cat
 
     def pinned_color(self, oid: ObjectId) -> tuple[int, int | None]:
         """(h, j) of the color formula; j is None for the pure-leaf color 0."""
-        if oid not in self.squares:
-            raise UnknownId(oid)
-        cat = self.category_heights(oid)
-        h = max(cat.values())
-        if h == 0:
-            return 0, None
-        for j, name in enumerate(("ne", "se", "sw", "nw")):
-            if cat[name] == h:
-                return h, j
-        raise AssertionError("unreachable: some direction attains the max")
-
-    def _recompute(self, oid: ObjectId) -> int:
-        h, j = self.pinned_color(oid)
-        return 0 if j is None else 4 * h + j
-
-    def _apply(self, candidates: set[ObjectId], inserted: ObjectId | None = None) -> RecolorDiff:
-        diff = RecolorDiff()
-        for oid in sorted(candidates):
-            if oid not in self.squares:
-                continue
-            new = self._recompute(oid)
-            if oid == inserted:
-                self.colors[oid] = new
-                diff.assigned = (oid, new)
-            elif self.colors[oid] != new:
-                diff.changed[oid] = (self.colors[oid], new)
-                self.colors[oid] = new
-        return diff
+        c = self.color_of(oid)
+        return (0, None) if c == 0 else divmod(c, 4)
 
 
 def route_square(sq: UnitSquare) -> tuple[int, int]:
@@ -120,75 +65,11 @@ def class_tag(ci: int, cj: int) -> int:
     return (ci % m) * m + (cj % m)
 
 
-class GridSquareCF:
+class GridSquareCF(Partition):
     """CF-coloring of arbitrary unit squares via the integer-grid cells."""
 
-    def __init__(self) -> None:
-        self.cells: dict[tuple[int, int], PinnedSquareCF] = {}
-        self.location: dict[ObjectId, tuple[int, int]] = {}
-        self.total_recolorings = 0
+    CELL = PinnedSquareCF
 
-    def __len__(self) -> int:
-        return len(self.location)
-
-    def insert(self, sq: UnitSquare) -> RecolorDiff:
-        if sq.id in self.location:
-            raise DuplicateId(sq.id)
+    def route(self, sq: UnitSquare) -> tuple[tuple[int, int], Pt, int]:
         key = route_square(sq)
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = self.cells[key] = PinnedSquareCF(Pt(float(key[0]), float(key[1])))
-        local = cell.insert(sq)
-        self.location[sq.id] = key
-        return self._globalize(local, key)
-
-    def delete(self, oid: ObjectId) -> RecolorDiff:
-        key = self.location.pop(oid, None)
-        if key is None:
-            raise UnknownId(oid)
-        cell = self.cells[key]
-        local = cell.delete(oid)
-        if len(cell) == 0:
-            del self.cells[key]
-        return self._globalize(local, key)
-
-    def _globalize(self, local: RecolorDiff, key: tuple[int, int]) -> RecolorDiff:
-        tag = class_tag(*key)
-        diff = RecolorDiff()
-        diff.changed = {oid: (GlobalColor(tag, old), GlobalColor(tag, new))
-                        for oid, (old, new) in local.changed.items()}
-        if local.assigned is not None:
-            diff.assigned = (local.assigned[0], GlobalColor(tag, local.assigned[1]))
-        if local.removed is not None:
-            diff.removed = (local.removed[0], GlobalColor(tag, local.removed[1]))
-        self.total_recolorings += diff.recolorings
-        return diff
-
-    # -- verification views -------------------------------------------------
-
-    def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        out = {}
-        for key, cell in self.cells.items():
-            tag = class_tag(*key)
-            for oid, c in cell.colors.items():
-                out[oid] = GlobalColor(tag, c)
-        return out
-
-    def colored_rects(self):
-        out = []
-        for key, cell in sorted(self.cells.items()):
-            tag = class_tag(*key)
-            for oid in sorted(cell.squares):
-                out.append((cell.squares[oid].to_rect(), GlobalColor(tag, cell.colors[oid])))
-        return out
-
-    def audit(self):
-        for cell in self.cells.values():
-            report = cell.tree.audit()
-            if report is not None:
-                return report
-            for oid, sq in cell.squares.items():
-                if not sq.contains(cell.pin):
-                    from .augtree import ViolationReport
-                    return ViolationReport(None, f"square {oid} does not contain its pin")
-        return None
+        return key, Pt(float(key[0]), float(key[1])), class_tag(*key)

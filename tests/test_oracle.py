@@ -286,3 +286,13 @@ def test_definitional_ignores_corrupted_summaries():
     victim.height += 7
     victim.ymax = KeyOrder(1e9, 999)
     assert recompute_anchored_colors(tree) == want
+
+
+def test_sampled_witness_prints_plain_numbers():
+    # a corrupted coloring past the exhaustive limit: every point one color
+    rng = random.Random(5)
+    pts = [(Pt(rng.random() * 10, rng.random() * 10), 0) for _ in range(50)]
+    w = check_cf_rect_ranges(pts, samples=1000, seed=0)
+    assert w is not None
+    assert "np." not in str(w)
+    assert all(type(v) is float for v in w.probe)
