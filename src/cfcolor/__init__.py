@@ -8,7 +8,6 @@ verification oracles, and a CLI workload harness.
 from .geom import (
     AxisRect,
     GlobalColor,
-    Interval,
     KeyOrder,
     ObjectId,
     Pt,
@@ -19,7 +18,6 @@ from .geom import (
 __all__ = [
     "AxisRect",
     "GlobalColor",
-    "Interval",
     "KeyOrder",
     "ObjectId",
     "Pt",

@@ -175,6 +175,8 @@ class DirectionalCell:
             report = tree.audit()
             if report is not None:
                 return report
+            if tree.leaf_by_payload.keys() != self.objects.keys():
+                return ViolationReport(None, "tree leaves out of sync with the cell's objects")
         for oid, obj in self.objects.items():
             if not obj.contains(self.pin):
                 return ViolationReport(None, f"object {oid} does not contain its pin")

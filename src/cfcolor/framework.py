@@ -14,23 +14,32 @@ children.  Upward migrations absorb settled pieces as children; the
 downward migration of the last set may absorb pieces frozen mid-upward-
 migration, which keeps the recursion depth bounded.
 
-The semi-dynamic engine implements the insertion-only scheme: merge the
-lowest sets into the first empty one, final-color it from an unused color
-set, and on every insertion recolor one pending object of maximal final
-color in every migrating set, which caps recolorings per insertion at
-ceil(log2 n).
+One insertion serves both engines: merge the sets below the first empty
+one, plus the new object, into S_j with j = ceil(log2(merged size)),
+final-color it from an unused color set, then recolor one pending object
+of maximal final color in every migrating set.  The engines differ only
+in their policy: how many color sets C(j, t) the availability lemma
+allows in use before the allocation, how many migration steps the last
+set takes per update, and the per-insertion recoloring bound.
 
-The fully dynamic engine adds weak deletions: a deletion weak-deletes
-inside the hosting temporary piece and on the final coloring, then repairs
-the star so it again consists of the top final colors (plus the pinned
-object); when the last set shrinks to a quarter capacity the last three
-sets merge into a downward migration.  Insertions recolor up to two
-objects in the last set, deletions finish with two recolorings there.
+* SemiDynamicEngine, insertion only: the lower sets are full, so j is
+  the first empty level i; t <= l - i; one step at the last set; at most
+  ceil(log2 n) recolorings per insertion.
+
+* FullyDynamicEngine adds weak deletions: a deletion weak-deletes inside
+  the hosting temporary piece and on the final coloring, then repairs the
+  star so it again consists of the top final colors (plus the pinned
+  object); when the last set shrinks to a quarter capacity the last three
+  sets merge into a downward migration.  t <= l; two steps at the last
+  set per insertion, and per deletion that touched it; at most 2(l+1)
+  recolorings per insertion and 6r+2 per deletion.
+
+An insertion is atomic up to its recoloring check: the colorer build and
+the availability check run before the engine changes.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -66,14 +75,18 @@ class PalettePool:
     def level_load(self, level: int) -> int:
         return self.load.get(level, 0)
 
-    def allocate(self, level: int, t_limit: int) -> PaletteKey:
-        """Smallest free slot; the caller's lemma guarantees t <= t_limit."""
+    def allocate(self, level: int, limit: int) -> PaletteKey:
+        """Smallest free slot C(level, t).
+
+        The color-set availability lemma: at most `limit` color sets of the
+        level are in use, so some t <= limit is free."""
+        if self.level_load(level) > limit:
+            raise BoundExceeded(
+                f"color-set availability lemma failed: more than {limit} "
+                f"color sets C({level}, t) in use")
         t = 0
         while (level, t) in self.in_use:
             t += 1
-        if t > t_limit:
-            raise BoundExceeded(
-                f"no free color set C({level}, t) within t <= {t_limit}")
         key = (level, t)
         self.in_use.add(key)
         self.load[level] = self.load.get(level, 0) + 1
@@ -86,10 +99,14 @@ class PalettePool:
 
 @dataclass
 class Piece:
-    """One set's coloring: final colorer, worn subset, temporary children."""
+    """One set's coloring: final colorer, worn subset, temporary children.
+
+    `colors` is the colorer's own colors dict, bound once: the colorer
+    updates it in place, and the hot paths read it directly."""
 
     palette: PaletteKey
     colorer: object
+    colors: dict[ObjectId, int]
     members: set[ObjectId]
     star: set[ObjectId]
     pinned: ObjectId | None
@@ -104,7 +121,7 @@ class Piece:
         return not self.children and self.star == self.members
 
     def final_color(self, oid: ObjectId) -> GlobalColor:
-        return GlobalColor(pair_encode(*self.palette), self.colorer.colors[oid])
+        return GlobalColor(pair_encode(*self.palette), self.colors[oid])
 
 
 @dataclass
@@ -118,7 +135,14 @@ class Level:
 
 
 class _EngineBase:
-    """Shared level/piece machinery; subclasses drive the update steps."""
+    """Shared level/piece machinery and the insertion.
+
+    A subclass gives the policy: LAST_STEPS, _palette_limit(ell, level),
+    the color sets C(level, t) that may be in use before an insertion's
+    allocation, and _insert_bound(), the recolorings allowed for the
+    insertion just made."""
+
+    LAST_STEPS = 1  # migration steps per update at the last set
 
     def __init__(self, colorer_cls, range_checker=None) -> None:
         self.colorer_cls = colorer_cls
@@ -173,16 +197,27 @@ class _EngineBase:
         if not pending:
             self._settle_if_done(level)
             return set()
-        chosen = min(pending, key=lambda o: (-piece.colorer.colors[o], o))
+        colors = piece.colors
+        chosen = min(pending, key=lambda o: (-colors[o], o))
         piece.star.add(chosen)
         self._settle_if_done(level)
         return {chosen}
 
+    def _advance(self, level: Level, steps: int) -> set[ObjectId]:
+        """Up to `steps` migration steps at a level, stopping once it settles."""
+        cands: set[ObjectId] = set()
+        for _ in range(steps):
+            if level.state not in (UP, DOWN):
+                break
+            cands |= self._progress_one(level)
+        return cands
+
     def _repair_cut(self, piece: Piece, budget: int) -> set[ObjectId]:
         """Restore the star to {top final colors} + pinned, size-preserving."""
         others_quota = len(piece.star) - (1 if piece.pinned is not None else 0)
+        colors = piece.colors
         ranked = sorted((o for o in piece.members if o != piece.pinned),
-                        key=lambda o: (-piece.colorer.colors[o], o))
+                        key=lambda o: (-colors[o], o))
         target = set(ranked[:others_quota])
         if piece.pinned is not None:
             target.add(piece.pinned)
@@ -229,34 +264,89 @@ class _EngineBase:
                 diff.changed[oid] = (old, new)
         self.total_recolorings += diff.recolorings
 
-    def _first_empty(self) -> int:
-        for lv in self.levels:
-            if lv.state == EMPTY:
-                return lv.index
-        self.levels.append(Level(len(self.levels)))
-        return self.ell
-
-    def _gather_children(self, upto: int) -> tuple[list[Piece], set[ObjectId]]:
-        children: list[Piece] = []
+    def _take_levels(self, lo: int, hi: int) -> tuple[list[Piece], set[ObjectId]]:
+        """Empty levels lo..hi-1: their non-empty pieces, lowest level
+        first, and the union of their members."""
+        pieces: list[Piece] = []
         members: set[ObjectId] = set()
-        for m in range(upto):
-            lv = self.levels[m]
-            children.append(lv.piece)
-            members |= lv.piece.members
+        for lv in self.levels[lo:hi]:
+            if lv.piece is not None:
+                if lv.piece.members:
+                    pieces.append(lv.piece)
+                    members |= lv.piece.members
+                else:
+                    self._release_piece(lv.piece)
             lv.piece = None
             lv.state = EMPTY
-        return children, members
+        return pieces, members
+
+    def _open(self, level: Level, state: str, palette: PaletteKey, colorer,
+              members: set[ObjectId], children: list[Piece],
+              pinned: ObjectId | None = None) -> None:
+        """Start a migration of `members` at a level toward the colorer's coloring."""
+        level.piece = Piece(palette, colorer, colorer.colors, members,
+                            star=set() if pinned is None else {pinned},
+                            pinned=pinned, children=children)
+        level.state = state
+        index = level.index
+        for o in members:
+            self.locate[o] = index
+        self._settle_if_done(level)
+
+    # -- updates ------------------------------------------------------------------
+
+    def insert(self, oid: ObjectId, obj) -> RecolorDiff:
+        """Merge the sets below the first empty one, plus oid, into S_j with
+        j = ceil(log2(merged size)), then advance every migrating set."""
+        if oid in self.objects:
+            raise ValueError(f"duplicate object id {oid}")
+        levels = self.levels
+        i = next((lv.index for lv in levels if lv.state == EMPTY), len(levels))
+        below = levels[:i]
+        for lv in below:
+            assert lv.state == SETTLED, \
+                "sets below the first empty one must be non-empty and settled"
+        points = {o: self.objects[o] for lv in below for o in lv.piece.members}
+        points[oid] = obj
+        j = ceil_log2(len(points))
+        colorer = self.colorer_cls(points)
+        palette = self.pool.allocate(j, self._palette_limit(max(self.ell, i), j))
+
+        if i == len(levels):
+            levels.append(Level(i))
+        # members by union, not set(points): half the table size, and every
+        # migration step scans the table
+        children, members = self._take_levels(0, i)
+        members.add(oid)
+        self.objects[oid] = obj
+        self._open(levels[j], UP, palette, colorer, members, children, pinned=oid)
+        # when the merge consumed every set, the merged one is the new last set
+        while len(levels) > j + 1 and levels[-1].state == EMPTY:
+            levels.pop()
+
+        ell = self.ell
+        cands = {oid}
+        for lv in levels:
+            if lv.state in (UP, DOWN):
+                cands |= (self._advance(lv, self.LAST_STEPS) if lv.index == ell
+                          else self._progress_one(lv))
+        diff = RecolorDiff()
+        self._reconcile(cands, diff, assigned=oid)
+        if diff.recolorings > self._insert_bound():
+            raise BoundExceeded("recoloring bound per insertion exceeded")
+        return diff
 
     # -- shared invariant checks ------------------------------------------------
 
     def _check_pieces(self, unimax_limit: int) -> ViolationReport | None:
         seen_palettes: set[PaletteKey] = set()
 
-        def walk(piece: Piece, top: bool) -> ViolationReport | None:
+        def walk(piece: Piece) -> ViolationReport | None:
             if piece.palette in seen_palettes:
                 return ViolationReport(None, f"palette {piece.palette} used twice")
             seen_palettes.add(piece.palette)
-            if set(piece.colorer.colors) != piece.members:
+            colors = piece.colors
+            if set(colors) != piece.members:
                 return ViolationReport(None, "final coloring out of sync with members")
             if not piece.star <= piece.members:
                 return ViolationReport(None, "star not a subset of members")
@@ -267,7 +357,7 @@ class _EngineBase:
                 if hosted & ch.members:
                     return ViolationReport(None, "children overlap")
                 hosted |= ch.members
-                bad = walk(ch, top=False)
+                bad = walk(ch)
                 if bad is not None:
                     return bad
             levels_used = [ch.level for ch in piece.children]
@@ -281,9 +371,8 @@ class _EngineBase:
             if piece.children:
                 out = piece.members - piece.star
                 if out:
-                    z = max(piece.colorer.colors[o] for o in out)
-                    violators = [o for o in piece.star
-                                 if piece.colorer.colors[o] < z]
+                    z = max(colors[o] for o in out)
+                    violators = [o for o in piece.star if colors[o] < z]
                     if len(violators) > 1:
                         return ViolationReport(
                             None, f"Inv-C-Mig-2: star cut broken below z={z}")
@@ -293,7 +382,7 @@ class _EngineBase:
                     and len(piece.members) <= unimax_limit and piece.members):
                 witness = self.range_checker(
                     {o: self.objects[o] for o in piece.members},
-                    dict(piece.colorer.colors))
+                    dict(colors))
                 if witness is not None:
                     return ViolationReport(
                         None, f"final coloring not unimax: {witness}")
@@ -303,7 +392,7 @@ class _EngineBase:
             if (lv.piece is None) != (lv.state == EMPTY):
                 return ViolationReport(None, f"level {lv.index} state/piece mismatch")
             if lv.piece is not None:
-                bad = walk(lv.piece, top=True)
+                bad = walk(lv.piece)
                 if bad is not None:
                     return bad
                 if not lv.piece.members:
@@ -327,41 +416,12 @@ class _EngineBase:
 class SemiDynamicEngine(_EngineBase):
     """Insertion-only engine: at most ceil(log2 n) recolorings per insertion."""
 
-    def insert(self, oid: ObjectId, obj) -> RecolorDiff:
-        if oid in self.objects:
-            raise ValueError(f"duplicate object id {oid}")
-        i = self._first_empty()
-        for m in range(i):
-            assert self.levels[m].state == SETTLED, \
-                "sets below the first empty one must be full"
-        children, members = self._gather_children(i)
-        members.add(oid)
-        self.objects[oid] = obj
-
+    def _palette_limit(self, ell: int, level: int) -> int:
         # the color sets for level i are C(i, 0..l-i); one must be free
-        t_limit = self.ell - i
-        if self.pool.level_load(i) > t_limit:
-            raise BoundExceeded("color-set availability lemma failed")
-        palette = self.pool.allocate(i, t_limit)
-        colorer = self.colorer_cls({o: self.objects[o] for o in members})
-        piece = Piece(palette, colorer, members, star={oid}, pinned=oid,
-                      children=children)
-        target = self.levels[i]
-        target.piece = piece
-        target.state = UP
-        for o in members:
-            self.locate[o] = i
-        self._settle_if_done(target)
+        return ell - level
 
-        cands: set[ObjectId] = set()
-        for lv in self.levels:
-            if lv.state == UP:
-                cands |= self._progress_one(lv)
-        diff = RecolorDiff()
-        self._reconcile(cands | {oid}, diff, assigned=oid)
-        if diff.recolorings > ceil_log2(len(self.objects)):
-            raise BoundExceeded("recoloring bound per insertion exceeded")
-        return diff
+    def _insert_bound(self) -> int:
+        return ceil_log2(len(self.objects))
 
     def check_invariants(self, unimax_limit: int = 32) -> ViolationReport | None:
         for lv in self.levels:
@@ -376,51 +436,13 @@ class SemiDynamicEngine(_EngineBase):
 class FullyDynamicEngine(_EngineBase):
     """Insertions and deletions via weak deletions and downward migrations."""
 
-    def insert(self, oid: ObjectId, obj) -> RecolorDiff:
-        if oid in self.objects:
-            raise ValueError(f"duplicate object id {oid}")
-        i = self._first_empty()
-        for m in range(i):
-            assert self.levels[m].state == SETTLED, \
-                "sets below the first empty one must be non-empty and settled"
-        total = 1 + sum(self.levels[m].size() for m in range(i))
-        j = 0
-        while 2 ** j < total:
-            j += 1
-        if j == len(self.levels):
-            self.levels.append(Level(len(self.levels)))
+    LAST_STEPS = 2
 
-        children, members = self._gather_children(i)
-        members.add(oid)
-        self.objects[oid] = obj
+    def _palette_limit(self, ell: int, level: int) -> int:
+        return ell
 
-        if self.pool.level_load(j) > self.ell:
-            raise BoundExceeded("color-set availability lemma failed")
-        palette = self.pool.allocate(j, self.ell + 1)
-        colorer = self.colorer_cls({o: self.objects[o] for o in members})
-        piece = Piece(palette, colorer, members, star={oid}, pinned=oid,
-                      children=children)
-        target = self.levels[j]
-        target.piece = piece
-        target.state = UP
-        for o in members:
-            self.locate[o] = j
-        self._settle_if_done(target)
-        # when the merge consumed every set, the merged one is the new last set
-        while len(self.levels) > j + 1 and self.levels[-1].state == EMPTY:
-            self.levels.pop()
-
-        cands: set[ObjectId] = set()
-        for lv in self.levels:
-            if lv.state in (UP, DOWN):
-                cands |= self._progress_one(lv)
-                if lv.index == self.ell and lv.state in (UP, DOWN):
-                    cands |= self._progress_one(lv)
-        diff = RecolorDiff()
-        self._reconcile(cands | {oid}, diff, assigned=oid)
-        if diff.recolorings > 2 * (self.ell + 1):
-            raise BoundExceeded("recoloring bound per insertion exceeded")
-        return diff
+    def _insert_bound(self) -> int:
+        return 2 * (self.ell + 1)
 
     def delete(self, oid: ObjectId) -> RecolorDiff:
         if oid not in self.objects:
@@ -436,9 +458,7 @@ class FullyDynamicEngine(_EngineBase):
         if not at_minimum:
             cands |= self._piece_delete(level.piece, oid)
             if not level.piece.members:
-                self._release_piece(level.piece)
-                level.piece = None
-                level.state = EMPTY
+                self._take_levels(i, i + 1)
             else:
                 self._settle_if_done(level)
         else:
@@ -449,12 +469,9 @@ class FullyDynamicEngine(_EngineBase):
         del self.actual[oid]
 
         # two recolorings in the last set when the deletion touched it
-        if i >= self.ell:
-            last_level = self.levels[self.ell]
-            if last_level.state in (UP, DOWN):
-                cands |= self._progress_one(last_level)
-                if last_level.state in (UP, DOWN):
-                    cands |= self._progress_one(last_level)
+        last_level = self.levels[self.ell]
+        if i >= self.ell and last_level.state in (UP, DOWN):
+            cands |= self._advance(last_level, self.LAST_STEPS)
 
         diff = RecolorDiff()
         self._reconcile(cands - {oid}, diff)
@@ -471,19 +488,7 @@ class FullyDynamicEngine(_EngineBase):
         assert last.state == SETTLED, \
             "last set must not be in migration when a downward migration starts"
         cands = self._piece_delete(last.piece, oid)
-
-        parts: list[Piece] = []
-        members: set[ObjectId] = set()
-        for idx in (ell_prime - 2, ell_prime - 1, ell_prime):
-            lv = self.levels[idx]
-            if lv.piece is not None and lv.piece.members:
-                parts.append(lv.piece)
-                members |= lv.piece.members
-            elif lv.piece is not None:
-                self._release_piece(lv.piece)
-            lv.piece = None
-            lv.state = EMPTY
-
+        parts, members = self._take_levels(ell_prime - 2, ell_prime + 1)
         if not members:
             # the engine emptied out entirely
             assert set(self.objects) == {oid}
@@ -494,17 +499,9 @@ class FullyDynamicEngine(_EngineBase):
         if fits:
             self.levels.pop()
         target = self.levels[ell_prime - 1 if fits else ell_prime]
-
-        if self.pool.level_load(target.index) > self.ell + 1:
-            raise BoundExceeded("color-set availability lemma failed at downward migration")
+        colorer = self.colorer_cls({o: self.objects[o] for o in members})
         palette = self.pool.allocate(target.index, self.ell + 1)
-        colorer = self.colorer_cls(
-            {o: self.objects[o] for o in members})
-        target.piece = Piece(palette, colorer, members, star=set(), pinned=None,
-                             children=parts)
-        target.state = DOWN
-        for o in members:
-            self.locate[o] = target.index
+        self._open(target, DOWN, palette, colorer, members, parts)
         return cands
 
     def check_invariants(self, unimax_limit: int = 32) -> ViolationReport | None:

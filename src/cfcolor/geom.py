@@ -63,19 +63,6 @@ class UnitSquare:
         return self.x <= p.x <= self.x + 1.0 and self.y <= p.y <= self.y + 1.0
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [a, b] on the line."""
-
-    a: float
-    b: float
-    id: ObjectId
-
-    def __post_init__(self) -> None:
-        if not self.a <= self.b:
-            raise ValueError(f"degenerate interval bounds: {self}")
-
-
 class KeyOrder(NamedTuple):
     """Total order on (coordinate, id): equal coordinates fall back to the id.
 

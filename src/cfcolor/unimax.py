@@ -5,18 +5,22 @@ unique.  Both colorers here are static: they color an initial set once and
 then support weak deletions only, at most one recoloring each, never
 leaving the initial palette.
 
-* IntervalPointColorer: 1-D points w.r.t. intervals.  The median of every
-  recursion range of size m gets color floor(log2(m)), so an initial set
-  of n points uses exactly the colors {0..floor(log2(n))}.  Deleting a
-  point with color i recolors one lower-colored live neighbor to i (left
-  preferred), or nothing when both neighbors sit higher.
+One core colors x-ordered runs.  The median of every recursion range of
+size m in a run gets color floor(log2(m)), so a run of n points uses
+exactly the colors {0..floor(log2(n))}, shifted into the run's own color
+block; blocks are disjoint and ordered.  The core keeps one flat colors
+dict and per-run prev/next links over the live points.  Deleting a point
+with color c recolors one lower-colored live neighbor in its run to c
+(left preferred), or nothing when both neighbors sit higher.
+
+* IntervalPointColorer: 1-D points w.r.t. intervals, one run sorted by
+  (x, id).
 
 * RectPointColorer: planar points w.r.t. axis-parallel rectangles.  The
   point set is split into monotone chains by repeatedly extracting a
   longest increasing-or-decreasing subsequence; a rectangle meets each
-  chain in a contiguous run, so each chain is a 1-D instance colored by an
-  IntervalPointColorer inside its own contiguous color block.  Blocks are
-  disjoint and ordered, which keeps the combined coloring unimax.
+  chain in a contiguous run, so each chain is one run of the core.
+  Disjoint ordered blocks keep the combined coloring unimax.
 """
 
 from __future__ import annotations
@@ -36,42 +40,51 @@ def interval_palette_size(n0: int) -> int:
     return n0.bit_length() if n0 > 0 else 0
 
 
-class IntervalPointColorer:
-    """Unimax coloring of 1-D points w.r.t. intervals, with weak deletions."""
+class _RunColorer:
+    """Unimax coloring of x-ordered runs, one color block each, with weak deletions."""
 
-    def __init__(self, points: dict[ObjectId, float]) -> None:
-        order = sorted(points, key=lambda oid: (points[oid], oid))
-        self.n0 = len(order)
-        self.order = order
-        self.colors: dict[ObjectId, int] = {}
+    def __init__(self, runs: list[list[ObjectId]]) -> None:
+        self._colors: dict[ObjectId, int] = {}
         self._prev: dict[ObjectId, ObjectId | None] = {}
         self._next: dict[ObjectId, ObjectId | None] = {}
-        for i, oid in enumerate(order):
-            self._prev[oid] = order[i - 1] if i > 0 else None
-            self._next[oid] = order[i + 1] if i + 1 < len(order) else None
-        self._color_range(0, self.n0 - 1)
+        offset = 0
+        for run in runs:
+            left = None
+            for oid in run:
+                self._prev[oid] = left
+                if left is not None:
+                    self._next[left] = oid
+                left = oid
+            if left is not None:
+                self._next[left] = None
+                self._color_range(run, 0, len(run) - 1, offset)
+            offset += len(run).bit_length()  # interval_palette_size, inlined
+        self.palette_used = offset
 
-    def _color_range(self, lo: int, hi: int) -> None:
-        if lo > hi:
-            return
+    def _color_range(self, run: list[ObjectId], lo: int, hi: int, offset: int) -> None:
+        """Color the nonempty range run[lo..hi] by the median recursion."""
         size = hi - lo + 1
         mid = lo + (size - 1) // 2  # lower median
-        self.colors[self.order[mid]] = size.bit_length() - 1
-        self._color_range(lo, mid - 1)
-        self._color_range(mid + 1, hi)
+        self._colors[run[mid]] = offset + size.bit_length() - 1
+        if lo < mid:
+            self._color_range(run, lo, mid - 1, offset)
+        if mid < hi:
+            self._color_range(run, mid + 1, hi, offset)
 
-    @staticmethod
-    def palette_size(n0: int) -> int:
-        return interval_palette_size(n0)
+    @property
+    def colors(self) -> dict[ObjectId, int]:
+        """The live points' colors: the stored dict itself, not a copy."""
+        return self._colors
 
     @staticmethod
     def max_recolorings(n0: int) -> int:
         return 1
 
     def weak_delete(self, oid: ObjectId) -> dict[ObjectId, int]:
-        if oid not in self.colors:
+        colors = self._colors
+        if oid not in colors:
             raise UnknownPoint(oid)
-        color = self.colors.pop(oid)
+        color = colors.pop(oid)
         left = self._prev[oid]
         right = self._next[oid]
         if left is not None:
@@ -79,13 +92,24 @@ class IntervalPointColorer:
         if right is not None:
             self._prev[right] = left
         # recolor a lower-colored neighbor up to the freed color; left first
-        if left is not None and self.colors[left] < color:
-            self.colors[left] = color
+        if left is not None and colors[left] < color:
+            colors[left] = color
             return {left: color}
-        if right is not None and self.colors[right] < color:
-            self.colors[right] = color
+        if right is not None and colors[right] < color:
+            colors[right] = color
             return {right: color}
         return {}
+
+
+class IntervalPointColorer(_RunColorer):
+    """Unimax coloring of 1-D points w.r.t. intervals, with weak deletions."""
+
+    def __init__(self, points: dict[ObjectId, float]) -> None:
+        super().__init__([sorted(points, key=lambda oid: (points[oid], oid))])
+
+    @staticmethod
+    def palette_size(n0: int) -> int:
+        return interval_palette_size(n0)
 
 
 def _longest_monotone(keys: list[tuple], decreasing: bool) -> list[int]:
@@ -133,47 +157,16 @@ def chain_decompose(points: dict[ObjectId, Pt]) -> list[list[ObjectId]]:
     return chains
 
 
-class RectPointColorer:
+class RectPointColorer(_RunColorer):
     """Unimax coloring of planar points w.r.t. axis-parallel rectangles."""
 
     def __init__(self, points: dict[ObjectId, Pt]) -> None:
-        self.n0 = len(points)
+        # each chain is x-ordered, so it behaves 1-D in its x-order
         self.chains = chain_decompose(points)
-        self.chain_of: dict[ObjectId, int] = {}
-        self.sub: list[IntervalPointColorer] = []
-        self.offsets: list[int] = []
-        offset = 0
-        for k, chain in enumerate(self.chains):
-            for oid in chain:
-                self.chain_of[oid] = k
-            # the chain behaves 1-D in its x-order
-            self.sub.append(IntervalPointColorer({oid: points[oid].x for oid in chain}))
-            self.offsets.append(offset)
-            offset += interval_palette_size(len(chain))
-        self.palette_used = offset
-
-    @property
-    def colors(self) -> dict[ObjectId, int]:
-        out = {}
-        for k, sub in enumerate(self.sub):
-            off = self.offsets[k]
-            for oid, c in sub.colors.items():
-                out[oid] = off + c
-        return out
+        super().__init__(self.chains)
 
     @staticmethod
     def palette_size(n0: int) -> int:
         if n0 <= 0:
             return 0
         return 2 * math.ceil(math.sqrt(n0)) * interval_palette_size(n0)
-
-    @staticmethod
-    def max_recolorings(n0: int) -> int:
-        return 1
-
-    def weak_delete(self, oid: ObjectId) -> dict[ObjectId, int]:
-        k = self.chain_of.get(oid)
-        if k is None or oid not in self.sub[k].colors:
-            raise UnknownPoint(oid)
-        off = self.offsets[k]
-        return {other: off + c for other, c in self.sub[k].weak_delete(oid).items()}

@@ -35,6 +35,18 @@ def test_tree_color_of_a_lone_leaf_is_zero():
     assert tree_color(cell.tree.leaf_by_payload[0], *cell.RULES[0]) == 0
 
 
+def test_audit_sees_a_stray_leaf():
+    cell = PinnedSquareCF(Pt(1.0, 1.0))
+    for oid in range(5):
+        cell.insert(UnitSquare(0.1 * oid, 0.2 * oid, oid))
+    assert cell.audit() is None
+    # a leaf the cell does not account for: no object 99 was ever inserted
+    (key, ymax, ymin), = cell.keys(UnitSquare(0.45, 0.45, 99))
+    cell.tree.insert(key, 99, ymax, ymin)
+    report = cell.audit()
+    assert report is not None and "tree leaves" in report.reason
+
+
 # -- ties: many equal coordinates, broken by id --------------------------------
 
 # (insert?, four small coordinate choices, which live object to delete)

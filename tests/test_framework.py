@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cfcolor.framework import (
+    BoundExceeded,
     DOWN,
     EMPTY,
     SETTLED,
@@ -352,3 +353,42 @@ def test_bound_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == \
         "optimized True raised recoloring bound per deletion exceeded"
+
+
+@pytest.mark.parametrize("engine_cls", [SemiDynamicEngine, FullyDynamicEngine])
+def test_insert_is_atomic_when_the_colorer_build_fails(engine_cls):
+    builds = []
+
+    class FailsOnFourthBuild(IntervalPointColorer):
+        def __init__(self, points):
+            builds.append(len(points))
+            if len(builds) == 4:
+                raise RuntimeError("colorer build failed")
+            super().__init__(points)
+
+    e = engine_cls(FailsOnFourthBuild, interval_checker)
+    for oid in range(3):
+        e.insert(oid, float(oid))
+    before = (len(e), e.set_states(), e.global_colors(), set(e.pool.in_use))
+    with pytest.raises(RuntimeError):
+        e.insert(3, 3.0)
+    assert (len(e), e.set_states(), e.global_colors(), set(e.pool.in_use)) == before
+    assert e.check_invariants() is None
+    # the engine still takes the insertion once the colorer builds again
+    e.insert(3, 3.0)
+    assert len(e) == 4 and e.check_invariants() is None
+
+
+def test_insert_is_atomic_when_no_color_set_is_free():
+    e = semi_1d()
+    for oid in range(3):
+        e.insert(oid, float(oid))
+    before = (len(e), e.set_states(), e.global_colors(), set(e.pool.in_use))
+    # occupy C(2, 0): the merge into level 2 finds no free color set there
+    e.pool.in_use.add((2, 0))
+    e.pool.load[2] = 1
+    with pytest.raises(BoundExceeded, match="availability"):
+        e.insert(3, 3.0)
+    e.pool.release((2, 0))
+    assert (len(e), e.set_states(), e.global_colors(), set(e.pool.in_use)) == before
+    assert e.check_invariants() is None
