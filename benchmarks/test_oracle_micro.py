@@ -34,7 +34,7 @@ def _final_state(name):
             adapter.delete(ev["id"])
     if hasattr(adapter, "structure"):
         return adapter.structure.colored_rects()
-    return [(adapter.engine.objects[o], c) for o, c in adapter.engine.actual.items()]
+    return [(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
 
 
 @pytest.mark.parametrize("name", ["squares-200", "bounded-200", "anchored-700"])

@@ -57,17 +57,12 @@ class Node:
     def is_leaf(self) -> bool:
         return self.payload is not None
 
-    def __repr__(self) -> str:  # debugging aid only
-        kind = "leaf" if self.is_leaf else "int"
-        return f"<{kind} key={self.key.coordinate}/{self.key.tiebreak} h={self.height}>"
-
 
 @dataclass
 class DirtyEntry:
     """One touched node with its pre-update augmentation."""
 
     node: Node
-    old_height: int | None
     old_ymax: KeyOrder | None
     old_ymin: KeyOrder | None
     created: bool = False
@@ -86,9 +81,9 @@ class DirtyLog:
             return
         self._seen.add(id(node))
         if created:
-            self.entries.append(DirtyEntry(node, None, None, None, created=True))
+            self.entries.append(DirtyEntry(node, None, None, created=True))
         else:
-            self.entries.append(DirtyEntry(node, node.height, node.ymax, node.ymin))
+            self.entries.append(DirtyEntry(node, node.ymax, node.ymin))
 
     def remove(self, node: Node) -> None:
         # removal dominates: keep old values but mark dead
@@ -99,7 +94,7 @@ class DirtyLog:
                     return
         self._seen.add(id(node))
         self.entries.append(
-            DirtyEntry(node, node.height, node.ymax, node.ymin, removed=True))
+            DirtyEntry(node, node.ymax, node.ymin, removed=True))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -137,15 +132,6 @@ class AugTree:
             if v.is_leaf:
                 yield v
             else:
-                yield from walk(v.left)
-                yield from walk(v.right)
-        if self.root is not None:
-            yield from walk(self.root)
-
-    def nodes(self) -> Iterator[Node]:
-        def walk(v: Node) -> Iterator[Node]:
-            yield v
-            if not v.is_leaf:
                 yield from walk(v.left)
                 yield from walk(v.right)
         if self.root is not None:

@@ -7,7 +7,6 @@ values; mutation and bookkeeping live in the structures that use them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,15 +74,6 @@ class KeyOrder(NamedTuple):
     tiebreak: ObjectId
 
 
-def compare_keys(k1: KeyOrder, k2: KeyOrder) -> int:
-    """Three-way comparison: -1, 0, or +1."""
-    if k1 < k2:
-        return -1
-    if k2 < k1:
-        return 1
-    return 0
-
-
 class GlobalColor(NamedTuple):
     """A color as (sub-scheme tag, local color).
 
@@ -101,12 +91,6 @@ def pair_encode(a: int, b: int) -> int:
     """Cantor pairing: injective map of ordered non-negative pairs to ints."""
     s = a + b
     return s * (s + 1) // 2 + b
-
-
-def pair_decode(z: int) -> tuple[int, int]:
-    s = (math.isqrt(8 * z + 1) - 1) // 2
-    b = z - s * (s + 1) // 2
-    return s - b, b
 
 
 @dataclass

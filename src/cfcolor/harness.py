@@ -1,12 +1,18 @@
 """Workload generation, replay, verification, and reporting.
 
 Workloads are JSONL event streams: one {"op", "id", "object"} record per
-line, where "object" is a tagged union present on inserts.  Each kind has a
-fixed set of coordinate fields (see OBJECT_FIELDS); read_workload rejects a
-record with a missing or non-finite coordinate, inverted rectangle bounds,
-or an id that is not an int.  Replay applies events in order against one of
-the named structures and writes the report as JSON plus a CSV mirror of
-the step table.
+line, where "object" is a tagged union present on inserts.  read_workload
+rejects a record with a missing or non-finite coordinate, one its kind's
+rule forbids (inverted rectangle bounds, say), or an id that is not an
+int.  Replay applies events in order against one of the named structures
+and writes the report as JSON plus a CSV mirror of the step table.
+
+Two tables drive it all.  KINDS maps an object kind to its coordinate
+fields, the generator's draw(rng, span, c), the parameter it needs and its
+validity rule; STRUCTURES maps a structure name to the kind it holds and
+build(c, universe) -> adapter.  Generation, validation, make_structure,
+run_workload, run_bench and the CLI's choices read only these.  Adding a
+structure is one STRUCTURES entry, plus a KINDS entry for a new kind.
 
 Report schema (run_workload):
 
@@ -51,15 +57,15 @@ the final state), and "oracle-every-step".
 from __future__ import annotations
 
 import csv
-import io
 import json
 import random
 import sys
 from collections import Counter
+from typing import Callable, NamedTuple
 
-from .anchored import ANCHORED_SCHEME_TAG, AnchoredCF
+from .anchored import AnchoredCF
 from .framework import FullyDynamicEngine, SemiDynamicEngine
-from .geom import AxisRect, GlobalColor, Pt, UnitSquare
+from .geom import AxisRect, Pt, UnitSquare
 from .oracle import (
     check_cf,
     check_cf_intervals,
@@ -73,6 +79,8 @@ from .unimax import IntervalPointColorer, RectPointColorer
 
 ORACLE_EVERY_STEP_LIMIT = 256
 ORACLE_SAMPLE_STRIDE = 32
+VERIFY_MODES = ("none", "invariants", "oracle-sampled", "oracle-every-step")
+_FLOAT_MAX = sys.float_info.max
 
 
 class InvalidParams(ValueError):
@@ -87,32 +95,87 @@ class KindMismatch(ValueError):
     pass
 
 
-STRUCTURES = ("anchored", "squares", "bounded", "universe",
-              "semi-1d", "full-1d", "full-2d")
-KINDS = ("anchored_rect", "unit_square", "bounded_rect", "universe_rect",
-         "point_1d", "point_2d")
+# ---------------------------------------------------------------------------
+# the registry: object kinds and the structures that hold them
+# ---------------------------------------------------------------------------
 
-KIND_FOR_STRUCTURE = {
-    "anchored": "anchored_rect",
-    "squares": "unit_square",
-    "bounded": "bounded_rect",
-    "universe": "universe_rect",
-    "semi-1d": "point_1d",
-    "full-1d": "point_1d",
-    "full-2d": "point_2d",
+class Kind(NamedTuple):
+    fields: tuple[str, ...]          # coordinate fields, all finite numbers
+    draw: Callable                   # (rng, span, c) -> coordinates, for gen
+    needs: str | None = None         # "c" or "universe": a required parameter
+    invalid: Callable | None = None  # coordinates -> why they are invalid, or None
+
+
+class Structure(NamedTuple):
+    kind: str
+    build: Callable                  # (c, universe) -> adapter
+
+
+def _inverted_bounds(o: dict) -> str | None:
+    return "with inverted bounds" if o["x1"] > o["x2"] or o["y1"] > o["y2"] else None
+
+
+def _draw_bounded(rng, span, c):
+    x1 = rng.uniform(0, span)
+    y1 = rng.uniform(0, span)
+    return {"x1": x1, "x2": x1 + rng.uniform(1.0, c), "y1": y1, "y2": y1 + rng.uniform(1.0, c)}
+
+
+def _draw_universe(rng, span, c):
+    hi = int(span)
+    x1, x2 = sorted((rng.randint(0, hi), rng.randint(0, hi)))
+    y1, y2 = sorted((rng.randint(0, hi), rng.randint(0, hi)))
+    return {"x1": x1, "x2": x2, "y1": y1, "y2": y2}
+
+
+KINDS = {
+    "anchored_rect": Kind(
+        ("x2", "y2"),
+        lambda rng, span, c: {"x2": rng.uniform(0.001, span), "y2": rng.uniform(0.001, span)},
+        invalid=lambda o: "corner below the origin" if o["x2"] < 0 or o["y2"] < 0 else None),
+    "unit_square": Kind(
+        ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)}),
+    "bounded_rect": Kind(("x1", "x2", "y1", "y2"), _draw_bounded, "c", _inverted_bounds),
+    # integer coordinates in {0..universe-1}; span is the largest one drawn
+    "universe_rect": Kind(("x1", "x2", "y1", "y2"), _draw_universe, "universe",
+                          _inverted_bounds),
+    "point_1d": Kind(("x",), lambda rng, span, c: {"x": rng.uniform(0, span)}),
+    "point_2d": Kind(
+        ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)}),
 }
 
-# Coordinate fields of each object kind; rectangles with four fields must
-# have x1 <= x2 and y1 <= y2, anchored rectangles x2, y2 >= 0.
-OBJECT_FIELDS = {
-    "anchored_rect": ("x2", "y2"),
-    "unit_square": ("x", "y"),
-    "bounded_rect": ("x1", "x2", "y1", "y2"),
-    "universe_rect": ("x1", "x2", "y1", "y2"),
-    "point_1d": ("x",),
-    "point_2d": ("x", "y"),
+
+def _anchored(c, universe):
+    cf = AnchoredCF()
+    return _GeometricAdapter(
+        cf, lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid), cf.global_color)
+
+
+def _payload_to_rect(oid, payload):
+    return AxisRect(payload["x1"], payload["x2"], payload["y1"], payload["y2"], oid)
+
+
+# Oracle checks are called by name inside lambdas, so they are looked up in
+# this module's namespace on every call.
+STRUCTURES = {
+    "anchored": Structure("anchored_rect", _anchored),
+    "squares": Structure("unit_square", lambda c, universe: _GeometricAdapter(
+        GridSquareCF(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))),
+    "bounded": Structure("bounded_rect", lambda c, universe: _GeometricAdapter(
+        BoundedRectCF(c), _payload_to_rect)),
+    "universe": Structure("universe_rect", lambda c, universe: _GeometricAdapter(
+        UniverseRectCF(universe), _payload_to_rect)),
+    "semi-1d": Structure("point_1d", lambda c, universe: _FrameworkAdapter(
+        SemiDynamicEngine(IntervalPointColorer, _interval_checker), lambda oid, p: p["x"],
+        lambda colored: check_cf_intervals(colored))),
+    "full-1d": Structure("point_1d", lambda c, universe: _FrameworkAdapter(
+        FullyDynamicEngine(IntervalPointColorer, _interval_checker), lambda oid, p: p["x"],
+        lambda colored: check_cf_intervals(colored))),
+    "full-2d": Structure("point_2d", lambda c, universe: _FrameworkAdapter(
+        FullyDynamicEngine(RectPointColorer, _rect_checker),
+        lambda oid, p: Pt(p["x"], p["y"]),
+        lambda colored: check_cf_rect_ranges(colored, samples=20_000))),
 }
-_FLOAT_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -124,46 +187,35 @@ def generate_workload(kind: str, n: int, delete_ratio: float, seed: int,
                       universe: int | None = None) -> list[dict]:
     """Deterministic event stream: n inserts plus ~delete_ratio*n deletions
     of uniformly random live ids, interleaved."""
-    if kind not in KINDS:
+    spec = KINDS.get(kind)
+    if spec is None:
         raise InvalidParams(f"unknown object kind {kind!r}")
     if n < 0:
         raise InvalidParams("n must be non-negative")
     if not 0.0 <= delete_ratio < 1.0:
         raise InvalidParams("delete ratio must be in [0, 1)")
-    if kind == "bounded_rect":
-        if c is None or c < 1:
-            raise InvalidParams("bounded_rect needs a size bound c >= 1")
-    if kind == "universe_rect":
+    if c is not None and not -_FLOAT_MAX <= c <= _FLOAT_MAX:
+        raise InvalidParams(f"size bound c must be finite, got {c}")
+    if spec.needs == "c" and (c is None or c < 1):
+        raise InvalidParams(f"{kind} needs a size bound c >= 1")
+    if spec.needs == "universe":
         if universe is None or universe < 1:
-            raise InvalidParams("universe_rect needs a universe size N >= 1")
-        if span is not None and span > universe - 1:
+            raise InvalidParams(f"{kind} needs a universe size N >= 1")
+        if span is None:
+            span = universe - 1
+        elif span > universe - 1:
             raise InvalidParams(
                 f"coordinate {span} requested outside universe [0, {universe - 1}]")
-    if span is None:
-        span = float(universe - 1) if kind == "universe_rect" else 10.0
+    elif span is None:
+        span = 10.0
+    # the largest coordinate drawn: the chained comparison rules out NaN too
+    if not 0 <= (span + c if spec.needs == "c" else span) <= _FLOAT_MAX:
+        raise InvalidParams(f"span must be >= 0 and keep coordinates finite, got {span}")
 
     rng = random.Random(seed)
+    draw = spec.draw
     tokens = ["I"] * n + ["D"] * round(n * delete_ratio)
     rng.shuffle(tokens)
-
-    def make_object(oid: int) -> dict:
-        if kind == "anchored_rect":
-            return {"kind": kind, "x2": rng.uniform(0.001, span), "y2": rng.uniform(0.001, span)}
-        if kind == "unit_square":
-            return {"kind": kind, "x": rng.uniform(0, span), "y": rng.uniform(0, span)}
-        if kind == "bounded_rect":
-            x1 = rng.uniform(0, span)
-            y1 = rng.uniform(0, span)
-            return {"kind": kind, "x1": x1, "x2": x1 + rng.uniform(1.0, c),
-                    "y1": y1, "y2": y1 + rng.uniform(1.0, c)}
-        if kind == "universe_rect":
-            hi = int(span)
-            xa, xb = sorted((rng.randint(0, hi), rng.randint(0, hi)))
-            ya, yb = sorted((rng.randint(0, hi), rng.randint(0, hi)))
-            return {"kind": kind, "x1": xa, "x2": xb, "y1": ya, "y2": yb}
-        if kind == "point_1d":
-            return {"kind": kind, "x": rng.uniform(0, span)}
-        return {"kind": kind, "x": rng.uniform(0, span), "y": rng.uniform(0, span)}
 
     events: list[dict] = []
     live: list[int] = []
@@ -171,22 +223,19 @@ def generate_workload(kind: str, n: int, delete_ratio: float, seed: int,
     deferred = 0
     for tok in tokens:
         if tok == "I":
-            obj = make_object(next_id)
+            obj = draw(rng, span, c)
+            obj["kind"] = kind
             events.append({"op": "insert", "id": next_id, "object": obj})
             live.append(next_id)
             next_id += 1
-            while deferred and live:
-                idx = rng.randrange(len(live))
-                live[idx], live[-1] = live[-1], live[idx]
-                events.append({"op": "delete", "id": live.pop()})
-                deferred -= 1
         else:
-            if not live:
-                deferred += 1
-                continue
+            deferred += 1
+        # a deletion drawn while nothing is live waits for the next insert
+        while deferred and live:
             idx = rng.randrange(len(live))
             live[idx], live[-1] = live[-1], live[idx]
             events.append({"op": "delete", "id": live.pop()})
+            deferred -= 1
     return events
 
 
@@ -201,22 +250,18 @@ def _object_error(obj) -> str | None:
     if type(obj) is not dict:
         return f"object is not a JSON object: {obj!r}"
     kind = obj.get("kind")
-    fields = OBJECT_FIELDS.get(kind) if type(kind) is str else None
-    if fields is None:
+    spec = KINDS.get(kind) if type(kind) is str else None
+    if spec is None:
         return f"unknown object kind {kind!r}"
-    for name in fields:
+    for name in spec.fields:
         if name not in obj:
             return f"{kind} without field {name!r}"
         v = obj[name]
         # type() rules out bool; the chained comparison rules out NaN and +-inf
         if type(v) not in (int, float) or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
             return f"{kind} field {name!r} is not a finite number: {v!r}"
-    if len(fields) == 4:
-        if obj["x1"] > obj["x2"] or obj["y1"] > obj["y2"]:
-            return f"{kind} with inverted bounds: {obj!r}"
-    elif kind == "anchored_rect" and (obj["x2"] < 0 or obj["y2"] < 0):
-        return f"anchored_rect corner below the origin: {obj!r}"
-    return None
+    problem = spec.invalid(obj) if spec.invalid is not None else None
+    return None if problem is None else f"{kind} {problem}: {obj!r}"
 
 
 def read_workload(path: str) -> list[dict]:
@@ -260,6 +305,9 @@ def _rect_checker(points, colors):
 
 
 class _GeometricAdapter:
+    """The replay interface over one structure: insert a payload, delete an
+    id, read colors and counters, and run its audits and oracle check."""
+
     def __init__(self, structure, to_object, global_color=None):
         self.structure = structure
         self.to_object = to_object
@@ -297,78 +345,42 @@ class _GeometricAdapter:
         return None
 
 
-class _FrameworkAdapter:
+class _FrameworkAdapter(_GeometricAdapter):
+    """A dynamization engine: its diffs carry the GlobalColor it reports,
+    and range_check(colored points) stands in for check_cf."""
+
     def __init__(self, engine, to_object, range_check):
-        self.engine = engine
-        self.to_object = to_object
+        super().__init__(engine, to_object)
         self.range_check = range_check
-        self.supports_delete = isinstance(engine, FullyDynamicEngine)
+        self.supports_delete = hasattr(engine, "delete")
 
     def insert(self, oid, payload):
-        return self.engine.insert(oid, self.to_object(oid, payload))
+        return self.structure.insert(oid, self.to_object(oid, payload))
 
     def delete(self, oid):
         if not self.supports_delete:
             raise KindMismatch("insert-only structure cannot replay deletions")
-        return self.engine.delete(oid)
-
-    def __len__(self):
-        return len(self.engine)
-
-    def colors(self):
-        return self.engine.global_colors()
-
-    def global_counts(self, counts):
-        return counts  # engine diffs carry the GlobalColor they report
-
-    def total_recolorings(self):
-        return self.engine.total_recolorings
+        return self.structure.delete(oid)
 
     def check_invariants(self):
-        return self.engine.check_invariants()
+        return self.structure.check_invariants()
 
     def check_oracle(self):
-        colored = [(self.engine.objects[o], c) for o, c in self.engine.actual.items()]
-        return self.range_check(colored)
+        engine = self.structure
+        return self.range_check([(engine.objects[o], c) for o, c in engine.actual.items()])
 
     def framework_info(self):
-        return self.engine.ell, ",".join(self.engine.set_states())
-
-
-def _payload_to_rect(oid, payload):
-    return AxisRect(payload["x1"], payload["x2"], payload["y1"], payload["y2"], oid)
+        return self.structure.ell, ",".join(self.structure.set_states())
 
 
 def make_structure(name: str, c: float | None = None, universe: int | None = None):
-    if name == "anchored":
-        return _GeometricAdapter(
-            AnchoredCF(), lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid),
-            lambda c: GlobalColor(ANCHORED_SCHEME_TAG, c))
-    if name == "squares":
-        return _GeometricAdapter(
-            GridSquareCF(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
-    if name == "bounded":
-        if c is None:
-            raise InvalidParams("bounded structure needs --c")
-        return _GeometricAdapter(BoundedRectCF(c), _payload_to_rect)
-    if name == "universe":
-        if universe is None:
-            raise InvalidParams("universe structure needs --universe")
-        return _GeometricAdapter(UniverseRectCF(universe), _payload_to_rect)
-    if name == "semi-1d":
-        return _FrameworkAdapter(
-            SemiDynamicEngine(IntervalPointColorer, _interval_checker),
-            lambda oid, p: p["x"], check_cf_intervals)
-    if name == "full-1d":
-        return _FrameworkAdapter(
-            FullyDynamicEngine(IntervalPointColorer, _interval_checker),
-            lambda oid, p: p["x"], check_cf_intervals)
-    if name == "full-2d":
-        return _FrameworkAdapter(
-            FullyDynamicEngine(RectPointColorer, _rect_checker),
-            lambda oid, p: Pt(p["x"], p["y"]),
-            lambda colored: check_cf_rect_ranges(colored, samples=20_000))
-    raise InvalidParams(f"unknown structure {name!r}")
+    spec = STRUCTURES.get(name)
+    if spec is None:
+        raise InvalidParams(f"unknown structure {name!r}")
+    param = KINDS[spec.kind].needs
+    if param is not None and {"c": c, "universe": universe}[param] is None:
+        raise InvalidParams(f"{name} structure needs --{param}")
+    return spec.build(c, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +433,7 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                  config_extra: dict | None = None) -> dict:
     """Replay events; returns the report dict (schema in the module docstring)."""
     adapter = make_structure(structure_name, c=c, universe=universe)
-    expected_kind = KIND_FOR_STRUCTURE[structure_name]
+    expected_kind = STRUCTURES[structure_name].kind
     steps = []
     violations = []
     live_ids: set[int] = set()
@@ -494,33 +506,31 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
         "violations": violations,
     }
     config = {"structure": structure_name, "verify": verify}
-    if c is not None:
-        config["c"] = c
-    if universe is not None:
-        config["universe"] = universe
-    if config_extra:
-        config.update(config_extra)
+    config.update((k, v) for k, v in (("c", c), ("universe", universe)) if v is not None)
+    config.update(config_extra or {})
     return {"config": config, "steps": steps, "summary": summary}
 
 
-def report_to_csv(report: dict) -> str:
-    fields = ["step", "op", "id", "n", "recolorings", "distinct_colors",
-              "verified", "level", "set_states"]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
-    writer.writeheader()
-    for row in report["steps"]:
-        writer.writerow(row)
-    return buf.getvalue()
+REPORT_FIELDS = ("step", "op", "id", "n", "recolorings", "distinct_colors",
+                 "verified", "level", "set_states")
+BENCH_FIELDS = ("structure", "n", "seed", "events", "final_n",
+                "max_recolorings", "max_distinct_colors", "total_recolorings")
 
 
-def write_report(report: dict, path: str) -> None:
+def _write_json_csv(doc: dict, rows: list[dict], fields: tuple, path: str) -> None:
+    """doc as JSON at path, and rows as CSV next to it (.json becomes .csv)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     csv_path = path[:-5] + ".csv" if path.endswith(".json") else path + ".csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_csv(report))
+        writer = csv.DictWriter(fh, fieldnames=fields, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def write_report(report: dict, path: str) -> None:
+    _write_json_csv(report, report["steps"], REPORT_FIELDS, path)
 
 
 # ---------------------------------------------------------------------------
@@ -530,45 +540,21 @@ def write_report(report: dict, path: str) -> None:
 def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
               delete_ratio: float = 0.3, c: float | None = None,
               universe: int | None = None) -> dict:
-    kind = KIND_FOR_STRUCTURE[structure_name]
+    kind = STRUCTURES[structure_name].kind
     trials = []
     for n in sizes:
         for seed in seeds:
             events = generate_workload(kind, n, delete_ratio, seed,
                                        c=c, universe=universe)
-            report = run_workload(structure_name, events, verify="none",
-                                  c=c, universe=universe)
-            trials.append({
-                "structure": structure_name,
-                "n": n,
-                "seed": seed,
-                "events": len(events),
-                "final_n": report["summary"]["final_n"],
-                "max_recolorings": report["summary"]["max_recolorings"],
-                "max_distinct_colors": report["summary"]["max_distinct_colors"],
-                "total_recolorings": report["summary"]["total_recolorings"],
-            })
+            summary = run_workload(structure_name, events, verify="none",
+                                   c=c, universe=universe)["summary"]
+            trials.append({"structure": structure_name, "n": n, "seed": seed,
+                           "events": len(events), **{f: summary[f] for f in BENCH_FIELDS[4:]}})
     return {"config": {"structure": structure_name, "sizes": sizes,
                        "seeds": seeds, "delete_ratio": delete_ratio,
                        "c": c, "universe": universe},
             "trials": trials}
 
 
-def bench_to_csv(bench: dict) -> str:
-    fields = ["structure", "n", "seed", "events", "final_n",
-              "max_recolorings", "max_distinct_colors", "total_recolorings"]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in bench["trials"]:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def write_bench(bench: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    csv_path = path[:-5] + ".csv" if path.endswith(".json") else path + ".csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(bench_to_csv(bench))
+    _write_json_csv(bench, bench["trials"], BENCH_FIELDS, path)

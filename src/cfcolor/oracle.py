@@ -357,15 +357,10 @@ def check_unimax_rect_ranges(points: list[tuple[Pt, object]],
     return _sampled_rect_ranges(points, samples, seed, unimax=True)
 
 
-def _window_violates(colors: list, unimax: bool) -> bool:
-    if not colors:
-        return False
-    if unimax:
-        return colors.count(max(colors)) != 1
-    return not _has_singleton(colors)
-
-
 def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Witness | None:
+    """Every canonical rectangle: x-windows, then y-windows by start and end.
+    Per start, running counts judge each end in O(1): how many colors occur
+    once, or the maximum and how often it occurs."""
     xs = sorted({p.x for p, _ in points})
     by_x = sorted(points, key=lambda pc: (pc[0].x, pc[0].y))
     for a in range(len(xs)):
@@ -378,12 +373,27 @@ def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Wi
             for i in range(m):
                 if not is_start[i]:
                     continue
-                seen: list = []
+                counts: dict = {}
+                singles = top_count = 0
+                top = None
                 for j in range(i, m):
-                    seen.append(strip[j][1])
-                    if is_end[j] and _window_violates(seen, unimax):
+                    c = strip[j][1]
+                    if unimax:
+                        if top is None or c > top:
+                            top, top_count = c, 1
+                        elif c == top:
+                            top_count += 1
+                        bad = top_count != 1
+                    else:
+                        k = counts[c] = counts.get(c, 0) + 1
+                        if k == 1:
+                            singles += 1
+                        elif k == 2:
+                            singles -= 1
+                        bad = singles == 0
+                    if bad and is_end[j]:
                         return Witness((xlo, xhi, strip[i][0], strip[j][0]),
-                                       sorted(seen))
+                                       sorted(v for _, v in strip[i:j + 1]))
     return None
 
 

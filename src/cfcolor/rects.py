@@ -61,8 +61,6 @@ class CommonPointCF(DirectionalCell):
     def global_color(self, pair: tuple[int, int]) -> GlobalColor:
         return GlobalColor(self.tag, pair_encode(*pair))
 
-    pair_of = DirectionalCell.color_of
-
 
 class BoundedRectCF(Partition):
     """Rectangles with widths and heights in [1, c], grid-routed."""
@@ -70,8 +68,8 @@ class BoundedRectCF(Partition):
     CELL = CommonPointCF
 
     def __init__(self, c: float) -> None:
-        if c < 1:
-            raise ValueError("size bound c must be >= 1")
+        if not 1 <= c < math.inf:
+            raise SizeOutOfRange(f"size bound c must be in [1, inf), got {c}")
         super().__init__()
         self.c = float(c)
         self.class_modulus = 2 * math.ceil(c) + 1
@@ -130,18 +128,13 @@ class UniverseRectCF(Partition):
 
     def __init__(self, universe: int) -> None:
         if universe < 1:
-            raise ValueError("universe size must be positive")
+            raise CoordinateOutOfUniverse(f"universe size must be positive, got {universe}")
         super().__init__()
         self.universe = int(universe)
         self.slots = 1
         while self.slots < self.universe:
             self.slots *= 2
         self.levels = self.slots.bit_length()  # level in 0..levels-1
-
-    @property
-    def cell_level(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(x-level, y-level) of every live cell, recovered from its tag."""
-        return {key: divmod(cell.tag, self.levels) for key, cell in self.cells.items()}
 
     def _check_coord(self, v: float) -> int:
         if not float(v).is_integer():
@@ -151,20 +144,13 @@ class UniverseRectCF(Partition):
             raise CoordinateOutOfUniverse(f"coordinate {iv} outside [0, {self.universe - 1}]")
         return iv
 
-    def locate(self, r: AxisRect) -> tuple[tuple[int, int], Pt, tuple[int, int]]:
-        """(cell key, pin, (x-level, y-level)) for a validated rectangle."""
+    def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
+        """(cell key, pin, tag); the tag x-level * levels + y-level names a color set."""
         x1, x2 = self._check_coord(r.x1), self._check_coord(r.x2)
         y1, y2 = self._check_coord(r.y1), self._check_coord(r.y2)
         hx, xv, lx = skeleton_locate(self.slots, x1, x2)
         hy, yv, ly = skeleton_locate(self.slots, y1, y2)
-        return (hx, hy), Pt(float(xv), float(yv)), (lx, ly)
-
-    def level_tag(self, lx: int, ly: int) -> int:
-        return lx * self.levels + ly
-
-    def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
-        key, pin, levels = self.locate(r)
-        return key, pin, self.level_tag(*levels)
+        return (hx, hy), Pt(float(xv), float(yv)), lx * self.levels + ly
 
     def audit(self) -> ViolationReport | None:
         report = super().audit()

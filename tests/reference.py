@@ -1,0 +1,62 @@
+"""Test-side helpers and reference implementations.
+
+Walks and decoders that only tests need, and the plain per-window oracle
+check that the running-count version in cfcolor.oracle is compared with.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator
+
+from cfcolor.augtree import AugTree, Node
+from cfcolor.oracle import Witness, _group_bounds, _has_singleton
+
+
+def nodes(tree: AugTree) -> Iterator[Node]:
+    """Every node of the tree, preorder."""
+    def walk(v: Node) -> Iterator[Node]:
+        yield v
+        if not v.is_leaf:
+            yield from walk(v.left)
+            yield from walk(v.right)
+    if tree.root is not None:
+        yield from walk(tree.root)
+
+
+def pair_decode(z: int) -> tuple[int, int]:
+    """Inverse of cfcolor.geom.pair_encode."""
+    s = (math.isqrt(8 * z + 1) - 1) // 2
+    b = z - s * (s + 1) // 2
+    return s - b, b
+
+
+def _window_violates(colors: list, unimax: bool) -> bool:
+    if not colors:
+        return False
+    if unimax:
+        return colors.count(max(colors)) != 1
+    return not _has_singleton(colors)
+
+
+def exhaustive_rect_ranges(points, unimax: bool) -> Witness | None:
+    """Every canonical rectangle, each window rebuilt and judged from scratch."""
+    xs = sorted({p.x for p, _ in points})
+    by_x = sorted(points, key=lambda pc: (pc[0].x, pc[0].y))
+    for a in range(len(xs)):
+        for b in range(a, len(xs)):
+            xlo, xhi = xs[a], xs[b]
+            strip = [(p.y, c) for p, c in by_x if xlo <= p.x <= xhi]
+            strip.sort(key=lambda t: t[0])
+            m = len(strip)
+            is_start, is_end = _group_bounds([y for y, _ in strip])
+            for i in range(m):
+                if not is_start[i]:
+                    continue
+                seen: list = []
+                for j in range(i, m):
+                    seen.append(strip[j][1])
+                    if is_end[j] and _window_violates(seen, unimax):
+                        return Witness((xlo, xhi, strip[i][0], strip[j][0]),
+                                       sorted(seen))
+    return None

@@ -6,6 +6,7 @@ import pytest
 from cfcolor.anchored import AnchoredCF, NotAnchored
 from cfcolor.geom import AxisRect, DuplicateId, UnknownId
 from cfcolor.oracle import check_cf, check_cf_probes, recompute_anchored_colors
+from reference import nodes as tree_nodes
 
 # Frozen recoloring bound: recolorings <= REC_A * log2(n + 2) + REC_B.
 # Max ratio observed over the seeded runs below is ~1.3; headroom kept.
@@ -138,7 +139,7 @@ def test_n_sets_partition_nodes_by_referenced_object():
         s.insert(anchored(rng.uniform(0.1, 100), rng.uniform(0.1, 100), k))
     # global walk: each internal node contributes to exactly one N(r)
     refs = {}
-    for v in s.tree.nodes():
+    for v in tree_nodes(s.tree):
         if v.is_leaf:
             refs.setdefault(v.payload, set()).add(id(v))
         else:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfcolor.augtree import AugTree, DuplicateKey, KeyNotFound
 from cfcolor.geom import KeyOrder
+from reference import nodes
 
 # Frozen dirty-log bound: |log| <= DIRTY_A * log2(n + 2) + DIRTY_B per update.
 # Recorded as the max over the seeded runs below, with headroom.
@@ -22,19 +23,19 @@ def insert_obj(tree, oid, x, y):
 
 
 def snapshot(tree):
-    return {id(v): (v.height, v.ymax, v.ymin) for v in tree.nodes()}
+    return {id(v): (v.height, v.ymax, v.ymin) for v in nodes(tree)}
 
 
 def assert_log_covers_changes(tree, before, log):
     """Every node whose augmentation differs from the snapshot is in the log."""
     logged = {id(e.node) for e in log}
-    for v in tree.nodes():
+    for v in nodes(tree):
         prev = before.get(id(v))
         if prev is None:
             assert id(v) in logged, "created node missing from dirty log"
         elif prev != (v.height, v.ymax, v.ymin):
             assert id(v) in logged, "changed node missing from dirty log"
-    alive = {id(v) for v in tree.nodes()}
+    alive = {id(v) for v in nodes(tree)}
     for node_id in before:
         if node_id not in alive:
             assert node_id in logged, "removed node missing from dirty log"
@@ -150,7 +151,7 @@ def test_audit_detects_corrupted_height():
     tree = AugTree()
     for oid in range(10):
         insert_obj(tree, oid, float(oid), float(oid))
-    victim = next(v for v in tree.nodes() if not v.is_leaf)
+    victim = next(v for v in nodes(tree) if not v.is_leaf)
     victim.height += 5
     report = tree.audit()
     assert report is not None
@@ -161,7 +162,7 @@ def test_audit_detects_corrupted_summary():
     tree = AugTree()
     for oid in range(10):
         insert_obj(tree, oid, float(oid), float(oid))
-    victim = next(v for v in tree.nodes() if not v.is_leaf)
+    victim = next(v for v in nodes(tree) if not v.is_leaf)
     victim.ymax = KeyOrder(999.0, 999)
     report = tree.audit()
     assert report is not None

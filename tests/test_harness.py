@@ -1,8 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfcolor import harness
+from cfcolor.cli import build_parser
 from cfcolor.cli import main as cli_main
 from cfcolor.geom import GlobalColor
 from cfcolor.harness import (
@@ -407,3 +414,157 @@ def test_python_dash_m_front_end(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3
     assert proc.stderr == "error: line 1: unit_square without field 'x'\n"
+
+
+def _exit_code(argv):
+    """cli.main's exit code, also when argparse exits on a usage error."""
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BAD_PARAMS = {
+    # case: argv; run gets an empty workload, and every command an output path
+    "run_c_below_one": ["run", "--structure", "bounded", "--c", "0.5"],
+    "run_c_nan": ["run", "--structure", "bounded", "--c", "nan"],
+    "run_c_inf": ["run", "--structure", "bounded", "--c", "inf"],
+    "run_universe_zero": ["run", "--structure", "universe", "--universe", "0"],
+    "run_universe_not_int": ["run", "--structure", "universe", "--universe", "2.5"],
+    "run_unknown_structure": ["run", "--structure", "disks"],
+    "bench_c_below_one": ["bench", "--structure", "bounded", "--sizes", "8", "--seeds", "1",
+                          "--c", "0.5"],
+    "bench_c_nan": ["bench", "--structure", "bounded", "--sizes", "8", "--seeds", "1",
+                    "--c", "nan"],
+    "bench_c_inf": ["bench", "--structure", "bounded", "--sizes", "8", "--seeds", "1",
+                    "--c", "inf"],
+    "bench_universe_zero": ["bench", "--structure", "universe", "--sizes", "8", "--seeds", "1",
+                            "--universe", "0"],
+    "bench_sizes_not_ints": ["bench", "--structure", "squares", "--sizes", "1,x",
+                             "--seeds", "1"],
+    "bench_seeds_empty": ["bench", "--structure", "squares", "--sizes", "8", "--seeds", ","],
+    "gen_anchored_negative_span": ["gen", "--kind", "anchored_rect", "--n", "5", "--seed", "1",
+                                   "--span", "-5"],
+    "gen_bounded_c_nan": ["gen", "--kind", "bounded_rect", "--n", "5", "--seed", "1",
+                          "--c", "nan"],
+    "gen_square_span_inf": ["gen", "--kind", "unit_square", "--n", "5", "--seed", "1",
+                            "--span", "inf"],
+    "gen_universe_negative_span": ["gen", "--kind", "universe_rect", "--n", "5", "--seed", "1",
+                                   "--universe", "8", "--span", "-2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_cli_bad_params_exit_code(case, tmp_path, capsys):
+    argv = list(BAD_PARAMS[case])
+    if argv[0] == "run":
+        (tmp_path / "w.jsonl").write_text("")
+        argv += ["--workload", str(tmp_path / "w.jsonl")]
+    argv += ["--out" if argv[0] == "gen" else "--report", str(tmp_path / "out.json")]
+    assert _exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(("error: ", "usage: ")) and err.count("error:") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+@given(kind=st.sampled_from(sorted(harness.KINDS)),
+       span=st.none() | st.floats() | st.integers(min_value=-3, max_value=2**1030),
+       c=st.none() | st.floats(),
+       universe=st.none() | st.integers(min_value=-3, max_value=2**1030))
+def test_gen_writes_only_workloads_that_read_back(kind, span, c, universe):
+    try:
+        events = generate_workload(kind, 6, 0.3, seed=5, span=span, c=c, universe=universe)
+    except InvalidParams:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "w.jsonl")
+        write_workload(events, path)
+        assert read_workload(path) == events
+
+
+REGISTRY_PARAMS = ["--c", "3", "--universe", "32"]
+
+
+@pytest.mark.parametrize("structure", sorted(harness.STRUCTURES))
+def test_every_registered_structure_runs_through_the_cli(structure, tmp_path):
+    kind = harness.STRUCTURES[structure].kind
+    deletes = hasattr(harness.make_structure(structure, c=3, universe=32).structure, "delete")
+    ratio = "0.3" if deletes else "0"
+    wl = str(tmp_path / "w.jsonl")
+    assert cli_main(["gen", "--kind", kind, "--n", "40", "--delete-ratio", ratio,
+                     "--seed", "2", "--out", wl, *REGISTRY_PARAMS]) == 0
+    assert cli_main(["run", "--structure", structure, "--workload", wl,
+                     "--verify", "oracle-sampled", "--report", str(tmp_path / "r.json"),
+                     *REGISTRY_PARAMS]) == 0
+    assert cli_main(["bench", "--structure", structure, "--sizes", "16,32", "--seeds", "1",
+                     "--delete-ratio", ratio, "--report", str(tmp_path / "b.json"),
+                     *REGISTRY_PARAMS]) == 0
+
+
+def test_cli_choices_are_the_registry_keys():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {(name, a.dest): list(a.choices)
+               for name, sub in commands.items() for a in sub._actions if a.choices}
+    assert choices == {
+        ("gen", "kind"): list(harness.KINDS),
+        ("run", "structure"): list(harness.STRUCTURES),
+        ("run", "verify"): list(harness.VERIFY_MODES),
+        ("bench", "structure"): list(harness.STRUCTURES),
+    }
+
+
+_small = st.sampled_from([0, 1, 2.5, 3, 5, 31, 32, 40.5]) | st.floats(min_value=0, max_value=40)
+_junk = st.one_of(
+    st.floats(), st.integers(min_value=-2**1030, max_value=2**1030),
+    st.booleans(), st.none(), st.text(max_size=2), st.lists(st.integers(), max_size=2))
+
+
+# true about one time in eight; plain integer draws lean towards their bounds
+_rare = st.sampled_from(range(8)).map(lambda k: k == 3)
+
+
+@st.composite
+def _junk_runs(draw):
+    """A structure and a few events; most inserts carry the structure's kind
+    and small numbers, so that they get past validation into the structure."""
+    structure = draw(st.sampled_from(sorted(harness.STRUCTURES)))
+    events = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        oid = draw(st.integers(min_value=0, max_value=3))
+        if draw(_rare):
+            events.append({"op": "delete", "id": oid})
+            continue
+        kind = harness.STRUCTURES[structure].kind
+        if draw(_rare):
+            kind = draw(st.sampled_from(sorted(harness.KINDS)))
+        fields = harness.KINDS[kind].fields
+        if draw(_rare):
+            values = [draw(_junk) for _ in fields]
+        else:  # small numbers, often ascending as rectangle bounds must be
+            values = [draw(_small) for _ in fields]
+            if draw(st.booleans()):
+                values.sort()
+        obj = {"kind": kind, **dict(zip(fields, values))}
+        if draw(_rare):
+            del obj[draw(st.sampled_from(fields))]
+        events.append({"op": "insert", "id": oid, "object": obj})
+    return structure, events
+
+
+@settings(max_examples=150)
+@given(run=_junk_runs(), verify=st.sampled_from(harness.VERIFY_MODES))
+def test_cli_fuzz_junk_records_exit_cleanly(run, verify):
+    structure, events = run
+    with tempfile.TemporaryDirectory() as d:
+        wl = os.path.join(d, "w.jsonl")
+        with open(wl, "w") as fh:
+            fh.writelines(json.dumps(ev) + "\n" for ev in events)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli_main(["run", "--structure", structure, "--workload", wl,
+                           "--verify", verify, "--report", os.path.join(d, "r.json"),
+                           *REGISTRY_PARAMS])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -3,11 +3,12 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcolor.anchored import AnchoredCF
 from cfcolor.augtree import AugTree
-from cfcolor.geom import AxisRect, KeyOrder, Pt
+from cfcolor.geom import AxisRect, GlobalColor, KeyOrder, Pt
 from cfcolor import oracle
 from cfcolor.oracle import (
     check_cf,
@@ -20,6 +21,7 @@ from cfcolor.oracle import (
     probe_grid,
     recompute_anchored_colors,
 )
+from reference import exhaustive_rect_ranges, nodes
 
 
 def rect(x1, x2, y1, y2, oid):
@@ -261,7 +263,7 @@ def _naive_anchored_colors(tree):
     colors = {}
     for leaf in tree.leaves():
         best = 0
-        for v in tree.nodes():
+        for v in nodes(tree):
             if not v.is_leaf and max_leaf(v.right).payload == leaf.payload:
                 best = max(best, height(v))
         colors[leaf.payload] = best
@@ -282,7 +284,7 @@ def test_definitional_ignores_corrupted_summaries():
         tree.insert(KeyOrder(float(oid), oid), oid,
                     KeyOrder(float(oid), oid), KeyOrder(float(oid), oid))
     want = recompute_anchored_colors(tree)
-    victim = next(v for v in tree.nodes() if not v.is_leaf)
+    victim = next(v for v in nodes(tree) if not v.is_leaf)
     victim.height += 7
     victim.ymax = KeyOrder(1e9, 999)
     assert recompute_anchored_colors(tree) == want
@@ -296,3 +298,30 @@ def test_sampled_witness_prints_plain_numbers():
     assert w is not None
     assert "np." not in str(w)
     assert all(type(v) is float for v in w.probe)
+
+
+def _colored_grid_points(rng, n, grid):
+    """n points on a small grid (so coordinates repeat) with distinct colors."""
+    return [(Pt(float(rng.randrange(grid)), float(rng.randrange(grid))), k) for k in range(n)]
+
+
+@pytest.mark.parametrize("unimax", [False, True])
+def test_exhaustive_rect_ranges_matches_reference_with_planted_faults(unimax):
+    """The running-count check returns exactly the reference's witness (or
+    None) on valid colorings and on colorings with planted faults."""
+    rng = random.Random(23)
+    faulty = 0
+    for trial in range(150):
+        n = rng.randrange(1, 14)
+        points = _colored_grid_points(rng, n, rng.choice((3, 5, 8)))
+        if trial % 3:
+            # plant faults: copy some colors onto other points
+            for _ in range(rng.randrange(1, 4)):
+                a, b = rng.randrange(n), rng.randrange(n)
+                points[a] = (points[a][0], points[b][1])
+        if trial % 5 == 0:
+            points = [(p, GlobalColor(c % 2, c)) for p, c in points]
+        got = oracle._exhaustive_rect_ranges(points, unimax)
+        assert got == exhaustive_rect_ranges(points, unimax)
+        faulty += got is not None
+    assert 20 < faulty < 150  # both verdicts were exercised

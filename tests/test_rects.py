@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cfcolor.geom import AxisRect, GlobalColor, Pt, pair_decode, pair_encode
+from cfcolor.geom import AxisRect, GlobalColor, Pt, pair_encode
 from cfcolor.oracle import check_cf, check_cf_probes, recompute_common_point_colors
 from cfcolor.rects import (
     BoundedRectCF,
@@ -15,6 +15,7 @@ from cfcolor.rects import (
     skeleton_locate,
     skeleton_path_values,
 )
+from reference import pair_decode
 
 
 def rect(x1, x2, y1, y2, oid):
@@ -27,7 +28,7 @@ def test_single_rect_gets_pair_zero_zero():
     cp = CommonPointCF(Pt(0.0, 0.0))
     diff = cp.insert(rect(-1, 1, -1, 1, 0))
     assert diff.assigned == (0, (0, 0))
-    assert cp.pair_of(0) == (0, 0)
+    assert cp.color_of(0) == (0, 0)
 
 
 def test_pin_must_be_contained():
@@ -40,7 +41,7 @@ def test_nested_rects_distinct_pairs_probe_unique():
     cp = CommonPointCF(Pt(0.0, 0.0))
     cp.insert(rect(-3, 3, -3, 3, 0))
     cp.insert(rect(-1, 1, -1, 1, 1))
-    assert cp.pair_of(0) != cp.pair_of(1)
+    assert cp.color_of(0) != cp.color_of(1)
     colored = [(cp.rects[oid], cp.colors[oid]) for oid in cp.rects]
     assert check_cf_probes(colored) is None
 
@@ -163,7 +164,8 @@ def test_same_class_bounded_cells_disjoint():
 def test_universe_full_rect_stored_at_roots():
     s = UniverseRectCF(universe=8)
     s.insert(rect(0, 7, 0, 7, 0))
-    key, pin, levels = s.locate(rect(0, 7, 0, 7, 1))
+    key, pin, tag = s.route(rect(0, 7, 0, 7, 1))
+    levels = divmod(tag, s.levels)
     assert key == (1, 1) and levels == (0, 0)
     assert pin == Pt(3.0, 3.0)  # root midpoint of {0..7}
     assert s.location[0] == (1, 1)
@@ -176,7 +178,8 @@ def test_universe_handwalked_descent():
     assert skeleton_path_values(8, 5, 6) == [3]
     s = UniverseRectCF(universe=8)
     s.insert(rect(5, 6, 1, 2, 0))
-    key, pin, levels = s.locate(rect(5, 6, 1, 2, 1))
+    key, pin, tag = s.route(rect(5, 6, 1, 2, 1))
+    levels = divmod(tag, s.levels)
     assert pin == Pt(5.0, 1.0)
     assert levels == (1, 1)  # y-range [1,2]: mid 3 miss -> left [0,3] mid 1 hit
 
@@ -205,7 +208,7 @@ def test_universe_routing_soundness_random():
     # same-level distinct x-nodes hold disjoint x-projections
     by_level: dict[int, list] = {}
     for key, cell in s.cells.items():
-        by_level.setdefault(s.cell_level[key][0], []).append((key[0], cell))
+        by_level.setdefault(divmod(cell.tag, s.levels)[0], []).append((key[0], cell))
     for level, entries in by_level.items():
         for hx1, c1 in entries:
             for hx2, c2 in entries:
