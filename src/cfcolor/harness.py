@@ -8,11 +8,13 @@ int.  Replay applies events in order against one of the named structures
 and writes the report as JSON plus a CSV mirror of the step table.
 
 Two tables drive it all.  KINDS maps an object kind to its coordinate
-fields, the generator's draw(rng, span, c), the parameter it needs and its
-validity rule; STRUCTURES maps a structure name to the kind it holds and
-build(c, universe) -> adapter.  Generation, validation, make_structure,
-run_workload, run_bench and the CLI's choices read only these.  Adding a
-structure is one STRUCTURES entry, plus a KINDS entry for a new kind.
+fields, the generator's draw(rng, span, c), its validity rule, and the
+parameter it needs with that parameter's range rule (from rects.py, which
+the structure's constructor applies too); STRUCTURES maps a structure name
+to the kind it holds and build(c, universe) -> adapter.  Generation,
+validation, make_structure, run_workload, run_bench and the CLI's choices
+read only these.  Adding a structure is one STRUCTURES entry, plus a KINDS
+entry for a new kind.
 
 Report schema (run_workload):
 
@@ -73,7 +75,7 @@ from .oracle import (
     check_unimax_intervals,
     check_unimax_rect_ranges,
 )
-from .rects import BoundedRectCF, UniverseRectCF
+from .rects import BoundedRectCF, UniverseRectCF, check_size_bound, check_universe_size
 from .squares import GridSquareCF
 from .unimax import IntervalPointColorer, RectPointColorer
 
@@ -104,6 +106,7 @@ class Kind(NamedTuple):
     draw: Callable                   # (rng, span, c) -> coordinates, for gen
     needs: str | None = None         # "c" or "universe": a required parameter
     invalid: Callable | None = None  # coordinates -> why they are invalid, or None
+    check: Callable | None = None    # the needed parameter's range rule, owned by rects
 
 
 class Structure(NamedTuple):
@@ -135,10 +138,11 @@ KINDS = {
         invalid=lambda o: "corner below the origin" if o["x2"] < 0 or o["y2"] < 0 else None),
     "unit_square": Kind(
         ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)}),
-    "bounded_rect": Kind(("x1", "x2", "y1", "y2"), _draw_bounded, "c", _inverted_bounds),
+    "bounded_rect": Kind(("x1", "x2", "y1", "y2"), _draw_bounded, "c", _inverted_bounds,
+                         check_size_bound),
     # integer coordinates in {0..universe-1}; span is the largest one drawn
     "universe_rect": Kind(("x1", "x2", "y1", "y2"), _draw_universe, "universe",
-                          _inverted_bounds),
+                          _inverted_bounds, check_universe_size),
     "point_1d": Kind(("x",), lambda rng, span, c: {"x": rng.uniform(0, span)}),
     "point_2d": Kind(
         ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)}),
@@ -182,6 +186,17 @@ STRUCTURES = {
 # workload generation
 # ---------------------------------------------------------------------------
 
+def _needed_param(who: str, needs: str | None, c: float | None, universe: int | None):
+    """The value of the parameter `needs` names, None if it names none;
+    InvalidParams if it is missing."""
+    if needs is None:
+        return None
+    value = c if needs == "c" else universe
+    if value is None:
+        raise InvalidParams(f"{who} needs --{needs}")
+    return value
+
+
 def generate_workload(kind: str, n: int, delete_ratio: float, seed: int,
                       span: float | None = None, c: float | None = None,
                       universe: int | None = None) -> list[dict]:
@@ -196,11 +211,13 @@ def generate_workload(kind: str, n: int, delete_ratio: float, seed: int,
         raise InvalidParams("delete ratio must be in [0, 1)")
     if c is not None and not -_FLOAT_MAX <= c <= _FLOAT_MAX:
         raise InvalidParams(f"size bound c must be finite, got {c}")
-    if spec.needs == "c" and (c is None or c < 1):
-        raise InvalidParams(f"{kind} needs a size bound c >= 1")
+    value = _needed_param(kind, spec.needs, c, universe)
+    if value is not None:
+        try:
+            spec.check(value)
+        except ValueError as exc:
+            raise InvalidParams(str(exc)) from None
     if spec.needs == "universe":
-        if universe is None or universe < 1:
-            raise InvalidParams(f"{kind} needs a universe size N >= 1")
         if span is None:
             span = universe - 1
         elif span > universe - 1:
@@ -208,9 +225,11 @@ def generate_workload(kind: str, n: int, delete_ratio: float, seed: int,
                 f"coordinate {span} requested outside universe [0, {universe - 1}]")
     elif span is None:
         span = 10.0
-    # the largest coordinate drawn: the chained comparison rules out NaN too
-    if not 0 <= (span + c if spec.needs == "c" else span) <= _FLOAT_MAX:
-        raise InvalidParams(f"span must be >= 0 and keep coordinates finite, got {span}")
+    # the chained comparisons rule out NaN too; c is finite by now
+    if not 0 <= span <= _FLOAT_MAX:
+        raise InvalidParams(f"span must be finite and >= 0, got {span}")
+    if spec.needs == "c" and not span + c <= _FLOAT_MAX:
+        raise InvalidParams(f"span + c must be finite, got {span} + {c}")
 
     rng = random.Random(seed)
     draw = spec.draw
@@ -377,9 +396,7 @@ def make_structure(name: str, c: float | None = None, universe: int | None = Non
     spec = STRUCTURES.get(name)
     if spec is None:
         raise InvalidParams(f"unknown structure {name!r}")
-    param = KINDS[spec.kind].needs
-    if param is not None and {"c": c, "universe": universe}[param] is None:
-        raise InvalidParams(f"{name} structure needs --{param}")
+    _needed_param(f"{name} structure", KINDS[spec.kind].needs, c, universe)
     return spec.build(c, universe)
 
 
@@ -506,7 +523,10 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
         "violations": violations,
     }
     config = {"structure": structure_name, "verify": verify}
-    config.update((k, v) for k, v in (("c", c), ("universe", universe)) if v is not None)
+    if c is not None:
+        config["c"] = c
+    if universe is not None:
+        config["universe"] = universe
     config.update(config_extra or {})
     return {"config": config, "steps": steps, "summary": summary}
 
@@ -549,7 +569,10 @@ def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
             summary = run_workload(structure_name, events, verify="none",
                                    c=c, universe=universe)["summary"]
             trials.append({"structure": structure_name, "n": n, "seed": seed,
-                           "events": len(events), **{f: summary[f] for f in BENCH_FIELDS[4:]}})
+                           "events": len(events), "final_n": summary["final_n"],
+                           "max_recolorings": summary["max_recolorings"],
+                           "max_distinct_colors": summary["max_distinct_colors"],
+                           "total_recolorings": summary["total_recolorings"]})
     return {"config": {"structure": structure_name, "sizes": sizes,
                        "seeds": seeds, "delete_ratio": delete_ratio,
                        "c": c, "universe": universe},

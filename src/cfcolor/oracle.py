@@ -310,22 +310,42 @@ def check_cf_intervals(points: list[tuple[float, object]],
 def check_unimax_intervals(points: list[tuple[float, object]]) -> Witness | None:
     """Unique-maximum over every canonical interval; exhaustive."""
     pts = sorted(points, key=lambda pc: pc[0])
-    n = len(pts)
+    bad = _first_bad_window(pts, unimax=True)
+    if bad is None:
+        return None
+    i, j = bad
+    return Witness((pts[i][0], pts[j][0]), sorted(v for _, v in pts[i:j + 1]))
+
+
+def _first_bad_window(pts: list[tuple[float, object]], unimax: bool) -> tuple[int, int] | None:
+    """The first canonical window pts[i..j] of coordinate-sorted pts, by
+    start then end, without a color that occurs once (unimax: without a
+    unique maximum).  Per start, running counts judge each end in O(1): how
+    many colors occur once, or the maximum and how often it occurs."""
     is_start, is_end = _group_bounds([x for x, _ in pts])
-    for i in range(n):
+    for i in range(len(pts)):
         if not is_start[i]:
             continue
-        cur_max = None
-        max_count = 0
-        for j in range(i, n):
+        counts: dict = {}
+        singles = top_count = 0
+        top = None
+        for j in range(i, len(pts)):
             c = pts[j][1]
-            if cur_max is None or c > cur_max:
-                cur_max, max_count = c, 1
-            elif c == cur_max:
-                max_count += 1
-            if max_count != 1 and is_end[j]:
-                return Witness((pts[i][0], pts[j][0]),
-                               sorted(v for _, v in pts[i:j + 1]))
+            if unimax:
+                if top is None or c > top:
+                    top, top_count = c, 1
+                elif c == top:
+                    top_count += 1
+                bad = top_count != 1
+            else:
+                k = counts[c] = counts.get(c, 0) + 1
+                if k == 1:
+                    singles += 1
+                elif k == 2:
+                    singles -= 1
+                bad = singles == 0
+            if bad and is_end[j]:
+                return i, j
     return None
 
 
@@ -338,10 +358,7 @@ def check_cf_rect_ranges(points: list[tuple[Pt, object]],
     points; beyond that, `samples` seeded random canonical ranges checked
     in vectorized batches.
     """
-    n = len(points)
-    if n == 0:
-        return None
-    if n <= EXHAUSTIVE_2D_LIMIT:
+    if len(points) <= EXHAUSTIVE_2D_LIMIT:
         return _exhaustive_rect_ranges(points, unimax=False)
     return _sampled_rect_ranges(points, samples, seed, unimax=False)
 
@@ -349,18 +366,14 @@ def check_cf_rect_ranges(points: list[tuple[Pt, object]],
 def check_unimax_rect_ranges(points: list[tuple[Pt, object]],
                              samples: int = SAMPLED_RANGES,
                              seed: int = 0) -> Witness | None:
-    n = len(points)
-    if n == 0:
-        return None
-    if n <= EXHAUSTIVE_2D_LIMIT:
+    if len(points) <= EXHAUSTIVE_2D_LIMIT:
         return _exhaustive_rect_ranges(points, unimax=True)
     return _sampled_rect_ranges(points, samples, seed, unimax=True)
 
 
 def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Witness | None:
-    """Every canonical rectangle: x-windows, then y-windows by start and end.
-    Per start, running counts judge each end in O(1): how many colors occur
-    once, or the maximum and how often it occurs."""
+    """Every canonical rectangle: x-windows, then the y-windows of the
+    points each x-window holds."""
     xs = sorted({p.x for p, _ in points})
     by_x = sorted(points, key=lambda pc: (pc[0].x, pc[0].y))
     for a in range(len(xs)):
@@ -368,32 +381,11 @@ def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Wi
             xlo, xhi = xs[a], xs[b]
             strip = [(p.y, c) for p, c in by_x if xlo <= p.x <= xhi]
             strip.sort(key=lambda t: t[0])
-            m = len(strip)
-            is_start, is_end = _group_bounds([y for y, _ in strip])
-            for i in range(m):
-                if not is_start[i]:
-                    continue
-                counts: dict = {}
-                singles = top_count = 0
-                top = None
-                for j in range(i, m):
-                    c = strip[j][1]
-                    if unimax:
-                        if top is None or c > top:
-                            top, top_count = c, 1
-                        elif c == top:
-                            top_count += 1
-                        bad = top_count != 1
-                    else:
-                        k = counts[c] = counts.get(c, 0) + 1
-                        if k == 1:
-                            singles += 1
-                        elif k == 2:
-                            singles -= 1
-                        bad = singles == 0
-                    if bad and is_end[j]:
-                        return Witness((xlo, xhi, strip[i][0], strip[j][0]),
-                                       sorted(v for _, v in strip[i:j + 1]))
+            bad = _first_bad_window(strip, unimax)
+            if bad is not None:
+                i, j = bad
+                return Witness((xlo, xhi, strip[i][0], strip[j][0]),
+                               sorted(v for _, v in strip[i:j + 1]))
     return None
 
 

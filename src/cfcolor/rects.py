@@ -38,6 +38,16 @@ class CoordinateOutOfUniverse(ValueError):
     pass
 
 
+def check_size_bound(c: float) -> None:
+    if not 1 <= c < math.inf:
+        raise SizeOutOfRange(f"size bound c must be in [1, inf), got {c}")
+
+
+def check_universe_size(universe: int) -> None:
+    if universe < 1:
+        raise CoordinateOutOfUniverse(f"universe size must be positive, got {universe}")
+
+
 class CommonPointCF(DirectionalCell):
     """Pair coloring of rectangles sharing the point `pin`."""
 
@@ -68,8 +78,7 @@ class BoundedRectCF(Partition):
     CELL = CommonPointCF
 
     def __init__(self, c: float) -> None:
-        if not 1 <= c < math.inf:
-            raise SizeOutOfRange(f"size bound c must be in [1, inf), got {c}")
+        check_size_bound(c)
         super().__init__()
         self.c = float(c)
         self.class_modulus = 2 * math.ceil(c) + 1
@@ -127,8 +136,7 @@ class UniverseRectCF(Partition):
     CELL = CommonPointCF
 
     def __init__(self, universe: int) -> None:
-        if universe < 1:
-            raise CoordinateOutOfUniverse(f"universe size must be positive, got {universe}")
+        check_universe_size(universe)
         super().__init__()
         self.universe = int(universe)
         self.slots = 1

@@ -28,6 +28,7 @@ keys = st.builds(KeyOrder, coords, st.integers(min_value=0, max_value=1000))
 
 @given(keys, keys)
 def test_compare_keys_antisymmetric(k1, k2):
+    assert not (k1 < k2 and k2 < k1)
     assert (k1 < k2) == (k2 > k1) and (k1 > k2) == (k2 < k1)
 
 

@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfcolor import harness
 from cfcolor.cli import build_parser
@@ -469,9 +469,13 @@ def test_cli_bad_params_exit_code(case, tmp_path, capsys):
 
 
 @given(kind=st.sampled_from(sorted(harness.KINDS)),
-       span=st.none() | st.floats() | st.integers(min_value=-3, max_value=2**1030),
+       span=st.none() | st.floats() | st.integers(min_value=-2**1030, max_value=2**1030),
        c=st.none() | st.floats(),
        universe=st.none() | st.integers(min_value=-3, max_value=2**1030))
+# ints beyond the float range, which span + c must not overflow on
+@example(kind="bounded_rect", span=2**1030, c=2.0, universe=None)
+@example(kind="bounded_rect", span=-2**1030, c=2.0, universe=None)
+@example(kind="universe_rect", span=None, c=None, universe=2**1030)
 def test_gen_writes_only_workloads_that_read_back(kind, span, c, universe):
     try:
         events = generate_workload(kind, 6, 0.3, seed=5, span=span, c=c, universe=universe)
