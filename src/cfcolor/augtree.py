@@ -15,7 +15,9 @@ The rebalancing is the classic red-black scheme where leaves play the role
 of (data-carrying) black nil nodes: an insertion splices a red internal
 node above an existing leaf, a deletion removes a leaf together with its
 parent.  Rotation counts are O(1) per update, so the dirty log stays
-O(log n).
+O(log n).  Each rotation and fixup case is written once: the code names
+sides by the strings LEFT and RIGHT, and a mirrored case is the same code
+with `near` (the side of the child it starts from) and `far` swapped.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .geom import KeyOrder, ObjectId
 
 RED = True
 BLACK = False
+LEFT, RIGHT = "left", "right"
 
 
 class DuplicateKey(ValueError):
@@ -127,16 +130,6 @@ class AugTree:
             v = v.left if key <= v.key else v.right
         return v if v.key == key else None
 
-    def leaves(self) -> Iterator[Node]:
-        def walk(v: Node) -> Iterator[Node]:
-            if v.is_leaf:
-                yield v
-            else:
-                yield from walk(v.left)
-                yield from walk(v.right)
-        if self.root is not None:
-            yield from walk(self.root)
-
     # -- augmentation upkeep ----------------------------------------------
 
     def _refresh(self, v: Node, log: DirtyLog) -> bool:
@@ -167,27 +160,18 @@ class AugTree:
         else:
             parent.right = new
 
-    def _rotate_left(self, x: Node, log: DirtyLog) -> None:
-        y = x.right
+    def _rotate(self, x: Node, up: str, log: DirtyLog) -> None:
+        """Lift x's child on side `up` into x's place; x becomes that
+        child's child on the other side."""
+        down = LEFT if up == RIGHT else RIGHT
+        y = getattr(x, up)
         log.touch(x)
         log.touch(y)
-        x.right = y.left
-        y.left.parent = x
+        inner = getattr(y, down)
+        setattr(x, up, inner)
+        inner.parent = x
         self._replace_child(x.parent, x, y)
-        y.left = x
-        x.parent = y
-        self._refresh(x, log)
-        self._refresh(y, log)
-        self._refresh_to_root(y.parent, log)
-
-    def _rotate_right(self, x: Node, log: DirtyLog) -> None:
-        y = x.left
-        log.touch(x)
-        log.touch(y)
-        x.left = y.right
-        y.right.parent = x
-        self._replace_child(x.parent, x, y)
-        y.right = x
+        setattr(y, down, x)
         x.parent = y
         self._refresh(x, log)
         self._refresh(y, log)
@@ -236,34 +220,20 @@ class AugTree:
         while z.parent is not None and z.parent.color is RED:
             parent = z.parent
             grand = parent.parent  # red parent is never the root
-            if parent is grand.left:
-                uncle = grand.right
-                if uncle.color is RED:
-                    parent.color = BLACK
-                    uncle.color = BLACK
-                    grand.color = RED
-                    z = grand
-                else:
-                    if z is parent.right:
-                        z = parent
-                        self._rotate_left(z, log)
-                    z.parent.color = BLACK
-                    grand.color = RED
-                    self._rotate_right(grand, log)
+            uncle = grand.right if parent is grand.left else grand.left
+            if uncle.color is RED:
+                parent.color = BLACK
+                uncle.color = BLACK
+                grand.color = RED
+                z = grand
             else:
-                uncle = grand.left
-                if uncle.color is RED:
-                    parent.color = BLACK
-                    uncle.color = BLACK
-                    grand.color = RED
-                    z = grand
-                else:
-                    if z is parent.left:
-                        z = parent
-                        self._rotate_right(z, log)
-                    z.parent.color = BLACK
-                    grand.color = RED
-                    self._rotate_left(grand, log)
+                near, far = (LEFT, RIGHT) if parent is grand.left else (RIGHT, LEFT)
+                if z is getattr(parent, far):
+                    z = parent
+                    self._rotate(z, far, log)
+                z.parent.color = BLACK
+                grand.color = RED
+                self._rotate(grand, near, log)
         self.root.color = BLACK
 
     # -- deletion -----------------------------------------------------------
@@ -302,48 +272,27 @@ class AugTree:
         # x carries an extra black; its sibling is internal whenever the loop runs
         while x.parent is not None and x.color is BLACK:
             parent = x.parent
-            if x is parent.left:
-                w = parent.right
-                if w.color is RED:
-                    w.color = BLACK
-                    parent.color = RED
-                    self._rotate_left(parent, log)
-                    w = parent.right
-                if w.left.color is BLACK and w.right.color is BLACK:
-                    w.color = RED
-                    x = parent
-                else:
-                    if w.right.color is BLACK:
-                        w.left.color = BLACK
-                        w.color = RED
-                        self._rotate_right(w, log)
-                        w = parent.right
-                    w.color = parent.color
-                    parent.color = BLACK
-                    w.right.color = BLACK
-                    self._rotate_left(parent, log)
-                    x = self.root
+            near, far = (LEFT, RIGHT) if x is parent.left else (RIGHT, LEFT)
+            w = getattr(parent, far)
+            if w.color is RED:
+                w.color = BLACK
+                parent.color = RED
+                self._rotate(parent, far, log)
+                w = getattr(parent, far)
+            if w.left.color is BLACK and w.right.color is BLACK:
+                w.color = RED
+                x = parent
             else:
-                w = parent.left
-                if w.color is RED:
-                    w.color = BLACK
-                    parent.color = RED
-                    self._rotate_right(parent, log)
-                    w = parent.left
-                if w.right.color is BLACK and w.left.color is BLACK:
+                if getattr(w, far).color is BLACK:
+                    getattr(w, near).color = BLACK
                     w.color = RED
-                    x = parent
-                else:
-                    if w.left.color is BLACK:
-                        w.right.color = BLACK
-                        w.color = RED
-                        self._rotate_left(w, log)
-                        w = parent.left
-                    w.color = parent.color
-                    parent.color = BLACK
-                    w.left.color = BLACK
-                    self._rotate_right(parent, log)
-                    x = self.root
+                    self._rotate(w, near, log)
+                    w = getattr(parent, far)
+                w.color = parent.color
+                parent.color = BLACK
+                getattr(w, far).color = BLACK
+                self._rotate(parent, far, log)
+                x = self.root
         x.color = BLACK
 
     # -- auditing -----------------------------------------------------------

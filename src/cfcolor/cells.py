@@ -21,10 +21,9 @@ x1-ordered west tree).
 
 from __future__ import annotations
 
-from .augtree import AugTree, ViolationReport, dirty_candidates
+from .augtree import LEFT, RIGHT, AugTree, ViolationReport, dirty_candidates
 from .geom import AxisRect, DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId
 
-RIGHT, LEFT = "right", "left"
 NE = (RIGHT, "ymax")
 SE = (RIGHT, "ymin")
 SW = (LEFT, "ymin")

@@ -75,7 +75,8 @@ from .oracle import (
     check_unimax_intervals,
     check_unimax_rect_ranges,
 )
-from .rects import BoundedRectCF, UniverseRectCF, check_size_bound, check_universe_size
+from .rects import (BoundedRectCF, SizeOutOfRange, UniverseRectCF, check_sides,
+                    check_size_bound, check_universe_size)
 from .squares import GridSquareCF
 from .unimax import IntervalPointColorer, RectPointColorer
 
@@ -121,7 +122,14 @@ def _inverted_bounds(o: dict) -> str | None:
 def _draw_bounded(rng, span, c):
     x1 = rng.uniform(0, span)
     y1 = rng.uniform(0, span)
-    return {"x1": x1, "x2": x1 + rng.uniform(1.0, c), "y1": y1, "y2": y1 + rng.uniform(1.0, c)}
+    x2 = x1 + rng.uniform(1.0, c)
+    y2 = y1 + rng.uniform(1.0, c)
+    # at a large span, adding a side length to a corner rounds
+    try:
+        check_sides(x2 - x1, y2 - y1, c)
+    except SizeOutOfRange as exc:
+        raise InvalidParams(f"span {span} too large for c {c}: {exc}") from None
+    return {"x1": x1, "x2": x2, "y1": y1, "y2": y2}
 
 
 def _draw_universe(rng, span, c):

@@ -22,13 +22,17 @@ Two families of checks:
   sampled rectangle ranges are vectorized over dense color codes in
   bounded blocks of windows.
 
-Also hosts the definitional color recomputations: colors evaluated
-directly from tree shape with freshly computed heights and summaries, used
-to cross-check the incremental assignments.
+Also hosts the definitional color recomputations, which cross-check the
+incremental assignments.  Each is one post-order pass over a tree for one
+selector set (anchored NE; unit squares NE, SE, SW, NW; the east and west
+halves of a common-point cell): it recomputes heights and summaries from
+the children, ignoring the stored fields, and reads the rule node by node,
+with its own selector table, apart from the structures' leaf climb.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -74,9 +78,17 @@ def _with_midpoints(coords: list[float]) -> list[float]:
     out = []
     for a, b in zip(coords, coords[1:]):
         out.append(a)
-        out.append((a + b) / 2.0)
+        out.append(_between(a, b))
     out.append(coords[-1])
     return out
+
+
+def _between(a: float, b: float) -> float:
+    """The midpoint of a < b, or, where a + b overflows or the midpoint
+    rounds onto a or b, the float next to a: finite, and strictly between
+    them whenever a float lies there."""
+    m = (a + b) / 2.0
+    return m if a < m < b else math.nextafter(a, b)
 
 
 def check_cf_probes(colored: list[tuple[AxisRect, object]],
@@ -229,7 +241,7 @@ def _cf_block(first, stop, x_on, x_off, codes, k, n_cols, a, b):
 def _probe_value(coords: list[float], probe_index: int) -> float:
     if probe_index % 2 == 0:
         return coords[probe_index // 2]
-    return (coords[probe_index // 2] + coords[probe_index // 2 + 1]) / 2.0
+    return _between(coords[probe_index // 2], coords[probe_index // 2 + 1])
 
 
 def _make_witness(colored, xs, ys, col_index: int, row: int) -> Witness:
@@ -451,100 +463,53 @@ def _first_row_without_singleton(mask: np.ndarray, codes: np.ndarray) -> int | N
 # definitional recomputation from tree shape
 # ---------------------------------------------------------------------------
 
-def _fresh_augmentation(tree: AugTree):
-    """Heights and summaries recomputed from scratch, ignoring stored fields."""
-    heights: dict[int, int] = {}
-    ymax: dict[int, object] = {}
-    ymin: dict[int, object] = {}
+# The oracle's own selector table: a child side, and where the summary sits
+# in the (height, ymax, ymin) triples that _recompute builds.
+NE = ("right", 1)
+SE = ("right", 2)
+SW = ("left", 2)
+NW = ("left", 1)
 
-    def go(v: Node) -> None:
+
+def _recompute(tree: AugTree, selectors: tuple) -> dict[int, int]:
+    """Colors by the rule over k selectors, from one post-order pass that
+    recomputes (height, ymax, ymin) from the children, ignoring the stored
+    fields.  At an internal node of height h, the object that selector j
+    names gets the key (h, -j); an object's color is k*h + j from its
+    largest key, which is (0, 0) when no node names it."""
+    best: dict[int, tuple[int, int]] = {}
+
+    def go(v: Node) -> tuple:
         if v.is_leaf:
-            heights[id(v)] = 0
-            ymax[id(v)] = v.ymax
-            ymin[id(v)] = v.ymin
-            return
-        go(v.left)
-        go(v.right)
-        heights[id(v)] = max(heights[id(v.left)], heights[id(v.right)]) + 1
-        ymax[id(v)] = max(ymax[id(v.left)], ymax[id(v.right)])
-        ymin[id(v)] = min(ymin[id(v.left)], ymin[id(v.right)])
+            best[v.payload] = (0, 0)
+            return 0, v.ymax, v.ymin
+        left, right = go(v.left), go(v.right)
+        h = max(left[0], right[0]) + 1
+        for j, (side, summary) in enumerate(selectors):
+            oid = (right if side == "right" else left)[summary].tiebreak
+            if (h, -j) > best[oid]:
+                best[oid] = (h, -j)
+        return h, max(left[1], right[1]), min(left[2], right[2])
 
     if tree.root is not None:
         go(tree.root)
-    return heights, ymax, ymin
+    k = len(selectors)
+    return {oid: k * h - neg_j for oid, (h, neg_j) in best.items()}
 
 
 def recompute_anchored_colors(tree: AugTree) -> dict[int, int]:
-    """color(r) = max height over {leaf of r} and internal v with the
-    max-summary of right(v) equal to r, evaluated from fresh augmentation."""
-    heights, ymax, _ = _fresh_augmentation(tree)
-    out: dict[int, int] = {}
-    for leaf in tree.leaves():
-        best = 0
-        v = leaf.parent
-        while v is not None:
-            if ymax[id(v.right)].tiebreak == leaf.payload and heights[id(v)] > best:
-                best = heights[id(v)]
-            v = v.parent
-        out[leaf.payload] = best
-    return out
+    """The anchored rule: the height of the highest node whose NE summary
+    names the object."""
+    return _recompute(tree, (NE,))
 
 
 def recompute_pinned_square_colors(tree: AugTree) -> dict[int, int]:
-    """The four-direction coloring: 0 at pure leaves, else 4*h + j with j
-    by NE, SE, SW, NW priority among the directions attaining h."""
-    heights, ymax, ymin = _fresh_augmentation(tree)
-    out: dict[int, int] = {}
-    for leaf in tree.leaves():
-        oid = leaf.payload
-        cat = [0, 0, 0, 0]  # NE, SE, SW, NW
-        v = leaf.parent
-        while v is not None:
-            h = heights[id(v)]
-            if ymax[id(v.right)].tiebreak == oid:
-                cat[0] = max(cat[0], h)
-            if ymin[id(v.right)].tiebreak == oid:
-                cat[1] = max(cat[1], h)
-            if ymin[id(v.left)].tiebreak == oid:
-                cat[2] = max(cat[2], h)
-            if ymax[id(v.left)].tiebreak == oid:
-                cat[3] = max(cat[3], h)
-            v = v.parent
-        h_star = max(cat)
-        if h_star == 0:
-            out[oid] = 0
-        else:
-            j = cat.index(h_star)
-            out[oid] = 4 * h_star + j
-    return out
-
-
-def _recompute_half(tree: AugTree, use_right: bool) -> dict[int, int]:
-    heights, ymax, ymin = _fresh_augmentation(tree)
-    out: dict[int, int] = {}
-    for leaf in tree.leaves():
-        oid = leaf.payload
-        hi = lo = 0
-        v = leaf.parent
-        while v is not None:
-            child = v.right if use_right else v.left
-            h = heights[id(v)]
-            if ymax[id(child)].tiebreak == oid:
-                hi = max(hi, h)
-            if ymin[id(child)].tiebreak == oid:
-                lo = max(lo, h)
-            v = v.parent
-        h_star = max(hi, lo)
-        if h_star == 0:
-            out[oid] = 0
-        else:
-            out[oid] = 2 * h_star + (0 if hi == h_star else 1)
-    return out
+    """The unit-square rule: 4*h + j over NE, SE, SW, NW."""
+    return _recompute(tree, (NE, SE, SW, NW))
 
 
 def recompute_common_point_colors(east: AugTree, west: AugTree) -> dict[int, tuple[int, int]]:
-    """Pair coloring of a common-point cell: east half from right-child
-    summaries, west half from left-child summaries."""
-    e = _recompute_half(east, use_right=True)
-    w = _recompute_half(west, use_right=False)
+    """Pair colors of a common-point cell: (NE, SE) east, (NW, SW) west."""
+    e = _recompute(east, (NE, SE))
+    w = _recompute(west, (NW, SW))
     return {oid: (e[oid], w[oid]) for oid in e}

@@ -43,6 +43,12 @@ def check_size_bound(c: float) -> None:
         raise SizeOutOfRange(f"size bound c must be in [1, inf), got {c}")
 
 
+def check_sides(w: float, h: float, c: float) -> None:
+    """The bounded-rectangle rule: both side lengths in [1, c]."""
+    if not (1.0 <= w <= c and 1.0 <= h <= c):
+        raise SizeOutOfRange(f"sides ({w}, {h}) outside [1, {c}]")
+
+
 def check_universe_size(universe: int) -> None:
     if universe < 1:
         raise CoordinateOutOfUniverse(f"universe size must be positive, got {universe}")
@@ -88,9 +94,7 @@ class BoundedRectCF(Partition):
         return (ci % m) * m + (cj % m)
 
     def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
-        w, h = r.x2 - r.x1, r.y2 - r.y1
-        if not (1.0 <= w <= self.c and 1.0 <= h <= self.c):
-            raise SizeOutOfRange(f"sides ({w}, {h}) outside [1, {self.c}]")
+        check_sides(r.x2 - r.x1, r.y2 - r.y1, self.c)
         key = (math.ceil(r.x1), math.ceil(r.y1))
         return key, Pt(float(key[0]), float(key[1])), self.class_tag(*key)
 

@@ -37,23 +37,6 @@ class PinnedSquareCF(DirectionalCell):
         y = KeyOrder(sq.y, sq.id)
         return ((KeyOrder(sq.x, sq.id), y, y),)
 
-    def category_heights(self, oid: ObjectId) -> dict[str, int]:
-        """Max node height per direction whose summary selects this square,
-        over every ancestor of its leaf."""
-        cat = dict.fromkeys(("ne", "se", "sw", "nw"), 0)
-        v = self.tree.leaf_by_payload[oid].parent
-        while v is not None:
-            for name, (side, summary) in zip(cat, self.SELECTORS[0]):
-                if getattr(getattr(v, side), summary).tiebreak == oid:
-                    cat[name] = max(cat[name], v.height)
-            v = v.parent
-        return cat
-
-    def pinned_color(self, oid: ObjectId) -> tuple[int, int | None]:
-        """(h, j) of the color formula; j is None for the pure-leaf color 0."""
-        c = self.color_of(oid)
-        return (0, None) if c == 0 else divmod(c, 4)
-
 
 def route_square(sq: UnitSquare) -> tuple[int, int]:
     """Lexicographically smallest integer grid point inside the closed square."""

@@ -1,7 +1,8 @@
 """Test-side helpers and reference implementations.
 
-Walks and decoders that only tests need, and the plain per-window oracle
-check that the running-count version in cfcolor.oracle is compared with.
+Walks, decoders and per-square color readings that only tests need, and
+the plain per-window oracle check that the running-count version in
+cfcolor.oracle is compared with.
 """
 
 from __future__ import annotations
@@ -22,6 +23,31 @@ def nodes(tree: AugTree) -> Iterator[Node]:
             yield from walk(v.right)
     if tree.root is not None:
         yield from walk(tree.root)
+
+
+def leaves(tree: AugTree) -> Iterator[Node]:
+    """The tree's leaves in key order."""
+    return (v for v in nodes(tree) if v.is_leaf)
+
+
+def category_heights(cell, oid: int) -> dict[str, int]:
+    """Max node height per direction whose summary selects the square, over
+    every ancestor of its leaf in a PinnedSquareCF cell."""
+    cat = dict.fromkeys(("ne", "se", "sw", "nw"), 0)
+    v = cell.tree.leaf_by_payload[oid].parent
+    while v is not None:
+        for name, (side, summary) in zip(cat, cell.SELECTORS[0]):
+            if getattr(getattr(v, side), summary).tiebreak == oid:
+                cat[name] = max(cat[name], v.height)
+        v = v.parent
+    return cat
+
+
+def pinned_color(cell, oid: int) -> tuple[int, int | None]:
+    """(h, j) of a PinnedSquareCF color 4*h + j; j is None for the pure-leaf
+    color 0."""
+    c = cell.color_of(oid)
+    return (0, None) if c == 0 else divmod(c, 4)
 
 
 def pair_decode(z: int) -> tuple[int, int]:

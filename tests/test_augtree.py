@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfcolor.augtree import AugTree, DuplicateKey, KeyNotFound
 from cfcolor.geom import KeyOrder
-from reference import nodes
+from reference import leaves, nodes
 
 # Frozen dirty-log bound: |log| <= DIRTY_A * log2(n + 2) + DIRTY_B per update.
 # Recorded as the max over the seeded runs below, with headroom.
@@ -143,7 +143,7 @@ def test_inorder_leaves_strictly_increasing():
     tree = AugTree()
     for oid in range(200):
         insert_obj(tree, oid, rng.randrange(50), rng.random())  # many x-ties
-    keys = [leaf.key for leaf in tree.leaves()]
+    keys = [leaf.key for leaf in leaves(tree)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 

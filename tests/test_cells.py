@@ -20,6 +20,7 @@ from cfcolor.rects import (
     UniverseRectCF,
 )
 from cfcolor.squares import GridSquareCF, PinnedSquareCF
+from reference import leaves
 
 
 def test_compiled_picks_follow_selector_order():
@@ -99,7 +100,7 @@ def _state(s):
     cells = list(s.cells.values()) if hasattr(s, "cells") else [s]
     state = {"len": len(s), "colors": s.global_colors(), "rects": s.colored_rects(),
              "audit": s.audit(),
-             "leaves": [[(leaf.key, leaf.payload) for leaf in tree.leaves()]
+             "leaves": [[(leaf.key, leaf.payload) for leaf in leaves(tree)]
                         for cell in cells for tree in cell.trees]}
     if hasattr(s, "cells"):
         assert all(len(cell) for cell in s.cells.values()), "empty cell left behind"

@@ -447,6 +447,8 @@ BAD_PARAMS = {
                                    "--span", "-5"],
     "gen_bounded_c_nan": ["gen", "--kind", "bounded_rect", "--n", "5", "--seed", "1",
                           "--c", "nan"],
+    "gen_bounded_sides_round_away": ["gen", "--kind", "bounded_rect", "--n", "20", "--seed", "1",
+                                     "--c", "2", "--span", "1e17"],
     "gen_square_span_inf": ["gen", "--kind", "unit_square", "--n", "5", "--seed", "1",
                             "--span", "inf"],
     "gen_universe_negative_span": ["gen", "--kind", "universe_rect", "--n", "5", "--seed", "1",
@@ -476,6 +478,9 @@ def test_cli_bad_params_exit_code(case, tmp_path, capsys):
 @example(kind="bounded_rect", span=2**1030, c=2.0, universe=None)
 @example(kind="bounded_rect", span=-2**1030, c=2.0, universe=None)
 @example(kind="universe_rect", span=None, c=None, universe=2**1030)
+# sides that round away at a large span: (0.0, 0.0), and some outside [1, c]
+@example(kind="bounded_rect", span=1e17, c=2.0, universe=None)
+@example(kind="bounded_rect", span=1e14, c=2.2, universe=None)
 def test_gen_writes_only_workloads_that_read_back(kind, span, c, universe):
     try:
         events = generate_workload(kind, 6, 0.3, seed=5, span=span, c=c, universe=universe)
@@ -485,6 +490,8 @@ def test_gen_writes_only_workloads_that_read_back(kind, span, c, universe):
         path = os.path.join(d, "w.jsonl")
         write_workload(events, path)
         assert read_workload(path) == events
+    if kind == "bounded_rect":
+        run_workload("bounded", events, c=c)
 
 
 REGISTRY_PARAMS = ["--c", "3", "--universe", "32"]

