@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", required=True, type=_int_list,
                        help="comma-separated insertion counts, e.g. 128,256,512")
     bench.add_argument("--seeds", required=True, type=_int_list, help="comma-separated seeds")
-    bench.add_argument("--delete-ratio", type=float, default=0.3)
+    bench.add_argument("--delete-ratio", type=float, default=None,
+                       help="default 0.3, or 0 for an insert-only structure")
     bench.add_argument("--c", type=float, default=None)
     bench.add_argument("--universe", type=int, default=None)
     bench.add_argument("--report", required=True)

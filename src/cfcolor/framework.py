@@ -14,6 +14,15 @@ children.  Upward migrations absorb settled pieces as children; the
 downward migration of the last set may absorb pieces frozen mid-upward-
 migration, which keeps the recursion depth bounded.
 
+Apart from the pinned object, the star is always a prefix of the members
+in (-final color, id) order.  A migrating or frozen Piece keeps that order
+as a list, `order`, and the prefix length, `cut`: star ==
+set(order[:cut]) | {pinned}.  A migration step takes the entry at the cut
+(skipping the pinned object) and advances it, in O(1).  A weak deletion
+changes at most a few final colors, so the star repair re-sorts only those
+members and compares the old and new stars only near the new cut.
+Settled pieces drop the order: they never migrate or repair again.
+
 One insertion serves both engines: merge the sets below the first empty
 one, plus the new object, into S_j with j = ceil(log2(merged size)),
 final-color it from an unused color set, then recolor one pending object
@@ -40,6 +49,7 @@ the availability check run before the engine changes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -62,6 +72,11 @@ class BoundExceeded(AssertionError):
 
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n >= 1 else 0
+
+
+def rank(colors: dict[ObjectId, int]):
+    """Sort key of the migration order: higher final color first, then lower id."""
+    return lambda o: (-colors[o], o)
 
 
 class PalettePool:
@@ -102,7 +117,11 @@ class Piece:
     """One set's coloring: final colorer, worn subset, temporary children.
 
     `colors` is the colorer's own colors dict, bound once: the colorer
-    updates it in place, and the hot paths read it directly."""
+    updates it in place, and the hot paths read it directly.
+
+    While the piece migrates or is frozen, `order` lists the members by
+    rank(colors) and star == set(order[:cut]) | {pinned}; a settled piece
+    has order None."""
 
     palette: PaletteKey
     colorer: object
@@ -111,6 +130,8 @@ class Piece:
     star: set[ObjectId]
     pinned: ObjectId | None
     children: list["Piece"] = field(default_factory=list)
+    order: list[ObjectId] | None = None
+    cut: int = 0
 
     @property
     def level(self) -> int:
@@ -183,22 +204,24 @@ class _EngineBase:
 
     def _settle_if_done(self, level: Level) -> None:
         piece = level.piece
-        if piece is not None and piece.star == piece.members:
+        # the star is a subset of the members
+        if piece is not None and len(piece.star) == len(piece.members):
             for ch in piece.children:
                 self._release_piece(ch)
             piece.children = []
             piece.pinned = None
+            piece.order = None
             level.state = SETTLED
 
     def _progress_one(self, level: Level) -> set[ObjectId]:
-        """Recolor the pending object with maximal final color (ties: lowest id)."""
+        """Recolor the pending object with maximal final color (ties: lowest
+        id): the entry at the cut, or past it when that one is pinned."""
         piece = level.piece
-        pending = piece.members - piece.star
-        if not pending:
-            self._settle_if_done(level)
-            return set()
-        colors = piece.colors
-        chosen = min(pending, key=lambda o: (-colors[o], o))
+        order, cut = piece.order, piece.cut
+        if order[cut] == piece.pinned:
+            cut += 1
+        chosen = order[cut]
+        piece.cut = cut + 1
         piece.star.add(chosen)
         self._settle_if_done(level)
         return {chosen}
@@ -212,24 +235,49 @@ class _EngineBase:
             cands |= self._progress_one(level)
         return cands
 
-    def _repair_cut(self, piece: Piece, budget: int) -> set[ObjectId]:
-        """Restore the star to {top final colors} + pinned, size-preserving."""
-        others_quota = len(piece.star) - (1 if piece.pinned is not None else 0)
-        colors = piece.colors
-        ranked = sorted((o for o in piece.members if o != piece.pinned),
-                        key=lambda o: (-colors[o], o))
-        target = set(ranked[:others_quota])
-        if piece.pinned is not None:
-            target.add(piece.pinned)
-        added = target - piece.star
-        removed = piece.star - target
+    def _repair_cut(self, piece: Piece, changed: dict[ObjectId, int]) -> set[ObjectId]:
+        """Re-sort the members whose final colors changed and restore the
+        star to {top final colors} + pinned, size-preserving.
+
+        Members off `changed` keep their relative order, so the old and new
+        stars, less those members and the pinned one, are prefixes of one
+        sequence whose lengths differ by at most k = len(changed).  They
+        differ only within 2k+1 places of the new cut."""
+        order, star, pinned = piece.order, piece.star, piece.pinned
+        key = rank(piece.colors)
+        for m in changed:
+            order.remove(m)
+        for m in changed:
+            insort(order, m, key=key)
+        cut = len(star) - (pinned is not None)
+        if pinned is not None and bisect_left(order, key(pinned), key=key) < cut:
+            cut += 1
+        edge = key(order[cut - 1]) if cut else None
+        w = 2 * len(changed) + 1
+        added: set[ObjectId] = set()
+        removed: set[ObjectId] = set()
+        for o in set(order[max(0, cut - w):cut + w]).union(changed):
+            if o == pinned or (edge is not None and key(o) <= edge):
+                if o not in star:
+                    added.add(o)
+            elif o in star:
+                removed.add(o)
+        budget = max(1, len(changed))
         if len(added) > budget or len(removed) > budget:
             raise BoundExceeded("star repair exceeded the weak-deletion budget")
-        piece.star = target
+        star -= removed
+        star |= added
+        piece.cut = cut
         return added | removed
 
     def _piece_delete(self, piece: Piece, oid: ObjectId) -> set[ObjectId]:
         """Weak deletion inside a piece tree; returns recolor candidates."""
+        order = piece.order
+        if order is not None:
+            # found while oid still has its final color; the repair below
+            # sets the cut afresh
+            key = rank(piece.colors)
+            del order[bisect_left(order, key(oid), key=key)]
         piece.members.remove(oid)
         piece.star.discard(oid)
         if piece.pinned == oid:
@@ -245,7 +293,10 @@ class _EngineBase:
         changed_final = piece.colorer.weak_delete(oid)
         cands |= set(changed_final)
         if piece.children:
-            cands |= self._repair_cut(piece, budget=max(1, len(changed_final)))
+            cands |= self._repair_cut(piece, changed_final)
+        else:
+            # every member wears its final color: the piece has settled
+            piece.order = None
         return cands
 
     def _reconcile(self, cands: set[ObjectId], diff: RecolorDiff,
@@ -284,9 +335,13 @@ class _EngineBase:
               members: set[ObjectId], children: list[Piece],
               pinned: ObjectId | None = None) -> None:
         """Start a migration of `members` at a level toward the colorer's coloring."""
-        level.piece = Piece(palette, colorer, colorer.colors, members,
+        colors = colorer.colors
+        # by id, then stably by falling color: the order rank(colors) gives
+        order = sorted(members)
+        order.sort(key=colors.__getitem__, reverse=True)
+        level.piece = Piece(palette, colorer, colors, members,
                             star=set() if pinned is None else {pinned},
-                            pinned=pinned, children=children)
+                            pinned=pinned, children=children, order=order)
         level.state = state
         index = level.index
         for o in members:
@@ -378,6 +433,18 @@ class _EngineBase:
                             None, f"Inv-C-Mig-2: star cut broken below z={z}")
             if not piece.children and piece.star != piece.members:
                 return ViolationReport(None, "settled piece with unworn members")
+            order = piece.order
+            if order is not None:
+                if len(order) != len(piece.members) or set(order) != piece.members:
+                    return ViolationReport(
+                        None, "migration order is not a permutation of the members")
+                # one pairwise pass, no sort
+                keys = list(map(rank(colors), order))
+                if any(map(tuple.__gt__, keys, keys[1:])):
+                    return ViolationReport(None, "migration order not sorted by final color")
+                if set(order[:piece.cut]) | allowed_extra != piece.star:
+                    return ViolationReport(
+                        None, "star is not the migration order's prefix plus the pinned object")
             if (self.range_checker is not None
                     and len(piece.members) <= unimax_limit and piece.members):
                 witness = self.range_checker(

@@ -335,6 +335,8 @@ class _GeometricAdapter:
     """The replay interface over one structure: insert a payload, delete an
     id, read colors and counters, and run its audits and oracle check."""
 
+    supports_delete = True
+
     def __init__(self, structure, to_object, global_color=None):
         self.structure = structure
         self.to_object = to_object
@@ -566,9 +568,14 @@ def write_report(report: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
-              delete_ratio: float = 0.3, c: float | None = None,
+              delete_ratio: float | None = None, c: float | None = None,
               universe: int | None = None) -> dict:
+    """Seeded trials per size; delete_ratio None means 0.3, or 0 for a
+    structure that cannot delete."""
     kind = STRUCTURES[structure_name].kind
+    if delete_ratio is None:
+        deletes = make_structure(structure_name, c=c, universe=universe).supports_delete
+        delete_ratio = 0.3 if deletes else 0.0
     trials = []
     for n in sizes:
         for seed in seeds:

@@ -143,6 +143,10 @@ def check_cf(colored: list[tuple[AxisRect, object]]) -> Witness | None:
     rows right after one ends can hold a violation first, so only those are
     checked, in blocks of about CF_BLOCK_PAIRS (rect, row) pairs.  The
     witness is the violating probe in the lowest checked row, leftmost.
+    A gap holding no float holds no point either: a violation found there
+    moves to the next coordinate, which shares its state unless an event
+    (a checked row, a rectangle edge) lies there, and is dropped if one
+    does.
     """
     if not colored:
         return None
@@ -173,17 +177,30 @@ def check_cf(colored: list[tuple[AxisRect, object]]) -> Witness | None:
         done = pairs_through[a - 1] if a else 0
         b = max(a + 1, int(np.searchsorted(pairs_through, done + CF_BLOCK_PAIRS,
                                            side="right")))
-        bad = _cf_block(first, stop, x_on, x_off, codes, k, 2 * len(xs), a, b)
-        if bad is not None:
-            row, col = bad
-            return _make_witness(colored, xs, ys, col, int(rows[row]))
+        for row, col, event_next in _cf_block(first, stop, x_on, x_off, codes, k,
+                                              2 * len(xs), a, b):
+            y = int(rows[row])
+            if y % 2 and _no_float_between(ys, y // 2):
+                if row + 1 < m and rows[row + 1] == y + 1:
+                    continue
+                y += 1
+            if col % 2 and _no_float_between(xs, col // 2):
+                if event_next:
+                    continue
+                col += 1
+            return _make_witness(colored, xs, ys, col, y)
         a = b
     return None
 
 
+def _no_float_between(coords: list[float], i: int) -> bool:
+    return math.nextafter(coords[i], coords[i + 1]) == coords[i + 1]
+
+
 def _cf_block(first, stop, x_on, x_off, codes, k, n_cols, a, b):
-    """The first violating (checked row, column) among checked rows [a, b),
-    or None."""
+    """The violating probes among checked rows [a, b), in (row, column)
+    order: (checked row, column, whether the row's next event is in the
+    next column)."""
     sel = np.flatnonzero((first < b) & (stop > a))
     lo = np.maximum(first[sel], a)
     span = np.minimum(stop[sel], b) - lo
@@ -232,10 +249,11 @@ def _cf_block(first, stop, x_on, x_off, codes, k, n_cols, a, b):
     # the state at a probe is the one after its last event
     last = np.append(key[1:] != key[:-1], True)
     hit = np.flatnonzero(last & (covering > 0) & (singles == 0))
-    if len(hit) == 0:
-        return None
-    p = int(key[hit[0]])
-    return a + p // n_cols, p % n_cols
+    at = key[hit]
+    # a probe's state holds up to its row's next event
+    event_next = key[np.minimum(hit + 1, len(key) - 1)] == at + 1
+    for p, adjacent in zip(at.tolist(), event_next.tolist()):
+        yield a + p // n_cols, p % n_cols, adjacent
 
 
 def _probe_value(coords: list[float], probe_index: int) -> float:

@@ -86,3 +86,22 @@ def exhaustive_rect_ranges(points, unimax: bool) -> Witness | None:
                         return Witness((xlo, xhi, strip[i][0], strip[j][0]),
                                        sorted(seen))
     return None
+
+
+def next_pending(members: set, star: set, colors: dict):
+    """The definitional next object of a migration step: the pending member
+    of maximal final color, ties to the lowest id."""
+    return min(members - star, key=lambda o: (-colors[o], o))
+
+
+def star_target(piece) -> set:
+    """The definitional star of a migrating or frozen framework piece, at its
+    current size: the pinned object plus the other members of top final
+    colors, ranked by a full sort."""
+    colors = piece.colors
+    ranked = sorted((o for o in piece.members if o != piece.pinned),
+                    key=lambda o: (-colors[o], o))
+    target = set(ranked[:len(piece.star) - (piece.pinned is not None)])
+    if piece.pinned is not None:
+        target.add(piece.pinned)
+    return target

@@ -14,6 +14,7 @@ from cfcolor.framework import (
     ceil_log2,
 )
 from cfcolor.geom import Pt
+from cfcolor.harness import generate_workload, make_structure
 from cfcolor.oracle import (
     check_cf_intervals,
     check_cf_rect_ranges,
@@ -21,6 +22,7 @@ from cfcolor.oracle import (
     check_unimax_rect_ranges,
 )
 from cfcolor.unimax import IntervalPointColorer, RectPointColorer
+from reference import next_pending, star_target
 
 
 def interval_checker(points, colors):
@@ -297,6 +299,83 @@ def test_invariant_checker_catches_star_corruption():
     report = e.check_invariants()
     assert report is not None
     assert "Inv-C-Mig-2" in report.reason
+
+
+def _migrating_piece_with_pending(seed):
+    """A full-1d engine and one of its migrating pieces with two or more
+    pending members, the first of them not pinned."""
+    e = full_1d()
+    rng = random.Random(seed)
+    for oid in range(200):
+        e.insert(oid, rng.uniform(0, 100))
+        for lv in e.levels:
+            piece = lv.piece
+            if (lv.state in (UP, DOWN) and len(piece.order) - piece.cut >= 2
+                    and piece.order[piece.cut] != piece.pinned):
+                return e, piece
+    raise AssertionError("expected a migration with two pending members")
+
+
+def test_invariant_checker_catches_unsorted_order():
+    e, piece = _migrating_piece_with_pending(12)
+    assert e.check_invariants() is None
+    order, cut = piece.order, piece.cut
+    order[cut], order[cut + 1] = order[cut + 1], order[cut]
+    report = e.check_invariants()
+    assert report is not None and "not sorted" in report.reason
+
+
+def test_invariant_checker_catches_shifted_cut():
+    e, piece = _migrating_piece_with_pending(13)
+    assert e.check_invariants() is None
+    piece.cut += 1
+    report = e.check_invariants()
+    assert report is not None and "prefix" in report.reason
+
+
+def _migrating_or_frozen(engine):
+    """Every piece that still carries temporary colorings, at any depth."""
+    stack = [lv.piece for lv in engine.levels if lv.piece is not None]
+    while stack:
+        piece = stack.pop()
+        if piece.children:
+            yield piece
+            stack.extend(piece.children)
+
+
+# structure: (object kind, inserts, delete ratio, seed)
+DIFFERENTIAL = {
+    "semi-1d": ("point_1d", 700, 0.0, 31),
+    "full-1d": ("point_1d", 700, 0.9, 32),
+    "full-2d": ("point_2d", 250, 0.8, 33),
+}
+
+
+@pytest.mark.parametrize("structure", sorted(DIFFERENTIAL))
+def test_migration_matches_the_definitional_rules(structure):
+    # each insertion's migration steps take the reference's next pending
+    # object, and after every update each star is the reference's target
+    kind, n, delete_ratio, seed = DIFFERENTIAL[structure]
+    adapter = make_structure(structure)
+    e = adapter.structure
+    checked = 0
+    for ev in generate_workload(kind, n, delete_ratio, seed):
+        if ev["op"] == "insert":
+            before = {lv.index: (lv.piece, set(lv.piece.star))
+                      for lv in e.levels if lv.state in (UP, DOWN)}
+            adapter.insert(ev["id"], ev["object"])
+            for index, (piece, star) in before.items():
+                for _ in range(e.LAST_STEPS if index == e.ell else 1):
+                    if star != piece.members:
+                        star.add(next_pending(piece.members, star, piece.colors))
+                assert piece.star == star
+        else:
+            adapter.delete(ev["id"])
+        for piece in _migrating_or_frozen(e):
+            assert piece.star == star_target(piece)
+            checked += 1
+    assert checked > 0
+    assert e.check_invariants() is None
 
 
 def test_palette_exclusivity_checked():

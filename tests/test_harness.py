@@ -219,6 +219,18 @@ def test_cli_bench(tmp_path):
     assert (tmp_path / "bench.csv").exists()
 
 
+def test_cli_bench_insert_only_structure_defaults_to_no_deletions(tmp_path, capsys):
+    rep = tmp_path / "bench.json"
+    argv = ["bench", "--structure", "semi-1d", "--sizes", "16", "--seeds", "1",
+            "--report", str(rep)]
+    assert cli_main(argv) == 0
+    assert json.loads(rep.read_text())["config"]["delete_ratio"] == 0.0
+    capsys.readouterr()
+    # an explicit ratio is still refused
+    assert cli_main(argv + ["--delete-ratio", "0.2"]) == 3
+    assert "insert-only structure cannot replay deletions" in capsys.readouterr().err
+
+
 def test_universe_run_with_params():
     events = generate_workload("universe_rect", 50, 0.3, seed=6, universe=16)
     report = run_workload("universe", events, verify="oracle-every-step", universe=16)
@@ -500,7 +512,7 @@ REGISTRY_PARAMS = ["--c", "3", "--universe", "32"]
 @pytest.mark.parametrize("structure", sorted(harness.STRUCTURES))
 def test_every_registered_structure_runs_through_the_cli(structure, tmp_path):
     kind = harness.STRUCTURES[structure].kind
-    deletes = hasattr(harness.make_structure(structure, c=3, universe=32).structure, "delete")
+    deletes = harness.make_structure(structure, c=3, universe=32).supports_delete
     ratio = "0.3" if deletes else "0"
     wl = str(tmp_path / "w.jsonl")
     assert cli_main(["gen", "--kind", kind, "--n", "40", "--delete-ratio", ratio,

@@ -61,6 +61,32 @@ def test_open_face_between_two_coordinates_is_probed(lo, hi):
             assert w.probe.x == 1.5
 
 
+def _transposed(colored):
+    return [(AxisRect(r.y1, r.y2, r.x1, r.x2, r.id), c) for r, c in colored]
+
+
+def test_gap_without_a_float_is_not_probed():
+    # as in the open-face test, but no float lies strictly between lo and
+    # hi, so the open face holding color 1 twice is not a point
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    colored = [(rect(lo, hi, 0, 1, 0), 1), (rect(lo, hi, 0, 1, 1), 1),
+               (rect(lo, lo, 0, 1, 2), 2), (rect(hi, hi, 0, 1, 3), 3)]
+    for case in (colored, _transposed(colored)):
+        assert check_cf_probes(case) is None
+        assert check_cf(case) is None
+
+
+def test_violation_past_a_gap_without_a_float_is_found():
+    # color 2 ends at lo; the next point, hi, sees color 1 twice
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    colored = [(rect(0, hi, 0, 1, 0), 1), (rect(0, hi, 0, 1, 1), 1),
+               (rect(0, lo, 0, 1, 2), 2)]
+    for case, probe in ((colored, Pt(hi, 0.0)), (_transposed(colored), Pt(0.0, hi))):
+        for w in (check_cf(case), check_cf_probes(case)):
+            assert w is not None and w.colors == [1, 1]
+            assert w.probe == probe
+
+
 @settings(max_examples=300)
 @given(st.floats(allow_nan=False, allow_infinity=False),
        st.floats(allow_nan=False, allow_infinity=False))
