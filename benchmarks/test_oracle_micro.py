@@ -32,7 +32,7 @@ def _final_state(name):
             adapter.insert(ev["id"], ev["object"])
         else:
             adapter.delete(ev["id"])
-    if hasattr(adapter, "structure"):
+    if adapter.framework_info() is None:
         return adapter.structure.colored_rects()
     return [(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
 

@@ -473,8 +473,15 @@ class _EngineBase:
         # Counter equality treats a level whose load fell to 0 as absent
         if Counter(self.pool.load) != Counter(lv for lv, _ in seen_palettes):
             return ViolationReport(None, "palette pool level loads out of sync")
-        for oid in self.objects:
-            piece = self.levels[self.locate[oid]].piece
+        if self.locate.keys() != self.objects.keys():
+            return ViolationReport(None, "locate out of sync with the live objects")
+        if self.actual.keys() != self.objects.keys():
+            return ViolationReport(None, "actual colors out of sync with the live objects")
+        for oid, i in self.locate.items():
+            piece = self.levels[i].piece if 0 <= i < len(self.levels) else None
+            if piece is None or oid not in piece.members:
+                return ViolationReport(
+                    None, f"locate puts {oid} at level {i}, which does not hold it")
             if self._resolve(piece, oid) != self.actual[oid]:
                 return ViolationReport(None, f"actual color of {oid} out of sync")
         return None

@@ -37,6 +37,14 @@ Report schema (run_workload):
            "violations": [{"step", "check", "detail"}], where check is
            "invariants", "colors" or "oracle"}
 
+File contract: the report JSON is the bytes of json.dump(report, indent=2,
+sort_keys=True) plus a newline, and the CSV those of csv.DictWriter over
+REPORT_FIELDS with restval "" and newline line ends; a bench file is the
+same over its trials and BENCH_FIELDS.  A workload line is
+json.dumps(event, sort_keys=True).  The writers produce these bytes through
+the C encoder, and for that rely on every step and trial row being a
+non-empty, flat dict of scalars.
+
 distinct_colors is counted from the RecolorDiff of each update: replay
 keeps a color -> multiplicity map, so a step costs O(recolorings), not
 O(n).  At every step where invariants are checked, the map is recounted
@@ -84,6 +92,11 @@ ORACLE_EVERY_STEP_LIMIT = 256
 ORACLE_SAMPLE_STRIDE = 32
 VERIFY_MODES = ("none", "invariants", "oracle-sampled", "oracle-every-step")
 _FLOAT_MAX = sys.float_info.max
+# Without indent, json encodes in C.  Report rows are written one key per
+# line, six spaces in: their depth under json.dump(indent=2).
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_ROWS_PER_ENCODE = 256
+_encode_event = json.JSONEncoder(sort_keys=True).encode
 
 
 class InvalidParams(ValueError):
@@ -268,8 +281,7 @@ def generate_workload(kind: str, n: int, delete_ratio: float, seed: int,
 
 def write_workload(events: list[dict], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev, sort_keys=True) + "\n")
+        fh.write("".join([_encode_event(ev) + "\n" for ev in events]))
 
 
 def _object_error(obj) -> str | None:
@@ -547,20 +559,43 @@ BENCH_FIELDS = ("structure", "n", "seed", "events", "final_n",
                 "max_recolorings", "max_distinct_colors", "total_recolorings")
 
 
-def _write_json_csv(doc: dict, rows: list[dict], fields: tuple, path: str) -> None:
-    """doc as JSON at path, and rows as CSV next to it (.json becomes .csv)."""
+def _write_json_csv(doc: dict, key: str, fields: tuple, path: str) -> None:
+    """doc as JSON at path, and its rows table doc[key] as CSV next to it
+    (.json becomes .csv), in the bytes of the file contract (module
+    docstring) but through the C encoders."""
+    rows = doc[key]
+    # the rows table is doc's only top-level key of that name, and a newline
+    # followed by two spaces and a quote opens a top-level key, nothing else
+    head, tail = json.dumps({**doc, key: []}, indent=2, sort_keys=True).split(
+        f'\n  "{key}": []')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(head)
+        fh.write(f'\n  "{key}": ')
+        if rows:
+            # A newline in the encoder's output comes only from a separator
+            # (strings escape theirs), and rows are flat dicts of scalars, so
+            # "},\n      {" is always a break between two rows.  Blocks of rows
+            # bound the encoder's memory: it holds every piece of its output
+            # as a separate string until it returns.
+            row_break = "\n    },\n    {\n      "
+            for i in range(0, len(rows), _ROWS_PER_ENCODE):
+                fh.write(row_break if i else "[\n    {\n      ")
+                block = _ROWS_ENCODER.encode(rows[i:i + _ROWS_PER_ENCODE])
+                fh.write(block[2:-2].replace("},\n      {", row_break))
+            fh.write("\n    }\n  ]")
+        else:
+            fh.write("[]")
+        fh.write(tail)
         fh.write("\n")
     csv_path = path[:-5] + ".csv" if path.endswith(".json") else path + ".csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([row.get(f, "") for f in fields] for row in rows)
 
 
 def write_report(report: dict, path: str) -> None:
-    _write_json_csv(report, report["steps"], REPORT_FIELDS, path)
+    _write_json_csv(report, "steps", REPORT_FIELDS, path)
 
 
 # ---------------------------------------------------------------------------
@@ -595,4 +630,4 @@ def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
 
 
 def write_bench(bench: dict, path: str) -> None:
-    _write_json_csv(bench, bench["trials"], BENCH_FIELDS, path)
+    _write_json_csv(bench, "trials", BENCH_FIELDS, path)

@@ -333,6 +333,27 @@ def test_invariant_checker_catches_shifted_cut():
     assert report is not None and "prefix" in report.reason
 
 
+@pytest.mark.parametrize("fault", ["wrong level", "missing id", "no such level",
+                                   "missing color"])
+def test_invariant_checker_reports_corrupt_index(fault):
+    # a checker must report a broken index, not raise while following it
+    e = full_1d()
+    for oid in range(6):
+        e.insert(oid, float(oid))
+    assert e.check_invariants() is None
+    if fault == "wrong level":
+        e.locate[0] = 1  # level 1 holds 4 and 5, not 0
+    elif fault == "missing id":
+        del e.locate[3]
+    elif fault == "no such level":
+        e.locate[2] = len(e.levels)
+    else:
+        del e.actual[3]
+    report = e.check_invariants()
+    assert report is not None
+    assert ("actual" if fault == "missing color" else "locate") in report.reason
+
+
 def _migrating_or_frozen(engine):
     """Every piece that still carries temporary colorings, at any depth."""
     stack = [lv.piece for lv in engine.levels if lv.piece is not None]

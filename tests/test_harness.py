@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -157,6 +158,73 @@ def test_replay_determinism_byte_identical(tmp_path):
         write_report(report, str(p))
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+def _reference_json_csv(doc, rows, fields):
+    """The stdlib writers the report format is defined by."""
+    text, table = io.StringIO(), io.StringIO()
+    json.dump(doc, text, indent=2, sort_keys=True)
+    text.write("\n")
+    writer = csv.DictWriter(table, fieldnames=fields, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue().encode(), table.getvalue().encode()
+
+
+ODD_PATH = 'runs/"quoted"\\back\nline/d\u00e9j\u00e0-\u2603.jsonl'
+
+
+def _byte_identity_cases(monkeypatch):
+    events = generate_workload("unit_square", 40, 0.0, seed=3, span=3.0)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "make_structure", _leaky_squares)
+        leaky = run_workload("squares", events, verify="oracle-sampled")
+    assert leaky["summary"]["violations"]
+    full = run_workload("full-1d", generate_workload("point_1d", 300, 0.9, seed=4),
+                        verify="oracle-sampled")
+    assert "set_states" in full["steps"][0]
+    # the rows are encoded a block at a time: cover a partial last block
+    assert len(full["steps"]) % harness._ROWS_PER_ENCODE
+    assert len(full["steps"]) > 2 * harness._ROWS_PER_ENCODE
+    return {
+        "violation": ("steps", leaky),
+        "full-1d": ("steps", full),
+        "empty": ("steps", run_workload("anchored", [], verify="invariants")),
+        "odd path": ("steps", run_workload(
+            "bounded", generate_workload("bounded_rect", 5, 0.0, seed=1, c=2.0),
+            c=2.0, config_extra={"workload": ODD_PATH})),
+        "bench": ("trials", harness.run_bench("universe", [0, 6], [1, 2], universe=16)),
+    }
+
+
+def test_written_files_are_the_stdlib_writers_bytes(tmp_path, monkeypatch):
+    for name, (key, doc) in _byte_identity_cases(monkeypatch).items():
+        path = tmp_path / f"{name}.json"
+        if key == "steps":
+            write_report(doc, str(path))
+            fields = harness.REPORT_FIELDS
+        else:
+            harness.write_bench(doc, str(path))
+            fields = harness.BENCH_FIELDS
+        want_json, want_csv = _reference_json_csv(doc, doc[key], fields)
+        assert path.read_bytes() == want_json, name
+        assert path.with_suffix(".csv").read_bytes() == want_csv, name
+    assert json.loads((tmp_path / "odd path.json").read_text(encoding="utf-8"))[
+        "config"]["workload"] == ODD_PATH
+
+
+@pytest.mark.parametrize("events", [
+    [],
+    generate_workload("point_2d", 30, 0.3, seed=5),
+    generate_workload("universe_rect", 30, 0.3, seed=5, universe=16),
+    [{"op": "insert", "id": 0, "object": {"kind": "unit_square", "x": 1e-310, "y": -0.0,
+                                          "note": ODD_PATH}}],
+], ids=["empty", "point_2d", "universe_rect", "odd strings"])
+def test_written_workload_is_the_stdlib_writers_bytes(tmp_path, events):
+    path = tmp_path / "w.jsonl"
+    write_workload(events, str(path))
+    want = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in events)
+    assert path.read_bytes() == want.encode()
 
 
 def test_cli_gen_run_roundtrip(tmp_path, capsys):
