@@ -78,6 +78,8 @@ class DirectionalCell:
     which gives (key, ymax, ymin) per tree, each tie-broken by the object's
     id.  A one-tree cell's colors are ints; CommonPointCF, the two-tree
     cell, colors by (east, west) pairs.  The tag names the cell's palette.
+    colors and color_of hold these local colors; diffs, global_colors()
+    and colored_rects() carry global_color(local color).
     """
 
     SELECTORS: tuple[tuple[tuple[str, str], ...], ...] = ()
@@ -126,7 +128,7 @@ class DirectionalCell:
             candidates |= dirty_candidates(tree.delete(key))
         candidates.discard(oid)
         diff = self._recolor(candidates)
-        diff.removed = (oid, self.colors.pop(oid))
+        diff.removed = (oid, self.global_color(self.colors.pop(oid)))
         return diff
 
     def color_of(self, oid: ObjectId):
@@ -144,13 +146,14 @@ class DirectionalCell:
         """Recompute the candidates' colors; the diff against the stored ones."""
         diff = RecolorDiff()
         colors = self.colors
+        g = self.global_color
         for oid in sorted(candidates):
             new = self.color(oid)
             if oid == inserted:
                 colors[oid] = new
-                diff.assigned = (oid, new)
+                diff.assigned = (oid, g(new))
             elif colors[oid] != new:
-                diff.changed[oid] = (colors[oid], new)
+                diff.changed[oid] = (g(colors[oid]), g(new))
                 colors[oid] = new
         self.total_recolorings += diff.recolorings
         return diff
@@ -187,7 +190,7 @@ class Partition:
 
     A subclass sets CELL and route(obj), which validates obj and returns
     (cell key, pin, tag).  A cell is created on first use and dropped when
-    it empties.  Diffs and global colors are GlobalColor(tag, local color).
+    it empties.  An update's diff is its cell's diff.
     """
 
     CELL: type[DirectionalCell]
@@ -207,29 +210,21 @@ class Partition:
         cell = self.cells.get(key)
         if cell is None:
             cell = self.CELL(pin, tag)
-        local = cell.insert(obj)
+        diff = cell.insert(obj)
         self.cells[key] = cell
         self.location[obj.id] = key
-        return self._to_global(local, cell)
+        self.total_recolorings += diff.recolorings
+        return diff
 
     def delete(self, oid: ObjectId) -> RecolorDiff:
         key = self.location.get(oid)
         if key is None:
             raise UnknownId(oid)
         cell = self.cells[key]
-        local = cell.delete(oid)
+        diff = cell.delete(oid)
         del self.location[oid]
         if len(cell) == 0:
             del self.cells[key]
-        return self._to_global(local, cell)
-
-    def _to_global(self, local: RecolorDiff, cell: DirectionalCell) -> RecolorDiff:
-        g = cell.global_color
-        diff = RecolorDiff({oid: (g(old), g(new)) for oid, (old, new) in local.changed.items()})
-        if local.assigned is not None:
-            diff.assigned = (local.assigned[0], g(local.assigned[1]))
-        if local.removed is not None:
-            diff.removed = (local.removed[0], g(local.removed[1]))
         self.total_recolorings += diff.recolorings
         return diff
 

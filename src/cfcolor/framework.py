@@ -369,8 +369,8 @@ class _EngineBase:
 
         if i == len(levels):
             levels.append(Level(i))
-        # members by union, not set(points): half the table size, and every
-        # migration step scans the table
+        # members by union, not set(points): at a merge of 2**k points, about
+        # half the table size
         children, members = self._take_levels(0, i)
         members.add(oid)
         self.objects[oid] = obj

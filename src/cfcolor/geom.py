@@ -100,12 +100,7 @@ class RecolorDiff:
     `changed` lists pre-existing objects whose color changed (old, new);
     `assigned` is the color given to a newly inserted object, `removed` the
     last color of a deleted one.  Recolorings per the usual accounting are
-    exactly len(changed).
-
-    Colors are in the structure's own color space: the values it stores,
-    which need not equal the GlobalColor its global_colors() reports (an
-    AnchoredCF diff carries plain ints).  Within one structure the map
-    between the two is one-to-one, so diffs count colors in use exactly.
+    exactly len(changed).  Every color is one global_colors() reports.
     """
 
     changed: dict[ObjectId, tuple[object, object]] = field(default_factory=dict)

@@ -45,14 +45,13 @@ json.dumps(event, sort_keys=True).  The writers produce these bytes through
 the C encoder, and for that rely on every step and trial row being a
 non-empty, flat dict of scalars.
 
-distinct_colors is counted from the RecolorDiff of each update: replay
-keeps a color -> multiplicity map, so a step costs O(recolorings), not
-O(n).  At every step where invariants are checked, the map is recounted
-from the structure's global_colors() and compared with it color by color,
-after the adapter has mapped the diffs' colors into global_colors()' color
-space (AnchoredCF's plain ints c become GlobalColor(ANCHORED_SCHEME_TAG,
-c)).  Any color whose count differs, including an unreported recoloring
-to a color nobody else wears, is a violation with check "colors".
+distinct_colors is counted from the RecolorDiff of each update, whose
+colors are those global_colors() reports: replay keeps an object -> color
+map and a color -> multiplicity map over it, so a step costs
+O(recolorings), not O(n).  At every step where invariants are checked,
+global_colors() must equal the object -> color map; any object whose
+color differs, an unreported recoloring or swap say, is a violation with
+check "colors".
 
 Generation is deterministic for a fixed seed: the documented generator is
 Python's Mersenne Twister (random.Random(seed)), so workloads regenerate
@@ -70,7 +69,6 @@ import csv
 import json
 import random
 import sys
-from collections import Counter
 from typing import Callable, NamedTuple
 
 from .anchored import AnchoredCF
@@ -170,12 +168,6 @@ KINDS = {
 }
 
 
-def _anchored(c, universe):
-    cf = AnchoredCF()
-    return _GeometricAdapter(
-        cf, lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid), cf.global_color)
-
-
 def _payload_to_rect(oid, payload):
     return AxisRect(payload["x1"], payload["x2"], payload["y1"], payload["y2"], oid)
 
@@ -183,7 +175,8 @@ def _payload_to_rect(oid, payload):
 # Oracle checks are called by name inside lambdas, so they are looked up in
 # this module's namespace on every call.
 STRUCTURES = {
-    "anchored": Structure("anchored_rect", _anchored),
+    "anchored": Structure("anchored_rect", lambda c, universe: _GeometricAdapter(
+        AnchoredCF(), lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid))),
     "squares": Structure("unit_square", lambda c, universe: _GeometricAdapter(
         GridSquareCF(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))),
     "bounded": Structure("bounded_rect", lambda c, universe: _GeometricAdapter(
@@ -349,11 +342,9 @@ class _GeometricAdapter:
 
     supports_delete = True
 
-    def __init__(self, structure, to_object, global_color=None):
+    def __init__(self, structure, to_object):
         self.structure = structure
         self.to_object = to_object
-        # maps a diff color to its global_colors() color; None: they agree
-        self.global_color = global_color
 
     def insert(self, oid, payload):
         return self.structure.insert(self.to_object(oid, payload))
@@ -366,12 +357,6 @@ class _GeometricAdapter:
 
     def colors(self):
         return self.structure.global_colors()
-
-    def global_counts(self, counts):
-        """A diff-space color -> count map, keyed in global_colors()' space."""
-        if self.global_color is None:
-            return counts
-        return {self.global_color(c): k for c, k in counts.items()}
 
     def total_recolorings(self):
         return self.structure.total_recolorings
@@ -387,8 +372,8 @@ class _GeometricAdapter:
 
 
 class _FrameworkAdapter(_GeometricAdapter):
-    """A dynamization engine: its diffs carry the GlobalColor it reports,
-    and range_check(colored points) stands in for check_cf."""
+    """A dynamization engine; range_check(colored points) stands in for
+    check_cf."""
 
     def __init__(self, engine, to_object, range_check):
         super().__init__(engine, to_object)
@@ -441,30 +426,36 @@ def _should_verify(mode: str, step: int, total: int, n: int) -> tuple[bool, bool
     raise InvalidParams(f"unknown verify mode {mode!r}")
 
 
-def _count(counts: dict, color, delta: int) -> None:
-    k = counts.get(color, 0) + delta
-    if k:
-        counts[color] = k
-    else:
-        del counts[color]
+def _wear(worn: dict, counts: dict, oid, color) -> None:
+    """Record that oid now wears color (None: it left), in the object ->
+    color map and the color -> multiplicity map over it."""
+    old = worn.pop(oid, None)
+    if old is not None:
+        k = counts[old] - 1
+        if k:
+            counts[old] = k
+        else:
+            del counts[old]
+    if color is not None:
+        worn[oid] = color
+        counts[color] = counts.get(color, 0) + 1
 
 
-def _count_diff(counts: dict, diff) -> None:
-    """Apply one update's RecolorDiff to a color -> multiplicity map."""
-    for old, new in diff.changed.values():
-        _count(counts, old, -1)
-        _count(counts, new, 1)
+def _apply_diff(worn: dict, counts: dict, diff) -> None:
+    """Apply one update's RecolorDiff to both maps."""
+    for oid, (_, new) in diff.changed.items():
+        _wear(worn, counts, oid, new)
     if diff.assigned is not None:
-        _count(counts, diff.assigned[1], 1)
+        _wear(worn, counts, *diff.assigned)
     if diff.removed is not None:
-        _count(counts, diff.removed[1], -1)
+        _wear(worn, counts, diff.removed[0], None)
 
 
-def _colors_mismatch(recount: dict, counted: dict) -> str:
-    extra = sorted((Counter(recount) - Counter(counted)).elements())
-    missing = sorted((Counter(counted) - Counter(recount)).elements())
-    return (f"colors {extra} in global_colors() but not in the diffs, "
-            f"{missing} in the diffs but not in global_colors()")
+def _colors_mismatch(reported: dict, worn: dict) -> str:
+    """The first five objects whose colors differ, by id."""
+    differ = sorted(o for o in reported.keys() | worn.keys() if reported.get(o) != worn.get(o))
+    return "; ".join(f"object {o}: {reported.get(o)} in global_colors(), "
+                     f"{worn.get(o)} from the diffs" for o in differ[:5])
 
 
 def run_workload(structure_name: str, events: list[dict], verify: str = "none",
@@ -476,7 +467,8 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
     steps = []
     violations = []
     live_ids: set[int] = set()
-    # colors in use, in the structure's own color space (that of its diffs)
+    # each live object's color and the colors in use, from the diffs
+    worn: dict = {}
     color_counts: dict = {}
     for step, ev in enumerate(events):
         op = ev["op"]
@@ -495,7 +487,7 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                 raise ParseError(f"step {step}: delete of non-live id {oid}")
             diff = adapter.delete(oid)
             live_ids.discard(oid)
-        _count_diff(color_counts, diff)
+        _apply_diff(worn, color_counts, diff)
 
         n = len(adapter)
         inv_due, oracle_due = _should_verify(verify, step, len(events), n)
@@ -508,12 +500,11 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                     verified = False
                     violations.append({"step": step, "check": "invariants",
                                        "detail": str(report.reason)})
-                recount = Counter(adapter.colors().values())
-                counted = adapter.global_counts(color_counts)
-                if recount != counted:
+                reported = adapter.colors()
+                if reported != worn:
                     verified = False
                     violations.append({"step": step, "check": "colors",
-                                       "detail": _colors_mismatch(recount, counted)})
+                                       "detail": _colors_mismatch(reported, worn)})
             if oracle_due and verified is True:
                 witness = adapter.check_oracle()
                 if witness is not None:

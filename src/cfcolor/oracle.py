@@ -421,7 +421,6 @@ def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Wi
 
 def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
                          seed: int, unimax: bool) -> Witness | None:
-    n = len(points)
     px = np.array([p.x for p, _ in points])
     py = np.array([p.y for p, _ in points])
     codes, _ = _dense_codes([c for _, c in points], ordered=unimax)
@@ -440,15 +439,7 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
         ylo, yhi = ys[ay[:, 0]], ys[ay[:, 1]]
         mask = ((px >= xlo[:, None]) & (px <= xhi[:, None]) &
                 (py >= ylo[:, None]) & (py <= yhi[:, None]))
-        if unimax:
-            nonempty = mask.any(axis=1)
-            masked = np.where(mask, codes, -1)
-            row_max = masked.max(axis=1)
-            max_counts = (masked == row_max[:, None]).sum(axis=1)
-            bad_rows = np.flatnonzero(nonempty & (max_counts != 1))
-            k = bad_rows[0] if len(bad_rows) else None
-        else:
-            k = _first_row_without_singleton(mask, codes)
+        k = _first_bad_row(mask, codes, unimax)
         if k is not None:
             cover = sorted(points[i][1] for i in np.flatnonzero(mask[k]))
             return Witness((xlo[k].item(), xhi[k].item(), ylo[k].item(), yhi[k].item()),
@@ -456,9 +447,10 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
     return None
 
 
-def _first_row_without_singleton(mask: np.ndarray, codes: np.ndarray) -> int | None:
+def _first_bad_row(mask: np.ndarray, codes: np.ndarray, unimax: bool) -> int | None:
     """The first nonempty row of mask whose points' codes include none seen
-    exactly once, or None; BLOCK_CELLS cells at a time."""
+    exactly once or, when unimax, whose largest code is not seen exactly
+    once; None if there is none.  BLOCK_CELLS cells at a time."""
     n = mask.shape[1]
     step = max(1, BLOCK_CELLS // n)
     for r0 in range(0, len(mask), step):
@@ -471,7 +463,9 @@ def _first_row_without_singleton(mask: np.ndarray, codes: np.ndarray) -> int | N
         single = covered >= 0
         single &= differs[:, :-1]
         single &= differs[:, 1:]
-        bad = np.flatnonzero(rows.any(axis=1) & ~single.any(axis=1))
+        # a nonempty row's largest code sorts last
+        good = single[:, -1] if unimax else single.any(axis=1)
+        bad = np.flatnonzero(rows.any(axis=1) & ~good)
         if len(bad):
             return r0 + int(bad[0])
     return None

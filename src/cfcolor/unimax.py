@@ -25,7 +25,6 @@ with color c recolors one lower-colored live neighbor in its run to c
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 
 from .geom import ObjectId, Pt
@@ -33,11 +32,6 @@ from .geom import ObjectId, Pt
 
 class UnknownPoint(KeyError):
     pass
-
-
-def interval_palette_size(n0: int) -> int:
-    """Colors needed for n0 points w.r.t. intervals: floor(log2 n0) + 1."""
-    return n0.bit_length() if n0 > 0 else 0
 
 
 class _RunColorer:
@@ -58,7 +52,7 @@ class _RunColorer:
             if left is not None:
                 self._next[left] = None
                 self._color_range(run, 0, len(run) - 1, offset)
-            offset += len(run).bit_length()  # interval_palette_size, inlined
+            offset += len(run).bit_length()  # the run's colors: floor(log2 len) + 1
         self.palette_used = offset
 
     def _color_range(self, run: list[ObjectId], lo: int, hi: int, offset: int) -> None:
@@ -106,10 +100,6 @@ class IntervalPointColorer(_RunColorer):
 
     def __init__(self, points: dict[ObjectId, float]) -> None:
         super().__init__([sorted(points, key=lambda oid: (points[oid], oid))])
-
-    @staticmethod
-    def palette_size(n0: int) -> int:
-        return interval_palette_size(n0)
 
 
 def _longest_monotone(keys: list[tuple], decreasing: bool) -> list[int]:
@@ -164,9 +154,3 @@ class RectPointColorer(_RunColorer):
         # each chain is x-ordered, so it behaves 1-D in its x-order
         self.chains = chain_decompose(points)
         super().__init__(self.chains)
-
-    @staticmethod
-    def palette_size(n0: int) -> int:
-        if n0 <= 0:
-            return 0
-        return 2 * math.ceil(math.sqrt(n0)) * interval_palette_size(n0)

@@ -1,8 +1,8 @@
 """Test-side helpers and reference implementations.
 
-Walks, decoders and per-square color readings that only tests need, and
-the plain per-window oracle check that the running-count version in
-cfcolor.oracle is compared with.
+Walks, decoders, per-square color readings and palette sizes that only
+tests need, and the plain per-window oracle check that the running-count
+version in cfcolor.oracle is compared with.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ def pair_decode(z: int) -> tuple[int, int]:
     s = (math.isqrt(8 * z + 1) - 1) // 2
     b = z - s * (s + 1) // 2
     return s - b, b
+
+
+def interval_palette_size(n0: int) -> int:
+    """Colors an IntervalPointColorer uses on n0 points: floor(log2 n0) + 1."""
+    return n0.bit_length() if n0 > 0 else 0
 
 
 def _window_violates(colors: list, unimax: bool) -> bool:

@@ -30,8 +30,8 @@ from cfcolor.unimax import (
     IntervalPointColorer,
     RectPointColorer,
     chain_decompose,
-    interval_palette_size,
 )
+from reference import interval_palette_size
 
 SUITE_RUNTIME_LIMIT = 180.0  # seconds per structure suite (criterion 1)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cfcolor.anchored import AnchoredCF, NotAnchored
-from cfcolor.geom import AxisRect, DuplicateId, UnknownId
+from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, UnknownId
 from cfcolor.oracle import check_cf, check_cf_probes, recompute_anchored_colors
 from reference import nodes as tree_nodes
 
@@ -21,7 +21,7 @@ def anchored(x2, y2, oid):
 def test_insert_into_empty_structure():
     s = AnchoredCF()
     diff = s.insert(anchored(2, 3, 0))
-    assert diff.assigned == (0, 0)
+    assert diff.assigned == (0, GlobalColor(0, 0))
     assert diff.recolorings == 0
     assert s.color_of(0) == 0
 
@@ -48,7 +48,7 @@ def test_delete_only_rectangle():
     s.insert(anchored(2, 3, 0))
     diff = s.delete(0)
     assert diff.recolorings == 0
-    assert diff.removed == (0, 0)
+    assert diff.removed == (0, GlobalColor(0, 0))
     assert len(s) == 0
     with pytest.raises(UnknownId):
         s.delete(0)

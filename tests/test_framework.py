@@ -22,7 +22,7 @@ from cfcolor.oracle import (
     check_unimax_rect_ranges,
 )
 from cfcolor.unimax import IntervalPointColorer, RectPointColorer
-from reference import next_pending, star_target
+from reference import interval_palette_size, next_pending, star_target
 
 
 def interval_checker(points, colors):
@@ -115,7 +115,7 @@ def test_semi_color_budget():
     for oid in range(512):
         e.insert(oid, rng.uniform(0, 100))
     ell = e.ell
-    budget = sum((ell - i + 1) * IntervalPointColorer.palette_size(2 ** i)
+    budget = sum((ell - i + 1) * interval_palette_size(2 ** i)
                  for i in range(ell + 1))
     assert len(set(e.actual.values())) <= budget
 

@@ -424,6 +424,61 @@ def test_unreported_recoloring_to_a_fresh_color_is_flagged_at_its_step(monkeypat
     assert "1000000" in bad[0]["detail"]
 
 
+@pytest.mark.parametrize("verify", ["invariants", "oracle-every-step"])
+def test_unreported_swap_is_a_colors_violation(verify, monkeypatch):
+    """Two objects of one cell trade stored colors, unreported: every color
+    count stays the same, so only the object -> color map can see it."""
+    import cfcolor.squares as squares
+    from cfcolor.geom import UnitSquare
+
+    planted = []
+
+    class SwappingSquares(squares.GridSquareCF):
+        def insert(self, sq):
+            diff = super().insert(sq)
+            if sq.id == 3:
+                colors = self.cells[self.location[sq.id]].colors
+                a, b = next((a, b) for a in sorted(colors) for b in sorted(colors)
+                            if a < b and colors[a] != colors[b])
+                colors[a], colors[b] = colors[b], colors[a]
+                planted.extend((a, b))
+            return diff
+
+    def make(name, c=None, universe=None):
+        return harness._GeometricAdapter(
+            SwappingSquares(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+
+    monkeypatch.setattr(harness, "make_structure", make)
+    events = generate_workload("unit_square", 12, 0.0, seed=3, span=1.0)
+    report = run_workload("squares", events, verify=verify)
+    bad = report["summary"]["violations"]
+    assert planted
+    assert bad and bad[0]["step"] == 3 and bad[0]["check"] == "colors"
+    a, b = planted
+    assert f"object {a}: " in bad[0]["detail"] and f"object {b}: " in bad[0]["detail"]
+
+
+@pytest.mark.parametrize("structure", sorted(harness.STRUCTURES))
+def test_diff_colors_are_the_reported_colors(structure):
+    """Every color in a diff is one global_colors() reports: a new color
+    the object wears after the update, an old or removed one it wore
+    before."""
+    kind, _, ratio, params = STRUCTURE_STREAMS[structure]
+    s = harness.make_structure(structure, **params)
+    before = s.colors()
+    for ev in generate_workload(kind, 200, ratio, seed=17, **params):
+        if ev["op"] == "insert":
+            diff = s.insert(ev["id"], ev["object"])
+        else:
+            diff = s.delete(ev["id"])
+        after = s.colors()
+        assert diff.assigned is None or after[diff.assigned[0]] == diff.assigned[1]
+        assert diff.removed is None or before[diff.removed[0]] == diff.removed[1]
+        for oid, (old, new) in diff.changed.items():
+            assert (before[oid], after[oid]) == (old, new)
+        before = after
+
+
 BAD_INPUTS = {
     # case: (structure arguments, the workload's only line, as bytes)
     "inverted_bounded_rect": (

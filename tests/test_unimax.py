@@ -14,8 +14,8 @@ from cfcolor.unimax import (
     RectPointColorer,
     UnknownPoint,
     chain_decompose,
-    interval_palette_size,
 )
+from reference import interval_palette_size
 
 
 # -- interval colorer ---------------------------------------------------------
