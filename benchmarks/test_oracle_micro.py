@@ -4,13 +4,14 @@
 
 Kept out of the tier-1 testpaths; needs pytest-benchmark.  Each state is
 the final coloring of one seeded workload replayed through its structure,
-and every check must find it conflict-free.
+and every check must find it conflict-free.  The per-step cases time the
+oracle calls of a whole replay, through IncrementalCF and through check_cf.
 """
 
 import pytest
 
 from cfcolor.harness import generate_workload, make_structure
-from cfcolor.oracle import check_cf, check_cf_intervals, check_cf_rect_ranges
+from cfcolor.oracle import IncrementalCF, check_cf, check_cf_intervals, check_cf_rect_ranges
 
 # name: (structure, object kind, inserts, delete ratio, structure params)
 STATES = {
@@ -24,7 +25,8 @@ STATES = {
 SEED = 1
 
 
-def _final_state(name):
+def _replayed(name):
+    """The state's adapter after each event of its workload, in turn."""
     structure, kind, n, delete_ratio, params = STATES[name]
     adapter = make_structure(structure, **params)
     for ev in generate_workload(kind, n, delete_ratio, SEED, **params):
@@ -32,6 +34,11 @@ def _final_state(name):
             adapter.insert(ev["id"], ev["object"])
         else:
             adapter.delete(ev["id"])
+        yield adapter
+
+
+def _final_state(name):
+    *_, adapter = _replayed(name)
     if adapter.framework_info() is None:
         return adapter.structure.colored_rects()
     return [(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
@@ -52,3 +59,15 @@ def test_check_cf_intervals(benchmark, name):
 def test_check_cf_rect_ranges(benchmark):
     colored = _final_state("full-2d-140")
     assert benchmark(check_cf_rect_ranges, colored, samples=20_000) is None
+
+
+@pytest.mark.parametrize("checker", ["incremental", "check_cf"])
+@pytest.mark.parametrize("name", ["squares-200", "bounded-200"])
+def test_per_step_check_cf(benchmark, name, checker):
+    steps = [adapter.structure.colored_rects() for adapter in _replayed(name)]
+
+    def replay():
+        check = IncrementalCF().check if checker == "incremental" else check_cf
+        return [check(colored) for colored in steps]
+
+    assert benchmark(replay) == [None] * len(steps)

@@ -60,7 +60,10 @@ identically across platforms.
 Verification modes: "none", "invariants" (structure audits and the color
 count every step), "oracle-sampled" (both, plus ground-truth conflict-free
 checks, every step while n <= 256, every 32nd step beyond, and always at
-the final state), and "oracle-every-step".
+the final state), and "oracle-every-step".  After a passing oracle check, a
+geometric structure's next one sweeps only the box around the old and new
+rectangles of objects changed since: a point outside them keeps the colored
+cover that passed, so any violation lies inside (oracle.IncrementalCF).
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from .anchored import AnchoredCF
 from .framework import FullyDynamicEngine, SemiDynamicEngine
 from .geom import AxisRect, Pt, UnitSquare
 from .oracle import (
+    IncrementalCF,
     check_cf,
     check_cf_intervals,
     check_cf_rect_ranges,
@@ -345,6 +349,8 @@ class _GeometricAdapter:
     def __init__(self, structure, to_object):
         self.structure = structure
         self.to_object = to_object
+        # check_cf looked up here on every call, as in STRUCTURES
+        self.cf = IncrementalCF(lambda colored: check_cf(colored))
 
     def insert(self, oid, payload):
         return self.structure.insert(self.to_object(oid, payload))
@@ -365,7 +371,7 @@ class _GeometricAdapter:
         return self.structure.audit()
 
     def check_oracle(self):
-        return check_cf(self.structure.colored_rects())
+        return self.cf.check(self.structure.colored_rects())
 
     def framework_info(self):
         return None

@@ -13,8 +13,9 @@ Two families of checks:
   gives each color's count, and a second, in (row, column) order, the
   number of colors seen exactly once at every probe.  Blocks hold about
   CF_BLOCK_PAIRS pairs, so a call's working memory does not grow with the
-  number of rows.  `check_cf_probes` / `check_unimax_probes` are the
-  direct per-probe versions for small inputs.
+  number of rows.  After a passing call, `IncrementalCF` sweeps only the
+  box around the changed objects' old and new rectangles: exact, since a
+  point outside them keeps the colored cover that passed.
 
 * point colorings (points vs. interval or rectangle ranges): canonical
   ranges span all coordinate pairs.  Exhaustive below a size cutoff,
@@ -63,63 +64,12 @@ class Witness:
 # object colorings: probe points against closed axis-parallel rectangles
 # ---------------------------------------------------------------------------
 
-def probe_grid(rects: list[AxisRect]) -> list[Pt]:
-    """Coordinates and midpoints in both axes, crossed."""
-    if not rects:
-        return []
-    xs = sorted({r.x1 for r in rects} | {r.x2 for r in rects})
-    ys = sorted({r.y1 for r in rects} | {r.y2 for r in rects})
-    px = _with_midpoints(xs)
-    py = _with_midpoints(ys)
-    return [Pt(x, y) for x in px for y in py]
-
-
-def _with_midpoints(coords: list[float]) -> list[float]:
-    out = []
-    for a, b in zip(coords, coords[1:]):
-        out.append(a)
-        out.append(_between(a, b))
-    out.append(coords[-1])
-    return out
-
-
 def _between(a: float, b: float) -> float:
     """The midpoint of a < b, or, where a + b overflows or the midpoint
     rounds onto a or b, the float next to a: finite, and strictly between
     them whenever a float lies there."""
     m = (a + b) / 2.0
     return m if a < m < b else math.nextafter(a, b)
-
-
-def check_cf_probes(colored: list[tuple[AxisRect, object]],
-                    probes: list[Pt] | None = None) -> Witness | None:
-    """Direct conflict-free check at every probe.  Quadratic; small inputs."""
-    if probes is None:
-        probes = probe_grid([r for r, _ in colored])
-    for p in probes:
-        cover = [c for r, c in colored if r.contains(p)]
-        if cover and not _has_singleton(cover):
-            return Witness(p, sorted(cover))
-    return None
-
-
-def check_unimax_probes(colored: list[tuple[AxisRect, object]],
-                        probes: list[Pt] | None = None) -> Witness | None:
-    """Unique-maximum check at every probe.  Quadratic; small inputs."""
-    if probes is None:
-        probes = probe_grid([r for r, _ in colored])
-    for p in probes:
-        cover = [c for r, c in colored if r.contains(p)]
-        if cover and cover.count(max(cover)) != 1:
-            return Witness(p, sorted(cover))
-    return None
-
-
-def _has_singleton(colors: list) -> bool:
-    counts: dict = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    return any(v == 1 for v in counts.values())
 
 
 def _dense_codes(colors: list, ordered: bool = False) -> tuple[np.ndarray, int]:
@@ -138,7 +88,8 @@ def _dense_codes(colors: list, ordered: bool = False) -> tuple[np.ndarray, int]:
 def check_cf(colored: list[tuple[AxisRect, object]]) -> Witness | None:
     """Exact conflict-free check over the whole probe grid.
 
-    Equivalent to check_cf_probes on the full grid.  Rows are probe rows
+    Probes cross the coordinates and the gaps between them in both axes,
+    so every face of the arrangement holds one.  Rows are probe rows
     (coordinates and gaps); only row 0, rows where a rectangle starts and
     rows right after one ends can hold a violation first, so only those are
     checked, in blocks of about CF_BLOCK_PAIRS (rect, row) pairs.  The
@@ -266,6 +217,52 @@ def _make_witness(colored, xs, ys, col_index: int, row: int) -> Witness:
     p = Pt(_probe_value(xs, col_index), _probe_value(ys, row))
     cover = sorted(c for r, c in colored if r.contains(p))
     return Witness(p, cover)
+
+
+class IncrementalCF:
+    """check_cf over a coloring that changes between calls, sweeping after
+    a passing call only the box around what changed since.
+
+    The snapshot maps each id to its (x1, x2, y1, y2, color) at the last
+    passing call.  Let D be the old and new entries of the ids whose entry
+    changed, appeared or disappeared since.  A point outside every rectangle
+    of D has the colored cover it had then, so it is still fine, and any
+    violation lies in B, the bounding box of D.  Clipped to B, the
+    rectangles that meet it cover each point of B as before and nothing
+    else, so sweeping them finds a violation exactly when sweeping all of
+    them does.  The first call, a call after a failing one and a call whose
+    input repeats an id sweep everything.  When the clipped sweep finds a
+    violation the full one is run, so the witness is check_cf's.
+    """
+
+    def __init__(self, sweep=check_cf):
+        self.sweep = sweep
+        self.passed: dict | None = None
+
+    def check(self, colored: list[tuple[AxisRect, object]]) -> Witness | None:
+        # plain tuples: comparing AxisRects costs several times as much
+        now = {r.id: (r.x1, r.x2, r.y1, r.y2, c) for r, c in colored}
+        before, self.passed = self.passed, None
+        if before is None or len(now) != len(colored):
+            witness = self.sweep(colored)
+        else:
+            witness = self._sweep_changed(colored, before.items() ^ now.items())
+        if witness is None and len(now) == len(colored):
+            self.passed = now
+        return witness
+
+    def _sweep_changed(self, colored, changed) -> Witness | None:
+        if not changed:
+            return None
+        x1s, x2s, y1s, y2s, _ = zip(*(entry for _, entry in changed))
+        x1, x2, y1, y2 = min(x1s), max(x2s), min(y1s), max(y2s)
+        clipped = [(AxisRect(max(r.x1, x1), min(r.x2, x2), max(r.y1, y1), min(r.y2, y2), r.id), c)
+                   for r, c in colored
+                   if r.x1 <= x2 and x1 <= r.x2 and r.y1 <= y2 and y1 <= r.y2]
+        witness = self.sweep(clipped)
+        if witness is not None:
+            witness = self.sweep(colored) or witness
+        return witness
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +421,10 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
     px = np.array([p.x for p, _ in points])
     py = np.array([p.y for p, _ in points])
     codes, _ = _dense_codes([c for _, c in points], ordered=unimax)
-    xs = np.sort(np.unique(px))
-    ys = np.sort(np.unique(py))
+    xs, ys = np.unique(px), np.unique(py)
     rng = np.random.default_rng(seed)
 
+    step = max(1, BLOCK_CELLS // len(points))
     batch = 4096
     done = 0
     while done < samples:
@@ -437,38 +434,35 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
         ay = np.sort(rng.integers(0, len(ys), size=(b, 2)), axis=1)
         xlo, xhi = xs[ax[:, 0]], xs[ax[:, 1]]
         ylo, yhi = ys[ay[:, 0]], ys[ay[:, 1]]
-        mask = ((px >= xlo[:, None]) & (px <= xhi[:, None]) &
-                (py >= ylo[:, None]) & (py <= yhi[:, None]))
-        k = _first_bad_row(mask, codes, unimax)
-        if k is not None:
-            cover = sorted(points[i][1] for i in np.flatnonzero(mask[k]))
-            return Witness((xlo[k].item(), xhi[k].item(), ylo[k].item(), yhi[k].item()),
-                           cover)
+        # the point mask of BLOCK_CELLS cells' worth of ranges at a time
+        for r0 in range(0, b, step):
+            rows = slice(r0, r0 + step)
+            mask = ((px >= xlo[rows, None]) & (px <= xhi[rows, None]) &
+                    (py >= ylo[rows, None]) & (py <= yhi[rows, None]))
+            r = _first_bad_row(mask, codes, unimax)
+            if r is not None:
+                k = r0 + r
+                return Witness((xlo[k].item(), xhi[k].item(), ylo[k].item(), yhi[k].item()),
+                               sorted(points[i][1] for i in np.flatnonzero(mask[r])))
     return None
 
 
 def _first_bad_row(mask: np.ndarray, codes: np.ndarray, unimax: bool) -> int | None:
     """The first nonempty row of mask whose points' codes include none seen
     exactly once or, when unimax, whose largest code is not seen exactly
-    once; None if there is none.  BLOCK_CELLS cells at a time."""
-    n = mask.shape[1]
-    step = max(1, BLOCK_CELLS // n)
-    for r0 in range(0, len(mask), step):
-        rows = mask[r0:r0 + step]
-        covered = np.where(rows, codes, -1)
-        covered.sort(axis=1)
-        # a code seen once differs from both neighbours in its sorted row
-        differs = np.ones((len(rows), n + 1), dtype=bool)
-        np.not_equal(covered[:, 1:], covered[:, :-1], out=differs[:, 1:-1])
-        single = covered >= 0
-        single &= differs[:, :-1]
-        single &= differs[:, 1:]
-        # a nonempty row's largest code sorts last
-        good = single[:, -1] if unimax else single.any(axis=1)
-        bad = np.flatnonzero(rows.any(axis=1) & ~good)
-        if len(bad):
-            return r0 + int(bad[0])
-    return None
+    once; None if there is none."""
+    covered = np.where(mask, codes, -1)
+    covered.sort(axis=1)
+    # a code seen once differs from both neighbours in its sorted row
+    differs = np.ones((len(mask), mask.shape[1] + 1), dtype=bool)
+    np.not_equal(covered[:, 1:], covered[:, :-1], out=differs[:, 1:-1])
+    single = covered >= 0
+    single &= differs[:, :-1]
+    single &= differs[:, 1:]
+    # a nonempty row's largest code sorts last
+    good = single[:, -1] if unimax else single.any(axis=1)
+    bad = np.flatnonzero(mask.any(axis=1) & ~good)
+    return int(bad[0]) if len(bad) else None
 
 
 # ---------------------------------------------------------------------------

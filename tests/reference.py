@@ -1,8 +1,9 @@
 """Test-side helpers and reference implementations.
 
 Walks, decoders, per-square color readings and palette sizes that only
-tests need, and the plain per-window oracle check that the running-count
-version in cfcolor.oracle is compared with.
+tests need, and the plain oracle checks that the sweeps and running-count
+versions in cfcolor.oracle are compared with: per probe point over the
+probe grid, and per window over canonical rectangles.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 from typing import Iterator
 
 from cfcolor.augtree import AugTree, Node
-from cfcolor.oracle import Witness, _group_bounds, _has_singleton
+from cfcolor.geom import AxisRect, Pt
+from cfcolor.oracle import Witness, _between, _group_bounds
 
 
 def nodes(tree: AugTree) -> Iterator[Node]:
@@ -60,6 +62,58 @@ def pair_decode(z: int) -> tuple[int, int]:
 def interval_palette_size(n0: int) -> int:
     """Colors an IntervalPointColorer uses on n0 points: floor(log2 n0) + 1."""
     return n0.bit_length() if n0 > 0 else 0
+
+
+def probe_grid(rects: list[AxisRect]) -> list[Pt]:
+    """Coordinates and midpoints in both axes, crossed: every cell, edge and
+    vertex of the axis-parallel arrangement carries a probe."""
+    if not rects:
+        return []
+    xs = sorted({r.x1 for r in rects} | {r.x2 for r in rects})
+    ys = sorted({r.y1 for r in rects} | {r.y2 for r in rects})
+    px = _with_midpoints(xs)
+    py = _with_midpoints(ys)
+    return [Pt(x, y) for x in px for y in py]
+
+
+def _with_midpoints(coords: list[float]) -> list[float]:
+    out = []
+    for a, b in zip(coords, coords[1:]):
+        out.append(a)
+        out.append(_between(a, b))
+    out.append(coords[-1])
+    return out
+
+
+def check_cf_probes(colored: list[tuple[AxisRect, object]],
+                    probes: list[Pt] | None = None) -> Witness | None:
+    """Direct conflict-free check at every probe.  Quadratic; small inputs."""
+    if probes is None:
+        probes = probe_grid([r for r, _ in colored])
+    for p in probes:
+        cover = [c for r, c in colored if r.contains(p)]
+        if cover and not _has_singleton(cover):
+            return Witness(p, sorted(cover))
+    return None
+
+
+def check_unimax_probes(colored: list[tuple[AxisRect, object]],
+                        probes: list[Pt] | None = None) -> Witness | None:
+    """Unique-maximum check at every probe.  Quadratic; small inputs."""
+    if probes is None:
+        probes = probe_grid([r for r, _ in colored])
+    for p in probes:
+        cover = [c for r, c in colored if r.contains(p)]
+        if cover and cover.count(max(cover)) != 1:
+            return Witness(p, sorted(cover))
+    return None
+
+
+def _has_singleton(colors: list) -> bool:
+    counts: dict = {}
+    for c in colors:
+        counts[c] = counts.get(c, 0) + 1
+    return any(v == 1 for v in counts.values())
 
 
 def _window_violates(colors: list, unimax: bool) -> bool:

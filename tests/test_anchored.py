@@ -5,8 +5,8 @@ import pytest
 
 from cfcolor.anchored import AnchoredCF, NotAnchored
 from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, UnknownId
-from cfcolor.oracle import check_cf, check_cf_probes, recompute_anchored_colors
-from reference import nodes as tree_nodes
+from cfcolor.oracle import check_cf, recompute_anchored_colors
+from reference import check_cf_probes, nodes as tree_nodes
 
 # Frozen recoloring bound: recolorings <= REC_A * log2(n + 2) + REC_B.
 # Max ratio observed over the seeded runs below is ~1.3; headroom kept.

@@ -17,17 +17,21 @@ from cfcolor import oracle
 from cfcolor.oracle import (
     check_cf,
     check_cf_intervals,
-    check_cf_probes,
     check_cf_rect_ranges,
     check_unimax_intervals,
-    check_unimax_probes,
     check_unimax_rect_ranges,
-    probe_grid,
     recompute_anchored_colors,
     recompute_common_point_colors,
     recompute_pinned_square_colors,
 )
-from reference import exhaustive_rect_ranges, leaves, nodes
+from reference import (
+    check_cf_probes,
+    check_unimax_probes,
+    exhaustive_rect_ranges,
+    leaves,
+    nodes,
+    probe_grid,
+)
 
 
 def rect(x1, x2, y1, y2, oid):

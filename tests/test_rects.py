@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cfcolor.geom import AxisRect, GlobalColor, Pt, pair_encode
-from cfcolor.oracle import check_cf, check_cf_probes, recompute_common_point_colors
+from cfcolor.oracle import check_cf, recompute_common_point_colors
 from cfcolor.rects import (
     BoundedRectCF,
     CommonPointCF,
@@ -15,7 +15,7 @@ from cfcolor.rects import (
     skeleton_locate,
     skeleton_path_values,
 )
-from reference import pair_decode
+from reference import check_cf_probes, pair_decode
 
 
 def rect(x1, x2, y1, y2, oid):

@@ -7,11 +7,10 @@ from cfcolor.anchored import AnchoredCF
 from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, Pt, UnitSquare, UnknownId
 from cfcolor.oracle import (
     check_cf,
-    check_cf_probes,
     recompute_pinned_square_colors,
 )
 from cfcolor.squares import GridSquareCF, PinnedSquareCF, class_tag, route_square
-from reference import category_heights, pinned_color
+from reference import category_heights, check_cf_probes, pinned_color
 
 
 def sq(x, y, oid):
