@@ -5,11 +5,16 @@
 Kept out of the tier-1 testpaths; needs pytest-benchmark.  Each state is
 the final coloring of one seeded workload replayed through its structure,
 and every check must find it conflict-free.  The per-step cases time the
-oracle calls of a whole replay, through IncrementalCF and through check_cf.
+oracle calls of a whole replay, through IncrementalCF and through check_cf,
+and everything a verified step runs: the audit, the colors view and the
+oracle.
 """
+
+import copy
 
 import pytest
 
+from cfcolor.geom import AxisRect
 from cfcolor.harness import generate_workload, make_structure
 from cfcolor.oracle import IncrementalCF, check_cf, check_cf_intervals, check_cf_rect_ranges
 
@@ -37,10 +42,14 @@ def _replayed(name):
         yield adapter
 
 
+def _rects(boxes):
+    return [(AxisRect(x1, x2, y1, y2, oid), c) for oid, (x1, x2, y1, y2, c) in boxes]
+
+
 def _final_state(name):
     *_, adapter = _replayed(name)
     if adapter.framework_info() is None:
-        return adapter.structure.colored_rects()
+        return _rects(adapter.structure.colored_boxes())
     return [(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
 
 
@@ -64,10 +73,26 @@ def test_check_cf_rect_ranges(benchmark):
 @pytest.mark.parametrize("checker", ["incremental", "check_cf"])
 @pytest.mark.parametrize("name", ["squares-200", "bounded-200"])
 def test_per_step_check_cf(benchmark, name, checker):
-    steps = [adapter.structure.colored_rects() for adapter in _replayed(name)]
+    steps = [adapter.structure.colored_boxes() for adapter in _replayed(name)]
+    if checker == "check_cf":
+        steps = [_rects(boxes) for boxes in steps]
 
     def replay():
         check = IncrementalCF().check if checker == "incremental" else check_cf
         return [check(colored) for colored in steps]
 
     assert benchmark(replay) == [None] * len(steps)
+
+
+@pytest.mark.parametrize("name", ["squares-200", "bounded-200"])
+def test_per_step_verification(benchmark, name):
+    """The audit, global_colors() and the incremental oracle check of every
+    step, over copies of the structure taken after each event."""
+    states = [copy.deepcopy(adapter.structure) for adapter in _replayed(name)]
+
+    def replay():
+        cf = IncrementalCF()
+        return [(s.audit(), len(s.global_colors()), cf.check(s.colored_boxes()))
+                for s in states]
+
+    assert benchmark(replay) == [(None, len(s), None) for s in states]

@@ -14,7 +14,7 @@ exact.
 from __future__ import annotations
 
 from .cells import NE, DirectionalCell
-from .geom import AxisRect, KeyOrder, ObjectId, Pt
+from .geom import AxisRect, KeyOrder, Pt
 
 ANCHORED_SCHEME_TAG = 0
 
@@ -31,7 +31,6 @@ class AnchoredCF(DirectionalCell):
     def __init__(self) -> None:
         super().__init__(Pt(0.0, 0.0), ANCHORED_SCHEME_TAG)
         (self.tree,) = self.trees
-        self.rects: dict[ObjectId, AxisRect] = self.objects
 
     def check(self, r: AxisRect) -> None:
         if r.x1 != 0.0 or r.y1 != 0.0:

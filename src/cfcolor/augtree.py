@@ -303,56 +303,58 @@ class AugTree:
             return None if self.size == 0 else ViolationReport(None, "size mismatch")
         if self.root.color is RED:
             return ViolationReport(self.root, "root is red")
-
-        leaves_seen: list[Node] = []
-
-        def check(v: Node) -> tuple[int, KeyOrder, KeyOrder] | ViolationReport:
-            """Returns (black-height, min key, max key) or the first violation."""
-            if v.is_leaf:
-                leaves_seen.append(v)
-                if v.height != 0:
-                    return ViolationReport(v, f"leaf height {v.height} != 0")
-                if v.color is RED:
-                    return ViolationReport(v, "red leaf")
-                return 1, v.key, v.key
-            if v.left is None or v.right is None:
-                return ViolationReport(v, "internal node missing a child")
-            if v.left.parent is not v or v.right.parent is not v:
-                return ViolationReport(v, "broken parent link")
-            if v.color is RED and (v.left.color is RED or v.right.color is RED):
-                return ViolationReport(v, "red node with red child")
-            lres = check(v.left)
-            if isinstance(lres, ViolationReport):
-                return lres
-            rres = check(v.right)
-            if isinstance(rres, ViolationReport):
-                return rres
-            lbh, lmin, lmax = lres
-            rbh, rmin, rmax = rres
-            if lbh != rbh:
-                return ViolationReport(v, f"black-height mismatch {lbh} != {rbh}")
-            if not (lmax <= v.key < rmin):
-                return ViolationReport(v, "routing split out of order")
-            if v.height != max(v.left.height, v.right.height) + 1:
-                return ViolationReport(v, f"stale height {v.height}")
-            if v.ymax != max(v.left.ymax, v.right.ymax):
-                return ViolationReport(v, "stale ymax summary")
-            if v.ymin != min(v.left.ymin, v.right.ymin):
-                return ViolationReport(v, "stale ymin summary")
-            return lbh + (0 if v.color is RED else 1), lmin, rmax
-
-        res = check(self.root)
-        if isinstance(res, ViolationReport):
-            return res
-        if len(leaves_seen) != self.size:
-            return ViolationReport(None, f"size {self.size} != {len(leaves_seen)} leaves")
-        for a, b in zip(leaves_seen, leaves_seen[1:]):
+        leaves: list[Node] = []
+        try:
+            _audit_walk(self.root, leaves)
+        except _Violation as exc:
+            return exc.args[0]
+        if len(leaves) != self.size:
+            return ViolationReport(None, f"size {self.size} != {len(leaves)} leaves")
+        for a, b in zip(leaves, leaves[1:]):
             if not a.key < b.key:
                 return ViolationReport(b, "in-order keys not strictly increasing")
-        for oid, leaf in self.leaf_by_payload.items():
-            if leaf.payload != oid:
+        index = self.leaf_by_payload
+        if len(index) != len(leaves):
+            return ViolationReport(None, f"payload index {len(index)} != {len(leaves)} leaves")
+        for leaf in leaves:
+            if index.get(leaf.payload) is not leaf:
                 return ViolationReport(leaf, "payload index out of sync")
         return None
+
+
+class _Violation(Exception):
+    """Carries an audit walk's first ViolationReport up the recursion."""
+
+
+def _audit_walk(v: Node, leaves: list[Node]) -> tuple[int, KeyOrder, KeyOrder]:
+    """(black-height, min key, max key) of v's subtree, its leaves appended in order."""
+    if v.payload is not None:
+        leaves.append(v)
+        if v.height != 0:
+            raise _Violation(ViolationReport(v, f"leaf height {v.height} != 0"))
+        if v.color is RED:
+            raise _Violation(ViolationReport(v, "red leaf"))
+        return 1, v.key, v.key
+    left, right = v.left, v.right
+    if left is None or right is None:
+        raise _Violation(ViolationReport(v, "internal node missing a child"))
+    if left.parent is not v or right.parent is not v:
+        raise _Violation(ViolationReport(v, "broken parent link"))
+    if v.color is RED and (left.color is RED or right.color is RED):
+        raise _Violation(ViolationReport(v, "red node with red child"))
+    lbh, lmin, lmax = _audit_walk(left, leaves)
+    rbh, rmin, rmax = _audit_walk(right, leaves)
+    if lbh != rbh:
+        raise _Violation(ViolationReport(v, f"black-height mismatch {lbh} != {rbh}"))
+    if not (lmax <= v.key < rmin):
+        raise _Violation(ViolationReport(v, "routing split out of order"))
+    if v.height != max(left.height, right.height) + 1:
+        raise _Violation(ViolationReport(v, f"stale height {v.height}"))
+    if v.ymax != max(left.ymax, right.ymax):
+        raise _Violation(ViolationReport(v, "stale ymax summary"))
+    if v.ymin != min(left.ymin, right.ymin):
+        raise _Violation(ViolationReport(v, "stale ymin summary"))
+    return lbh + (0 if v.color is RED else 1), lmin, rmax
 
 
 def dirty_candidates(log: DirtyLog) -> set[ObjectId]:

@@ -17,12 +17,15 @@ attaining it".  k = 1 with (NE,) is the anchored rule, k = 4 with (NE, SE,
 SW, NW) the unit-square rule, and k = 2 per tree the two halves of the
 common-point rule ((NE, SE) in the x2-ordered east tree, (NW, SW) in the
 x1-ordered west tree).
+
+colored_boxes(), the one view the oracle and global_colors() read, lists
+(id, (x1, x2, y1, y2, global color)) per stored object, cell by cell.
 """
 
 from __future__ import annotations
 
 from .augtree import LEFT, RIGHT, AugTree, ViolationReport, dirty_candidates
-from .geom import AxisRect, DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId
+from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId
 
 NE = (RIGHT, "ymax")
 SE = (RIGHT, "ymin")
@@ -78,8 +81,8 @@ class DirectionalCell:
     which gives (key, ymax, ymin) per tree, each tie-broken by the object's
     id.  A one-tree cell's colors are ints; CommonPointCF, the two-tree
     cell, colors by (east, west) pairs.  The tag names the cell's palette.
-    colors and color_of hold these local colors; diffs, global_colors()
-    and colored_rects() carry global_color(local color).
+    colors and color_of hold these local colors; diffs and colored_boxes()
+    carry global_color(local color).
     """
 
     SELECTORS: tuple[tuple[tuple[str, str], ...], ...] = ()
@@ -98,10 +101,6 @@ class DirectionalCell:
 
     def __len__(self) -> int:
         return len(self.objects)
-
-    @staticmethod
-    def rect(obj) -> AxisRect:
-        return obj
 
     def check(self, obj) -> None:
         """Raise if obj may not join this cell."""
@@ -164,13 +163,12 @@ class DirectionalCell:
         return GlobalColor(self.tag, c)
 
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        g = self.global_color
-        return {oid: g(c) for oid, c in self.colors.items()}
+        return {oid: box[4] for oid, box in self.colored_boxes()}
 
-    def colored_rects(self) -> list[tuple[AxisRect, GlobalColor]]:
+    def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
         g = self.global_color
-        return [(self.rect(obj), g(self.colors[oid]))
-                for oid, obj in sorted(self.objects.items())]
+        return [(oid, (r.x1, r.x2, r.y1, r.y2, g(self.colors[oid])))
+                for oid, r in self.objects.items()]
 
     def audit(self) -> ViolationReport | None:
         for tree in self.trees:
@@ -231,20 +229,23 @@ class Partition:
     # -- verification views -------------------------------------------------
 
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        out: dict[ObjectId, GlobalColor] = {}
-        for cell in self.cells.values():
-            out.update(cell.global_colors())
-        return out
+        return {oid: box[4] for oid, box in self.colored_boxes()}
 
-    def colored_rects(self) -> list[tuple[AxisRect, GlobalColor]]:
+    def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
         out = []
-        for key in sorted(self.cells):
-            out += self.cells[key].colored_rects()
+        for cell in self.cells.values():
+            out += cell.colored_boxes()
         return out
 
     def audit(self) -> ViolationReport | None:
-        for cell in self.cells.values():
+        for key, cell in self.cells.items():
             report = cell.audit()
             if report is not None:
                 return report
+            if not cell.objects:
+                return ViolationReport(None, f"empty cell {key} left in the partition")
+        # every object held by one cell, the one its location names
+        held = {oid: key for key, cell in self.cells.items() for oid in cell.objects}
+        if held != self.location or len(held) != sum(map(len, self.cells.values())):
+            return ViolationReport(None, "cells out of step with the location map")
         return None

@@ -55,9 +55,6 @@ class UnitSquare:
     y: float
     id: ObjectId
 
-    def to_rect(self) -> AxisRect:
-        return AxisRect(self.x, self.x + 1.0, self.y, self.y + 1.0, self.id)
-
     def contains(self, p: Pt) -> bool:
         return self.x <= p.x <= self.x + 1.0 and self.y <= p.y <= self.y + 1.0
 

@@ -58,12 +58,13 @@ Python's Mersenne Twister (random.Random(seed)), so workloads regenerate
 identically across platforms.
 
 Verification modes: "none", "invariants" (structure audits and the color
-count every step), "oracle-sampled" (both, plus ground-truth conflict-free
+check every step), "oracle-sampled" (both, plus ground-truth conflict-free
 checks, every step while n <= 256, every 32nd step beyond, and always at
-the final state), and "oracle-every-step".  After a passing oracle check, a
-geometric structure's next one sweeps only the box around the old and new
-rectangles of objects changed since: a point outside them keeps the colored
-cover that passed, so any violation lies inside (oracle.IncrementalCF).
+the final state), and "oracle-every-step".  A geometric structure's oracle
+check and its global_colors() read one view, colored_boxes(): (id, (x1,
+x2, y1, y2, color)) per object.  After a passing check the next one sweeps
+only the box around the old and new rectangles of objects changed since
+(oracle.IncrementalCF): a point outside keeps the cover that passed.
 """
 
 from __future__ import annotations
@@ -371,7 +372,7 @@ class _GeometricAdapter:
         return self.structure.audit()
 
     def check_oracle(self):
-        return self.cf.check(self.structure.colored_rects())
+        return self.cf.check(self.structure.colored_boxes())
 
     def framework_info(self):
         return None

@@ -13,9 +13,10 @@ Two families of checks:
   gives each color's count, and a second, in (row, column) order, the
   number of colors seen exactly once at every probe.  Blocks hold about
   CF_BLOCK_PAIRS pairs, so a call's working memory does not grow with the
-  number of rows.  After a passing call, `IncrementalCF` sweeps only the
-  box around the changed objects' old and new rectangles: exact, since a
-  point outside them keeps the colored cover that passed.
+  number of rows.  `IncrementalCF` reads (id, box) pairs and, after a
+  passing call, sweeps only the box around the changed objects' old and
+  new rectangles: exact, since a point outside them keeps the colored
+  cover that passed.
 
 * point colorings (points vs. interval or rectangle ranges): canonical
   ranges span all coordinate pairs.  Exhaustive below a size cutoff,
@@ -223,46 +224,43 @@ class IncrementalCF:
     """check_cf over a coloring that changes between calls, sweeping after
     a passing call only the box around what changed since.
 
-    The snapshot maps each id to its (x1, x2, y1, y2, color) at the last
-    passing call.  Let D be the old and new entries of the ids whose entry
-    changed, appeared or disappeared since.  A point outside every rectangle
-    of D has the colored cover it had then, so it is still fine, and any
-    violation lies in B, the bounding box of D.  Clipped to B, the
-    rectangles that meet it cover each point of B as before and nothing
-    else, so sweeping them finds a violation exactly when sweeping all of
-    them does.  The first call, a call after a failing one and a call whose
-    input repeats an id sweep everything.  When the clipped sweep finds a
-    violation the full one is run, so the witness is check_cf's.
+    The input is one (id, (x1, x2, y1, y2, color)) pair per rectangle, and
+    the snapshot is the last passing input as a dict.  Let D be the old and
+    new entries of the ids whose entry changed, appeared or disappeared
+    since.  A point outside every rectangle of D has the colored cover it
+    had then, so it is still fine, and any violation lies in B, the
+    bounding box of D.  Clipped to B, the rectangles that meet it cover
+    each point of B as before and nothing else, so sweeping them finds a
+    violation exactly when sweeping all of them does.  The first call, a
+    call after a failing one and a call whose input repeats an id sweep
+    everything, and so does one whose clipped sweep fails: the witness is
+    check_cf's.  Only the rectangles swept are built as AxisRects.
     """
 
     def __init__(self, sweep=check_cf):
         self.sweep = sweep
         self.passed: dict | None = None
 
-    def check(self, colored: list[tuple[AxisRect, object]]) -> Witness | None:
-        # plain tuples: comparing AxisRects costs several times as much
-        now = {r.id: (r.x1, r.x2, r.y1, r.y2, c) for r, c in colored}
+    def check(self, boxes: list[tuple[int, tuple]]) -> Witness | None:
+        now = dict(boxes)
         before, self.passed = self.passed, None
-        if before is None or len(now) != len(colored):
-            witness = self.sweep(colored)
-        else:
-            witness = self._sweep_changed(colored, before.items() ^ now.items())
-        if witness is None and len(now) == len(colored):
+        whole = before is None or len(now) != len(boxes)
+        witness = None if whole else self._sweep_changed(boxes, before.items() ^ now.items())
+        if whole or witness is not None:
+            witness = self.sweep([(AxisRect(x1, x2, y1, y2, oid), color)
+                                  for oid, (x1, x2, y1, y2, color) in boxes]) or witness
+        if witness is None and len(now) == len(boxes):
             self.passed = now
         return witness
 
-    def _sweep_changed(self, colored, changed) -> Witness | None:
+    def _sweep_changed(self, boxes, changed) -> Witness | None:
         if not changed:
             return None
         x1s, x2s, y1s, y2s, _ = zip(*(entry for _, entry in changed))
         x1, x2, y1, y2 = min(x1s), max(x2s), min(y1s), max(y2s)
-        clipped = [(AxisRect(max(r.x1, x1), min(r.x2, x2), max(r.y1, y1), min(r.y2, y2), r.id), c)
-                   for r, c in colored
-                   if r.x1 <= x2 and x1 <= r.x2 and r.y1 <= y2 and y1 <= r.y2]
-        witness = self.sweep(clipped)
-        if witness is not None:
-            witness = self.sweep(colored) or witness
-        return witness
+        return self.sweep([(AxisRect(max(a, x1), min(b, x2), max(c, y1), min(d, y2), oid), color)
+                           for oid, (a, b, c, d, color) in boxes
+                           if a <= x2 and x1 <= b and c <= y2 and y1 <= d])
 
 
 # ---------------------------------------------------------------------------

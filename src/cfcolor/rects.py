@@ -168,10 +168,8 @@ class UniverseRectCF(Partition):
         report = super().audit()
         if report is not None:
             return report
-        for cell in self.cells.values():
+        for key, cell in self.cells.items():
             for oid, r in cell.rects.items():
-                # routing soundness: no strict x-ancestor's value is contained
-                for av in skeleton_path_values(self.slots, int(r.x1), int(r.x2)):
-                    if r.x1 <= av <= r.x2:
-                        return ViolationReport(None, f"rect {oid} not at highest x-node")
+                if self.route(r)[0] != key:
+                    return ViolationReport(None, f"rect {oid} not at its highest skeleton nodes")
         return None

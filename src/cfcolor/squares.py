@@ -26,7 +26,6 @@ class PinnedSquareCF(DirectionalCell):
     """One cell: CF-coloring of unit squares that all contain `pin`."""
 
     SELECTORS = ((NE, SE, SW, NW),)
-    rect = staticmethod(UnitSquare.to_rect)
 
     def __init__(self, pin: Pt, tag: int = 0) -> None:
         super().__init__(pin, tag)
@@ -36,6 +35,11 @@ class PinnedSquareCF(DirectionalCell):
     def keys(self, sq: UnitSquare) -> tuple:
         y = KeyOrder(sq.y, sq.id)
         return ((KeyOrder(sq.x, sq.id), y, y),)
+
+    def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
+        g = self.global_color
+        return [(oid, (sq.x, sq.x + 1.0, sq.y, sq.y + 1.0, g(self.colors[oid])))
+                for oid, sq in self.objects.items()]
 
 
 def route_square(sq: UnitSquare) -> tuple[int, int]:

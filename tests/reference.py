@@ -3,7 +3,9 @@
 Walks, decoders, per-square color readings and palette sizes that only
 tests need, and the plain oracle checks that the sweeps and running-count
 versions in cfcolor.oracle are compared with: per probe point over the
-probe grid, and per window over canonical rectangles.
+probe grid, and per window over canonical rectangles.  Also the colored
+rectangles of a geometric structure, and the tree audit as a closure that
+the module-level walk in cfcolor.augtree is compared with.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from cfcolor.augtree import AugTree, Node
+from cfcolor.augtree import RED, AugTree, Node, ViolationReport
 from cfcolor.geom import AxisRect, Pt
 from cfcolor.oracle import Witness, _between, _group_bounds
 
@@ -30,6 +32,76 @@ def nodes(tree: AugTree) -> Iterator[Node]:
 def leaves(tree: AugTree) -> Iterator[Node]:
     """The tree's leaves in key order."""
     return (v for v in nodes(tree) if v.is_leaf)
+
+
+def audit(tree: AugTree) -> ViolationReport | None:
+    """AugTree.audit as a recursive closure that returns the first
+    violation up the call chain."""
+    if tree.root is None:
+        return None if tree.size == 0 else ViolationReport(None, "size mismatch")
+    if tree.root.color is RED:
+        return ViolationReport(tree.root, "root is red")
+
+    leaves_seen: list[Node] = []
+
+    def check(v: Node) -> tuple[int, object, object] | ViolationReport:
+        """Returns (black-height, min key, max key) or the first violation."""
+        if v.is_leaf:
+            leaves_seen.append(v)
+            if v.height != 0:
+                return ViolationReport(v, f"leaf height {v.height} != 0")
+            if v.color is RED:
+                return ViolationReport(v, "red leaf")
+            return 1, v.key, v.key
+        if v.left is None or v.right is None:
+            return ViolationReport(v, "internal node missing a child")
+        if v.left.parent is not v or v.right.parent is not v:
+            return ViolationReport(v, "broken parent link")
+        if v.color is RED and (v.left.color is RED or v.right.color is RED):
+            return ViolationReport(v, "red node with red child")
+        lres = check(v.left)
+        if isinstance(lres, ViolationReport):
+            return lres
+        rres = check(v.right)
+        if isinstance(rres, ViolationReport):
+            return rres
+        lbh, lmin, lmax = lres
+        rbh, rmin, rmax = rres
+        if lbh != rbh:
+            return ViolationReport(v, f"black-height mismatch {lbh} != {rbh}")
+        if not (lmax <= v.key < rmin):
+            return ViolationReport(v, "routing split out of order")
+        if v.height != max(v.left.height, v.right.height) + 1:
+            return ViolationReport(v, f"stale height {v.height}")
+        if v.ymax != max(v.left.ymax, v.right.ymax):
+            return ViolationReport(v, "stale ymax summary")
+        if v.ymin != min(v.left.ymin, v.right.ymin):
+            return ViolationReport(v, "stale ymin summary")
+        return lbh + (0 if v.color is RED else 1), lmin, rmax
+
+    res = check(tree.root)
+    if isinstance(res, ViolationReport):
+        return res
+    if len(leaves_seen) != tree.size:
+        return ViolationReport(None, f"size {tree.size} != {len(leaves_seen)} leaves")
+    for a, b in zip(leaves_seen, leaves_seen[1:]):
+        if not a.key < b.key:
+            return ViolationReport(b, "in-order keys not strictly increasing")
+    for oid, leaf in tree.leaf_by_payload.items():
+        if leaf.payload != oid:
+            return ViolationReport(leaf, "payload index out of sync")
+    return None
+
+
+def colored_rects(structure) -> list[tuple[AxisRect, object]]:
+    """Each stored object's rectangle and global color from the structure's
+    box view, by cell key, then id."""
+    if hasattr(structure, "cells"):
+        cells = [structure.cells[key] for key in sorted(structure.cells)]
+    else:
+        cells = [structure]
+    return [(AxisRect(x1, x2, y1, y2, oid), color) for cell in cells
+            for oid, (x1, x2, y1, y2, color) in sorted(cell.colored_boxes())]
 
 
 def category_heights(cell, oid: int) -> dict[str, int]:

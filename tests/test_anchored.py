@@ -6,7 +6,7 @@ import pytest
 from cfcolor.anchored import AnchoredCF, NotAnchored
 from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, UnknownId
 from cfcolor.oracle import check_cf, recompute_anchored_colors
-from reference import check_cf_probes, nodes as tree_nodes
+from reference import check_cf_probes, colored_rects, nodes as tree_nodes
 
 # Frozen recoloring bound: recolorings <= REC_A * log2(n + 2) + REC_B.
 # Max ratio observed over the seeded runs below is ~1.3; headroom kept.
@@ -39,7 +39,7 @@ def test_three_inserts_conflict_free_at_probes():
     s = AnchoredCF()
     for oid, (x, y) in enumerate([(2, 5), (4, 3), (6, 8)]):
         s.insert(anchored(x, y, oid))
-    assert check_cf_probes(s.colored_rects()) is None
+    assert check_cf_probes(colored_rects(s)) is None
     assert s.colors == recompute_anchored_colors(s.tree)
 
 
@@ -89,7 +89,7 @@ def test_mixed_updates_cf_and_definitional_equality():
             nid += 1
         assert s.colors == recompute_anchored_colors(s.tree)
         if step % 20 == 0 or step > 960:
-            assert check_cf(s.colored_rects()) is None
+            assert check_cf(colored_rects(s)) is None
     assert s.audit() is None
 
 
@@ -165,4 +165,4 @@ def test_ties_in_coordinates_are_tiebroken():
     for oid in range(6):
         s.insert(anchored(5.0, 7.0, oid))  # fully degenerate inputs
     assert s.audit() is None
-    assert check_cf_probes(s.colored_rects()) is None
+    assert check_cf_probes(colored_rects(s)) is None

@@ -20,7 +20,7 @@ from cfcolor.rects import (
     UniverseRectCF,
 )
 from cfcolor.squares import GridSquareCF, PinnedSquareCF
-from reference import leaves
+from reference import colored_rects, leaves
 
 
 def test_compiled_picks_follow_selector_order():
@@ -98,7 +98,7 @@ def test_tied_coordinates_match_the_recompute_after_every_step(case, ops):
 
 def _state(s):
     cells = list(s.cells.values()) if hasattr(s, "cells") else [s]
-    state = {"len": len(s), "colors": s.global_colors(), "rects": s.colored_rects(),
+    state = {"len": len(s), "colors": s.global_colors(), "rects": colored_rects(s),
              "audit": s.audit(),
              "leaves": [[(leaf.key, leaf.payload) for leaf in leaves(tree)]
                         for cell in cells for tree in cell.trees]}

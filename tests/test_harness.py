@@ -23,6 +23,7 @@ from cfcolor.harness import (
     write_report,
     write_workload,
 )
+from reference import colored_rects
 
 
 def test_gen_insert_only_deterministic():
@@ -129,7 +130,7 @@ def test_broken_structure_produces_witness():
 
         def check_oracle(self):
             colored = [(r, GlobalColor(0, 0))
-                       for r, _ in self.structure.colored_rects()]
+                       for r, _ in colored_rects(self.structure)]
             from cfcolor.oracle import check_cf
             return check_cf(colored)
 
@@ -257,7 +258,7 @@ def test_cli_verification_failure_exit_code(tmp_path, monkeypatch):
         def check_oracle(self):
             from cfcolor.oracle import check_cf
             colored = [(r, GlobalColor(0, 0))
-                       for r, _ in self.structure.colored_rects()]
+                       for r, _ in colored_rects(self.structure)]
             return check_cf(colored)
 
     def broken_structure(name, c=None, universe=None):

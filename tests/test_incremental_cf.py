@@ -10,6 +10,7 @@ from cfcolor.geom import AxisRect, Pt
 from cfcolor.harness import generate_workload, make_structure
 from cfcolor.oracle import IncrementalCF, check_cf, check_unimax_rect_ranges
 from cfcolor.unimax import RectPointColorer
+from reference import colored_rects
 
 STREAMS = {
     # structure: (kind, inserts, delete ratio, make_structure params)
@@ -44,7 +45,7 @@ def _planted(colored, victim):
 
 
 def _same(tracker, colored):
-    got = tracker.check(colored)
+    got = tracker.check([(r.id, (r.x1, r.x2, r.y1, r.y2, c)) for r, c in colored])
     want = check_cf(colored)
     assert str(got) == str(want)
     return want
@@ -63,7 +64,7 @@ def test_agrees_with_check_cf_on_replayed_streams_with_planted_faults(structure)
             adapter.insert(ev["id"], ev["object"])
         else:
             adapter.delete(ev["id"])
-        colored = adapter.structure.colored_rects()
+        colored = colored_rects(adapter.structure)
         moved = rects.get(ev["id"])
         rects = {r.id: r for r, _ in colored}
         moved = rects.get(ev["id"], moved)

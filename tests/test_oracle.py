@@ -27,6 +27,7 @@ from cfcolor.oracle import (
 from reference import (
     check_cf_probes,
     check_unimax_probes,
+    colored_rects,
     exhaustive_rect_ranges,
     leaves,
     nodes,
@@ -147,7 +148,7 @@ def test_sweep_memory_stays_bounded():
     cf = AnchoredCF()
     for oid in range(1000):
         cf.insert(rect(0, rng.uniform(0.001, 10), 0, rng.uniform(0.001, 10), oid))
-    colored = cf.colored_rects()
+    colored = colored_rects(cf)
     tracemalloc.start()
     try:
         assert check_cf(colored) is None

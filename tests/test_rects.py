@@ -15,7 +15,7 @@ from cfcolor.rects import (
     skeleton_locate,
     skeleton_path_values,
 )
-from reference import check_cf_probes, pair_decode
+from reference import check_cf_probes, colored_rects, pair_decode
 
 
 def rect(x1, x2, y1, y2, oid):
@@ -116,7 +116,7 @@ def test_bounded_random_updates_cf_every_step():
             s.insert(rect(x1, x1 + rng.uniform(1, 3), y1, y1 + rng.uniform(1, 3), nid))
             live.append(nid)
             nid += 1
-        assert check_cf(s.colored_rects()) is None
+        assert check_cf(colored_rects(s)) is None
     assert s.audit() is None
 
 
@@ -234,7 +234,7 @@ def test_universe_random_updates_cf_and_color_budget():
             live.append(nid)
             nid += 1
         if step % 10 == 0 or step > 390:
-            assert check_cf(s.colored_rects()) is None
+            assert check_cf(colored_rects(s)) is None
     # distinct colors <= (log2 N + 1)^2 * max distinct pairs per cell
     max_pairs = max(len(set(c.colors.values())) for c in s.cells.values())
     distinct = len(set(s.global_colors().values()))
@@ -244,7 +244,7 @@ def test_universe_random_updates_cf_and_color_budget():
 def test_universe_degenerate_point_rect():
     s = UniverseRectCF(universe=16)
     s.insert(rect(5, 5, 9, 9, 0))
-    assert check_cf(s.colored_rects()) is None
+    assert check_cf(colored_rects(s)) is None
 
 
 def test_pair_encoding_used_by_global_colors():

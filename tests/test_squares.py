@@ -10,7 +10,7 @@ from cfcolor.oracle import (
     recompute_pinned_square_colors,
 )
 from cfcolor.squares import GridSquareCF, PinnedSquareCF, class_tag, route_square
-from reference import category_heights, check_cf_probes, pinned_color
+from reference import category_heights, check_cf_probes, colored_rects, pinned_color
 
 
 def sq(x, y, oid):
@@ -63,7 +63,7 @@ def test_random_squares_cf_at_probes():
     s = GridSquareCF()
     for oid in range(200):
         s.insert(sq(rng.uniform(0, 10), rng.uniform(0, 10), oid))
-    assert check_cf(s.colored_rects()) is None
+    assert check_cf(colored_rects(s)) is None
     for key, cell in s.cells.items():
         assert cell.colors == recompute_pinned_square_colors(cell.tree)
 
@@ -81,7 +81,7 @@ def test_alternating_updates_cf_after_every_step():
             live.append(nid)
             nid += 1
         if step % 10 == 0 or step > 1980:
-            assert check_cf(s.colored_rects()) is None
+            assert check_cf(colored_rects(s)) is None
         for cell in s.cells.values():
             assert cell.colors == recompute_pinned_square_colors(cell.tree)
     assert s.audit() is None
