@@ -6,8 +6,8 @@ Kept out of the tier-1 testpaths; needs pytest-benchmark.  Each state is
 the final coloring of one seeded workload replayed through its structure,
 and every check must find it conflict-free.  The per-step cases time the
 oracle calls of a whole replay, through IncrementalCF and through check_cf,
-and everything a verified step runs: the audit, the colors view and the
-oracle.
+and everything a verified step runs: the audit, the colors and the oracle,
+the last two from one box view.
 """
 
 import copy
@@ -84,15 +84,24 @@ def test_per_step_check_cf(benchmark, name, checker):
     assert benchmark(replay) == [None] * len(steps)
 
 
-@pytest.mark.parametrize("name", ["squares-200", "bounded-200"])
+@pytest.mark.parametrize("name", ["squares-200", "bounded-200", "full-1d-150"])
 def test_per_step_verification(benchmark, name):
-    """The audit, global_colors() and the incremental oracle check of every
-    step, over copies of the structure taken after each event."""
+    """Everything a verified step runs, over copies of the structure taken
+    after each event: the audit (check_invariants on an engine), the colors
+    and the oracle check.  A geometric step reads one box view for both of
+    the last two, as the harness does."""
     states = [copy.deepcopy(adapter.structure) for adapter in _replayed(name)]
 
     def replay():
+        if name.startswith("full-1d"):
+            return [(s.check_invariants(), len(s.global_colors()),
+                     check_cf_intervals([(s.objects[o], c) for o, c in s.actual.items()]))
+                    for s in states]
         cf = IncrementalCF()
-        return [(s.audit(), len(s.global_colors()), cf.check(s.colored_boxes()))
-                for s in states]
+        out = []
+        for s in states:
+            boxes = s.colored_boxes()
+            out.append((s.audit(), len({oid: box[4] for oid, box in boxes}), cf.check(boxes)))
+        return out
 
     assert benchmark(replay) == [(None, len(s), None) for s in states]

@@ -299,13 +299,19 @@ class AugTree:
 
     def audit(self) -> ViolationReport | None:
         """Full traversal check of every structural and augmentation invariant."""
-        if self.root is None:
+        root = self.root
+        if root is None:
             return None if self.size == 0 else ViolationReport(None, "size mismatch")
-        if self.root.color is RED:
-            return ViolationReport(self.root, "root is red")
+        if root.color is RED:
+            return ViolationReport(root, "root is red")
+        # a lone black leaf passes every check below exactly when this holds
+        if (root.payload is not None and root.height == 0 and self.size == 1
+                and len(self.leaf_by_payload) == 1
+                and self.leaf_by_payload.get(root.payload) is root):
+            return None
         leaves: list[Node] = []
         try:
-            _audit_walk(self.root, leaves)
+            _audit_walk(root, leaves)
         except _Violation as exc:
             return exc.args[0]
         if len(leaves) != self.size:

@@ -186,12 +186,15 @@ class DirectionalCell:
 class Partition:
     """Objects routed to DirectionalCells, one cell per routing key.
 
-    A subclass sets CELL and route(obj), which validates obj and returns
-    (cell key, pin, tag).  A cell is created on first use and dropped when
-    it empties.  An update's diff is its cell's diff.
+    A subclass sets CELL, cell_key(obj), the key of the cell obj belongs
+    in, and route(obj), which validates obj and returns (cell key, pin,
+    tag).  A cell is created on first use and dropped when it empties.  An
+    update's diff is its cell's diff.  The audit checks every held object
+    against cell_key; MISROUTED words a miss.
     """
 
     CELL: type[DirectionalCell]
+    MISROUTED = "object {} not in the cell route() gives it"
 
     def __init__(self) -> None:
         self.cells: dict[object, DirectionalCell] = {}
@@ -238,14 +241,29 @@ class Partition:
         return out
 
     def audit(self) -> ViolationReport | None:
+        location = self.location
+        cell_key = self.cell_key
+        held = 0
+        located = True
+        misrouted = None
         for key, cell in self.cells.items():
             report = cell.audit()
             if report is not None:
                 return report
-            if not cell.objects:
+            objects = cell.objects
+            if not objects:
                 return ViolationReport(None, f"empty cell {key} left in the partition")
-        # every object held by one cell, the one its location names
-        held = {oid: key for key, cell in self.cells.items() for oid in cell.objects}
-        if held != self.location or len(held) != sum(map(len, self.cells.values())):
+            held += len(objects)
+            for oid, obj in objects.items():
+                if location.get(oid) != key:
+                    located = False
+                if misrouted is None and cell_key(obj) != key:
+                    misrouted = oid
+        # each held object located at its cell, whose key is distinct, and as
+        # many held as located: every object held by one cell, the one its
+        # location names
+        if not located or held != len(location):
             return ViolationReport(None, "cells out of step with the location map")
+        if misrouted is not None:
+            return ViolationReport(None, self.MISROUTED.format(misrouted))
         return None

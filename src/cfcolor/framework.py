@@ -477,6 +477,19 @@ class _EngineBase:
             return ViolationReport(None, "locate out of sync with the live objects")
         if self.actual.keys() != self.objects.keys():
             return ViolationReport(None, "actual colors out of sync with the live objects")
+        # every member's level and resolved color, in one top-down pass; the
+        # per-object loop below runs only to word a mismatch
+        locate: dict[ObjectId, int] = {}
+        actual: dict[ObjectId, tuple[int, int]] = {}
+        resolved = True
+        for lv in self.levels:
+            piece = lv.piece
+            if piece is not None:
+                locate.update(dict.fromkeys(piece.members, lv.index))
+                resolved = resolved and _resolve_all(piece, piece.members, actual)
+        # a plain (tag, color) tuple equals the GlobalColor of the same values
+        if resolved and locate == self.locate and actual == self.actual:
+            return None
         for oid, i in self.locate.items():
             piece = self.levels[i].piece if 0 <= i < len(self.levels) else None
             if piece is None or oid not in piece.members:
@@ -485,6 +498,29 @@ class _EngineBase:
             if self._resolve(piece, oid) != self.actual[oid]:
                 return ViolationReport(None, f"actual color of {oid} out of sync")
         return None
+
+
+def _resolve_all(piece: Piece, todo, out: dict) -> bool:
+    """Put in out the color _EngineBase._resolve(piece, o) gives each o of
+    todo, as a (tag, color) tuple; False if one has no hosting child."""
+    star = piece.star
+    tag = pair_encode(*piece.palette)
+    colors = piece.colors
+    rest = []
+    for o in todo:
+        if o in star:
+            out[o] = (tag, colors[o])
+        else:
+            rest.append(o)
+    for ch in piece.children:
+        if not rest:
+            break
+        members = ch.members
+        hosted = [o for o in rest if o in members]
+        if hosted and not _resolve_all(ch, hosted, out):
+            return False
+        rest = [o for o in rest if o not in members]
+    return not rest
 
 
 class SemiDynamicEngine(_EngineBase):

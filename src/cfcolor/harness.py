@@ -60,10 +60,11 @@ identically across platforms.
 Verification modes: "none", "invariants" (structure audits and the color
 check every step), "oracle-sampled" (both, plus ground-truth conflict-free
 checks, every step while n <= 256, every 32nd step beyond, and always at
-the final state), and "oracle-every-step".  A geometric structure's oracle
-check and its global_colors() read one view, colored_boxes(): (id, (x1,
-x2, y1, y2, color)) per object.  After a passing check the next one sweeps
-only the box around the old and new rectangles of objects changed since
+the final state), and "oracle-every-step".  A verified step reads a
+geometric structure's view, colored_boxes(): (id, (x1, x2, y1, y2,
+color)) per object, once; the colors check and the oracle share it, and
+an update drops it.  After a passing check the next one sweeps only the
+box around the old and new rectangles of objects changed since
 (oracle.IncrementalCF): a point outside keeps the cover that passed.
 """
 
@@ -100,6 +101,8 @@ _FLOAT_MAX = sys.float_info.max
 _ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _ROWS_PER_ENCODE = 256
 _encode_event = json.JSONEncoder(sort_keys=True).encode
+_decode_event = json.JSONDecoder().raw_decode
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"   # what bytes.strip() strips
 
 
 class InvalidParams(ValueError):
@@ -301,31 +304,66 @@ def _object_error(obj) -> str | None:
     return None if problem is None else f"{kind} {problem}: {obj!r}"
 
 
-def read_workload(path: str) -> list[dict]:
-    """Parse and validate a JSONL workload; any bad record raises ParseError."""
+def _checked_event(lineno: int, ev):
+    """ev, if it is a valid event; ParseError otherwise."""
+    if type(ev) is not dict or ev.get("op") not in ("insert", "delete") or "id" not in ev:
+        raise ParseError(f"line {lineno}: malformed event {ev!r}")
+    if type(ev["id"]) is not int:
+        raise ParseError(f"line {lineno}: id must be an int, got {ev['id']!r}")
+    if ev["op"] == "insert":
+        if "object" not in ev:
+            raise ParseError(f"line {lineno}: insert without object")
+        error = _object_error(ev["object"])
+        if error is not None:
+            raise ParseError(f"line {lineno}: {error}")
+    return ev
+
+
+def _read_lines(data: bytes) -> list[dict]:
+    """Each line stripped of ASCII whitespace and parsed by json.loads."""
     events = []
+    for lineno, line in enumerate(data.split(b"\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            ev = json.loads(line)
+        # ValueError covers bad JSON and bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        events.append(_checked_event(lineno, ev))
+    return events
+
+
+def read_workload(path: str) -> list[dict]:
+    """Parse and validate a JSONL workload; any bad record raises ParseError.
+
+    The file is decoded once, as json.loads decodes UTF-8 bytes, and each
+    line, stripped as bytes.strip() would, goes to one raw_decode.  A line
+    raw_decode takes whole is one json.loads(bytes) reads as UTF-8 to the
+    same value: it picks another codec only for a line that opens with a
+    BOM or has a NUL byte, and raw_decode takes neither.  A file that is
+    not UTF-8, or has a line raw_decode does not take whole, is read again
+    line by line, which words the error.
+    """
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ev = json.loads(line)
-            # ValueError covers bad JSON and bytes that are not UTF-8
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if type(ev) is not dict or ev.get("op") not in ("insert", "delete") \
-                    or "id" not in ev:
-                raise ParseError(f"line {lineno}: malformed event {ev!r}")
-            if type(ev["id"]) is not int:
-                raise ParseError(f"line {lineno}: id must be an int, got {ev['id']!r}")
-            if ev["op"] == "insert":
-                if "object" not in ev:
-                    raise ParseError(f"line {lineno}: insert without object")
-                error = _object_error(ev["object"])
-                if error is not None:
-                    raise ParseError(f"line {lineno}: {error}")
-            events.append(ev)
+        data = fh.read()
+    try:
+        text = data.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        return _read_lines(data)
+    events = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip(_ASCII_WHITESPACE)
+        if not line:
+            continue
+        try:
+            ev, end = _decode_event(line)
+        except (ValueError, RecursionError):
+            return _read_lines(data)
+        if end != len(line):
+            return _read_lines(data)
+        events.append(_checked_event(lineno, ev))
     return events
 
 
@@ -352,18 +390,29 @@ class _GeometricAdapter:
         self.to_object = to_object
         # check_cf looked up here on every call, as in STRUCTURES
         self.cf = IncrementalCF(lambda colored: check_cf(colored))
+        self._boxes = None   # colored_boxes() of the state as it is, once read
 
     def insert(self, oid, payload):
+        self._boxes = None
         return self.structure.insert(self.to_object(oid, payload))
 
     def delete(self, oid):
+        self._boxes = None
         return self.structure.delete(oid)
 
     def __len__(self):
         return len(self.structure)
 
+    def _view(self):
+        """The structure's box view, read once per state: the colors check
+        and the oracle share it."""
+        boxes = self._boxes
+        if boxes is None:
+            boxes = self._boxes = self.structure.colored_boxes()
+        return boxes
+
     def colors(self):
-        return self.structure.global_colors()
+        return {oid: box[4] for oid, box in self._view()}
 
     def total_recolorings(self):
         return self.structure.total_recolorings
@@ -372,7 +421,7 @@ class _GeometricAdapter:
         return self.structure.audit()
 
     def check_oracle(self):
-        return self.cf.check(self.structure.colored_boxes())
+        return self.cf.check(self._view())
 
     def framework_info(self):
         return None
@@ -394,6 +443,9 @@ class _FrameworkAdapter(_GeometricAdapter):
         if not self.supports_delete:
             raise KindMismatch("insert-only structure cannot replay deletions")
         return self.structure.delete(oid)
+
+    def colors(self):
+        return self.structure.global_colors()
 
     def check_invariants(self):
         return self.structure.check_invariants()

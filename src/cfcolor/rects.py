@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 
-from .augtree import ViolationReport
 from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tree_color
 from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode
 
@@ -93,9 +92,12 @@ class BoundedRectCF(Partition):
         m = self.class_modulus
         return (ci % m) * m + (cj % m)
 
+    def cell_key(self, r: AxisRect) -> tuple[int, int]:
+        return math.ceil(r.x1), math.ceil(r.y1)
+
     def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
         check_sides(r.x2 - r.x1, r.y2 - r.y1, self.c)
-        key = (math.ceil(r.x1), math.ceil(r.y1))
+        key = self.cell_key(r)
         return key, Pt(float(key[0]), float(key[1])), self.class_tag(*key)
 
 
@@ -119,25 +121,11 @@ def skeleton_locate(n_slots: int, lo_val: int, hi_val: int) -> tuple[int, int, i
             heap, level = 2 * heap + 1, level + 1
 
 
-def skeleton_path_values(n_slots: int, lo_val: int, hi_val: int) -> list[int]:
-    """Midpoint values of the strict ancestors visited before the located node."""
-    out = []
-    lo, hi = 0, n_slots - 1
-    while True:
-        mid = (lo + hi) // 2
-        if lo_val <= mid <= hi_val:
-            return out
-        out.append(mid)
-        if hi_val < mid:
-            hi = mid
-        else:
-            lo = mid + 1
-
-
 class UniverseRectCF(Partition):
     """Arbitrary rectangles with integer coordinates from {0..N-1}."""
 
     CELL = CommonPointCF
+    MISROUTED = "rect {} not at its highest skeleton nodes"
 
     def __init__(self, universe: int) -> None:
         check_universe_size(universe)
@@ -164,12 +152,5 @@ class UniverseRectCF(Partition):
         hy, yv, ly = skeleton_locate(self.slots, y1, y2)
         return (hx, hy), Pt(float(xv), float(yv)), lx * self.levels + ly
 
-    def audit(self) -> ViolationReport | None:
-        report = super().audit()
-        if report is not None:
-            return report
-        for key, cell in self.cells.items():
-            for oid, r in cell.rects.items():
-                if self.route(r)[0] != key:
-                    return ViolationReport(None, f"rect {oid} not at its highest skeleton nodes")
-        return None
+    def cell_key(self, r: AxisRect) -> tuple[int, int]:
+        return self.route(r)[0]

@@ -56,7 +56,8 @@ class GridSquareCF(Partition):
     """CF-coloring of arbitrary unit squares via the integer-grid cells."""
 
     CELL = PinnedSquareCF
+    cell_key = staticmethod(route_square)
 
     def route(self, sq: UnitSquare) -> tuple[tuple[int, int], Pt, int]:
-        key = route_square(sq)
+        key = self.cell_key(sq)
         return key, Pt(float(key[0]), float(key[1])), class_tag(*key)

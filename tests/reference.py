@@ -4,17 +4,21 @@ Walks, decoders, per-square color readings and palette sizes that only
 tests need, and the plain oracle checks that the sweeps and running-count
 versions in cfcolor.oracle are compared with: per probe point over the
 probe grid, and per window over canonical rectangles.  Also the colored
-rectangles of a geometric structure, and the tree audit as a closure that
-the module-level walk in cfcolor.augtree is compared with.
+rectangles of a geometric structure, the tree audit as a closure that
+the module-level walk in cfcolor.augtree is compared with, the engines'
+locate/actual check object by object, and the workload reader that runs
+json.loads line by line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterator
 
 from cfcolor.augtree import RED, AugTree, Node, ViolationReport
 from cfcolor.geom import AxisRect, Pt
+from cfcolor.harness import ParseError, _object_error
 from cfcolor.oracle import Witness, _between, _group_bounds
 
 
@@ -102,6 +106,22 @@ def colored_rects(structure) -> list[tuple[AxisRect, object]]:
         cells = [structure]
     return [(AxisRect(x1, x2, y1, y2, oid), color) for cell in cells
             for oid, (x1, x2, y1, y2, color) in sorted(cell.colored_boxes())]
+
+
+def skeleton_path_values(n_slots: int, lo_val: int, hi_val: int) -> list[int]:
+    """Midpoint values of the strict ancestors cfcolor.rects.skeleton_locate
+    visits before the located node."""
+    out = []
+    lo, hi = 0, n_slots - 1
+    while True:
+        mid = (lo + hi) // 2
+        if lo_val <= mid <= hi_val:
+            return out
+        out.append(mid)
+        if hi_val < mid:
+            hi = mid
+        else:
+            lo = mid + 1
 
 
 def category_heights(cell, oid: int) -> dict[str, int]:
@@ -236,3 +256,47 @@ def star_target(piece) -> set:
     if piece.pinned is not None:
         target.add(piece.pinned)
     return target
+
+
+def locate_actual_report(engine) -> ViolationReport | None:
+    """The last checks of an engine's check_invariants, object by object:
+    locate and actual against the live objects and the level pieces."""
+    if engine.locate.keys() != engine.objects.keys():
+        return ViolationReport(None, "locate out of sync with the live objects")
+    if engine.actual.keys() != engine.objects.keys():
+        return ViolationReport(None, "actual colors out of sync with the live objects")
+    for oid, i in engine.locate.items():
+        piece = engine.levels[i].piece if 0 <= i < len(engine.levels) else None
+        if piece is None or oid not in piece.members:
+            return ViolationReport(
+                None, f"locate puts {oid} at level {i}, which does not hold it")
+        if engine._resolve(piece, oid) != engine.actual[oid]:
+            return ViolationReport(None, f"actual color of {oid} out of sync")
+    return None
+
+
+def read_workload(path: str) -> list[dict]:
+    """cfcolor.harness.read_workload, one json.loads per binary line."""
+    events = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                ev = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+            if type(ev) is not dict or ev.get("op") not in ("insert", "delete") \
+                    or "id" not in ev:
+                raise ParseError(f"line {lineno}: malformed event {ev!r}")
+            if type(ev["id"]) is not int:
+                raise ParseError(f"line {lineno}: id must be an int, got {ev['id']!r}")
+            if ev["op"] == "insert":
+                if "object" not in ev:
+                    raise ParseError(f"line {lineno}: insert without object")
+                error = _object_error(ev["object"])
+                if error is not None:
+                    raise ParseError(f"line {lineno}: {error}")
+            events.append(ev)
+    return events

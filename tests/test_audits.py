@@ -1,7 +1,8 @@
-"""The tree audit against the reference closure, fault by fault, and the
-faults the tree and partition audits must see: a payload index that is not
-the set of leaves walked, cells out of step with `location`, and a
-universe rectangle held below its highest skeleton nodes."""
+"""The tree audit against the reference closure, fault by fault, on
+grown trees and on a lone leaf, and the faults the tree and partition
+audits must see: a payload index that is not the set of leaves walked,
+cells out of step with `location`, and an object held in a cell other
+than the one route() gives it."""
 
 import random
 
@@ -9,7 +10,7 @@ import pytest
 
 from cfcolor.augtree import BLACK, RED, AugTree, Node
 from cfcolor.geom import AxisRect, KeyOrder, Pt, UnitSquare
-from cfcolor.rects import CommonPointCF, UniverseRectCF
+from cfcolor.rects import BoundedRectCF, CommonPointCF, UniverseRectCF
 from cfcolor.squares import GridSquareCF
 import reference
 from reference import leaves, nodes
@@ -135,6 +136,53 @@ def test_audit_matches_the_reference_on_planted_faults(fault, seed):
     assert got is not None and got.node is want.node and got.reason == want.reason
 
 
+def _lone_leaf():
+    tree = AugTree()
+    tree.insert(KeyOrder(3.0, 7), 7, KeyOrder(1.0, 7), KeyOrder(1.0, 7))
+    assert tree.root.is_leaf and tree.audit() is None
+    return tree
+
+
+# a red lone leaf is a red root
+LONE_LEAF_FAULTS = {"leaf height": _leaf_height, "root is red": _red_root, "size": _size}
+
+
+@pytest.mark.parametrize("fault", sorted(LONE_LEAF_FAULTS))
+def test_lone_leaf_audit_matches_the_reference(fault):
+    tree = _lone_leaf()
+    LONE_LEAF_FAULTS[fault](tree)
+    got, want = tree.audit(), reference.audit(tree)
+    assert want is not None and want.reason.startswith(fault)
+    assert got is not None and got.node is want.node and got.reason == want.reason
+
+
+def _extra_entry(tree):
+    key = KeyOrder(99.0, 99)
+    tree.leaf_by_payload[99] = Node(key, 99, key, key, BLACK)
+
+
+def _detached_copy(tree):
+    leaf = tree.root
+    tree.leaf_by_payload[7] = Node(leaf.key, 7, leaf.ymax, leaf.ymin, BLACK)
+
+
+def _no_entry(tree):
+    del tree.leaf_by_payload[7]
+
+
+@pytest.mark.parametrize("plant, node, reason", [
+    (_extra_entry, None, "payload index 2 != 1 leaves"),
+    (_detached_copy, "root", "payload index out of sync"),
+    (_no_entry, None, "payload index 0 != 1 leaves"),
+])
+def test_lone_leaf_audit_sees_its_index(plant, node, reason):
+    tree = _lone_leaf()
+    plant(tree)
+    report = tree.audit()
+    assert report is not None and report.reason == reason
+    assert report.node is (tree.root if node == "root" else None)
+
+
 def _six_leaves():
     tree = AugTree()
     for oid in range(6):
@@ -209,3 +257,33 @@ def test_universe_audit_sees_a_rect_below_its_highest_skeleton_nodes():
     s.location[0] = (6, 1)
     report = s.audit()
     assert report is not None and "highest skeleton nodes" in report.reason
+
+
+def test_bounded_audit_sees_a_rect_outside_its_routed_cell():
+    s = BoundedRectCF(3.0)
+    moved = AxisRect(0.5, 2.5, 0.5, 2.5, 0)
+    s.insert(moved)
+    assert s.location == {0: (1, 1)} and s.audit() is None
+    # into a new cell at (2, 2), whose pin it contains
+    s.cells.pop((1, 1)).delete(0)
+    cell = CommonPointCF(Pt(2.0, 2.0), s.class_tag(2, 2))
+    cell.insert(moved)
+    s.cells[(2, 2)] = cell
+    s.location[0] = (2, 2)
+    assert s.route(moved)[0] == (1, 1)
+    report = s.audit()
+    assert report is not None and report.reason == "object 0 not in the cell route() gives it"
+
+
+def test_squares_audit_sees_a_square_outside_its_routed_cell():
+    s = GridSquareCF()
+    moved = UnitSquare(1.0, 0.5, 0)   # holds grid points (1, 1) and (2, 1)
+    s.insert(moved)
+    s.insert(UnitSquare(1.5, 0.7, 1))
+    assert s.location == {0: (1, 1), 1: (2, 1)} and s.audit() is None
+    s.cells[(1, 1)].delete(0)
+    del s.cells[(1, 1)]
+    s.cells[(2, 1)].insert(moved)
+    s.location[0] = (2, 1)
+    report = s.audit()
+    assert report is not None and report.reason == "object 0 not in the cell route() gives it"

@@ -13,9 +13,8 @@ from cfcolor.rects import (
     SizeOutOfRange,
     UniverseRectCF,
     skeleton_locate,
-    skeleton_path_values,
 )
-from reference import check_cf_probes, colored_rects, pair_decode
+from reference import check_cf_probes, colored_rects, pair_decode, skeleton_path_values
 
 
 def rect(x1, x2, y1, y2, oid):
