@@ -4,15 +4,19 @@
 
 Kept out of the tier-1 testpaths; needs pytest-benchmark.  Each update
 benchmark replays one fixed seeded insert/delete stream into a fresh
-structure; the walk benchmark colors every square of one large pinned cell.
+structure; the tree benchmark replays the anchored stream's keys into a
+bare AugTree and derives each update's dirty candidates, which times the
+tree layer apart from the cells; the walk benchmark colors every square of
+one large pinned cell.
 """
 
 import random
 
 import pytest
 
+from cfcolor.augtree import AugTree, dirty_candidates
 from cfcolor.cells import tree_color
-from cfcolor.geom import Pt, UnitSquare
+from cfcolor.geom import KeyOrder, Pt, UnitSquare
 from cfcolor.harness import generate_workload, make_structure
 from cfcolor.squares import PinnedSquareCF
 
@@ -44,6 +48,29 @@ def test_updates(benchmark, name):
            for ev in generate_workload(kind, n, delete_ratio, SEED, **params)]
     structure = benchmark(_replay, name, ops)
     assert structure.audit() is None
+
+
+def _tree_replay(ops):
+    tree = AugTree()
+    for op, key, oid, y in ops:
+        dirty_candidates(tree.insert(key, oid, y, y) if op == "insert" else tree.delete(key))
+    return tree
+
+
+def test_tree_updates(benchmark):
+    kind, n, delete_ratio, params = STREAMS["anchored"]
+    keys = {}
+    ops = []
+    for ev in generate_workload(kind, n, delete_ratio, SEED, **params):
+        oid = ev["id"]
+        if ev["op"] == "insert":
+            obj = ev["object"]
+            keys[oid] = KeyOrder(obj["x2"], oid)
+            ops.append(("insert", keys[oid], oid, KeyOrder(obj["y2"], oid)))
+        else:
+            ops.append(("delete", keys.pop(oid), oid, None))
+    tree = benchmark(_tree_replay, ops)
+    assert tree.audit() is None and sorted(tree.leaf_by_payload) == sorted(keys)
 
 
 def test_tree_color_large_square_cell(benchmark):

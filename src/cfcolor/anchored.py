@@ -13,7 +13,7 @@ exact.
 
 from __future__ import annotations
 
-from .cells import NE, DirectionalCell
+from .cells import NE, DirectionalCell, tuple_new
 from .geom import AxisRect, KeyOrder, Pt
 
 ANCHORED_SCHEME_TAG = 0
@@ -37,5 +37,6 @@ class AnchoredCF(DirectionalCell):
             raise NotAnchored(f"rectangle not anchored at the origin: {r}")
 
     def keys(self, r: AxisRect) -> tuple:
-        y = KeyOrder(r.y2, r.id)
-        return ((KeyOrder(r.x2, r.id), y, y),)
+        oid = r.id
+        y = tuple_new(KeyOrder, (r.y2, oid))
+        return ((tuple_new(KeyOrder, (r.x2, oid)), y, y),)

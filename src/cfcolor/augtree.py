@@ -9,7 +9,9 @@ split goes left) and exactly two children.  Every node is augmented with
 
 where the tiebreak of ymax/ymin is the owning object's id.  Updates return
 a DirtyLog covering every node whose augmentation changed, which is what
-the coloring layers consume to recompute affected colors.
+the coloring layers consume to recompute affected colors: one slotted
+DirtyEntry per node, kept in a node -> entry dict, so touching or removing
+a node is O(1).  dirty_candidates turns a log into object ids in one pass.
 
 The rebalancing is the classic red-black scheme where leaves play the role
 of (data-carrying) black nil nodes: an insertion splices a red internal
@@ -61,9 +63,9 @@ class Node:
         return self.payload is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class DirtyEntry:
-    """One touched node with its pre-update augmentation."""
+    """One touched node with its pre-update augmentation (None if created)."""
 
     node: Node
     old_ymax: KeyOrder | None
@@ -73,37 +75,38 @@ class DirtyEntry:
 
 
 class DirtyLog:
-    """Superset of the nodes whose (height, ymax, ymin) changed in one update."""
+    """Superset of the nodes whose (height, ymax, ymin) changed in one update:
+    one entry per node in first-touch order (a Node hashes by identity).  A
+    later touch is a no-op; remove() flags the entry, or adds a removed one."""
+
+    __slots__ = ("_by_node",)
 
     def __init__(self) -> None:
-        self.entries: list[DirtyEntry] = []
-        self._seen: set[int] = set()
+        self._by_node: dict[Node, DirtyEntry] = {}
 
     def touch(self, node: Node, created: bool = False) -> None:
-        if id(node) in self._seen:
-            return
-        self._seen.add(id(node))
-        if created:
-            self.entries.append(DirtyEntry(node, None, None, created=True))
-        else:
-            self.entries.append(DirtyEntry(node, node.ymax, node.ymin))
+        by_node = self._by_node
+        if node not in by_node:
+            by_node[node] = (DirtyEntry(node, None, None, True) if created
+                             else DirtyEntry(node, node.ymax, node.ymin))
 
     def remove(self, node: Node) -> None:
         # removal dominates: keep old values but mark dead
-        if id(node) in self._seen:
-            for e in self.entries:
-                if e.node is node:
-                    e.removed = True
-                    return
-        self._seen.add(id(node))
-        self.entries.append(
-            DirtyEntry(node, node.ymax, node.ymin, removed=True))
+        entry = self._by_node.get(node)
+        if entry is None:
+            self._by_node[node] = DirtyEntry(node, node.ymax, node.ymin, removed=True)
+        else:
+            entry.removed = True
+
+    @property
+    def entries(self) -> list[DirtyEntry]:
+        return list(self._by_node.values())
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._by_node)
 
     def __iter__(self) -> Iterator[DirtyEntry]:
-        return iter(self.entries)
+        return iter(self._by_node.values())
 
 
 @dataclass
@@ -126,7 +129,7 @@ class AugTree:
         v = self.root
         if v is None:
             return None
-        while not v.is_leaf:
+        while v.payload is None:
             v = v.left if key <= v.key else v.right
         return v if v.key == key else None
 
@@ -134,9 +137,10 @@ class AugTree:
 
     def _refresh(self, v: Node, log: DirtyLog) -> bool:
         """Recompute v's augmentation from its children; True if it changed."""
-        h = max(v.left.height, v.right.height) + 1
-        ymax = max(v.left.ymax, v.right.ymax)
-        ymin = min(v.left.ymin, v.right.ymin)
+        left, right = v.left, v.right
+        h = (right.height if right.height > left.height else left.height) + 1
+        ymax = right.ymax if right.ymax > left.ymax else left.ymax
+        ymin = right.ymin if right.ymin < left.ymin else left.ymin
         if h != v.height or ymax != v.ymax or ymin != v.ymin:
             log.touch(v)
             v.height, v.ymax, v.ymin = h, ymax, ymin
@@ -181,22 +185,23 @@ class AugTree:
 
     def insert(self, key: KeyOrder, payload: ObjectId,
                ymax: KeyOrder, ymin: KeyOrder) -> DirtyLog:
+        # both checks precede any change, so a refused insert changes nothing
+        if payload in self.leaf_by_payload:
+            raise DuplicateKey(f"payload already present: {payload}")
+        v = self.root
+        if v is not None:
+            while v.payload is None:
+                v = v.left if key <= v.key else v.right
+            if v.key == key:
+                raise DuplicateKey(f"key already present: {key}")
         log = DirtyLog()
         leaf = Node(key, payload, ymax, ymin, BLACK)
         log.touch(leaf, created=True)
         self.leaf_by_payload[payload] = leaf
-
-        if self.root is None:
+        self.size += 1
+        if v is None:
             self.root = leaf
-            self.size = 1
             return log
-
-        v = self.root
-        while not v.is_leaf:
-            v = v.left if key <= v.key else v.right
-        if v.key == key:
-            del self.leaf_by_payload[payload]
-            raise DuplicateKey(f"key already present: {key}")
 
         # splice a red internal node above the reached leaf
         if key <= v.key:
@@ -212,7 +217,6 @@ class AugTree:
         right.parent = inner
         self._refresh(inner, log)
         self._refresh_to_root(inner.parent, log)
-        self.size += 1
         self._insert_fixup(inner, log)
         return log
 
@@ -370,23 +374,22 @@ def dirty_candidates(log: DirtyLog) -> set[ObjectId]:
     after the update, through its own summaries, its children's summaries,
     or its payload.  Summary references through a node's children are what
     the coloring rules read, so a height change at a touched node is
-    covered by including its current child summaries.
+    covered by including its current child summaries.  A live internal
+    node's own summaries are one of its children's, so those cover them.
     """
     out: set[ObjectId] = set()
+    add = out.add
     for e in log:
-        if e.old_ymax is not None:
-            out.add(e.old_ymax.tiebreak)
-        if e.old_ymin is not None:
-            out.add(e.old_ymin.tiebreak)
+        if not e.created:
+            add(e.old_ymax[1])
+            add(e.old_ymin[1])
         node = e.node
-        if node.is_leaf:
-            out.add(node.payload)
-            continue
-        if e.removed:
-            continue  # child links may be stale; old summaries already added
-        out.add(node.ymax.tiebreak)
-        out.add(node.ymin.tiebreak)
-        for child in (node.left, node.right):
-            out.add(child.ymax.tiebreak)
-            out.add(child.ymin.tiebreak)
+        if node.payload is not None:
+            add(node.payload)
+        elif not e.removed:  # a removed node's child links may be stale
+            left, right = node.left, node.right
+            add(left.ymax[1])
+            add(left.ymin[1])
+            add(right.ymax[1])
+            add(right.ymin[1])
     return out

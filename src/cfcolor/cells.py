@@ -20,12 +20,20 @@ x1-ordered west tree).
 
 colored_boxes(), the one view the oracle and global_colors() read, lists
 (id, (x1, x2, y1, y2, global color)) per stored object, cell by cell.
+
+The update path.  A cell's keys(obj) and its global colors are KeyOrder and
+GlobalColor values built as tuple_new(KeyOrder, (coordinate, id)): the same
+NamedTuples (callers read .tiebreak), but made by tuple.__new__ in C rather
+than by the NamedTuple's Python-level constructor.  An update recolors the
+dirty_candidates of each tree's log, reading summaries' ids by index.
 """
 
 from __future__ import annotations
 
 from .augtree import LEFT, RIGHT, AugTree, ViolationReport, dirty_candidates
 from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId
+
+tuple_new = tuple.__new__  # tuple_new(KeyOrder, (coordinate, id)) builds a KeyOrder in C
 
 NE = (RIGHT, "ymax")
 SE = (RIGHT, "ymin")
@@ -63,7 +71,7 @@ def tree_color(leaf, k: int, left_pick: tuple[int, ...], right_pick: tuple[int, 
     child = leaf
     v = leaf.parent
     while v is not None:
-        hits = ((child.ymax.tiebreak == oid) << 1) | (child.ymin.tiebreak == oid)
+        hits = ((child.ymax[1] == oid) << 1) | (child.ymin[1] == oid)
         if not hits:
             break
         j = (right_pick if v.right is child else left_pick)[hits]
@@ -119,12 +127,11 @@ class DirectionalCell:
         return self._recolor(candidates, inserted=oid)
 
     def delete(self, oid: ObjectId) -> RecolorDiff:
-        obj = self.objects.pop(oid, None)
-        if obj is None:
+        if self.objects.pop(oid, None) is None:
             raise UnknownId(oid)
         candidates: set[ObjectId] = set()
-        for tree, (key, _, _) in zip(self.trees, self.keys(obj)):
-            candidates |= dirty_candidates(tree.delete(key))
+        for tree in self.trees:
+            candidates |= dirty_candidates(tree.delete(tree.leaf_by_payload[oid].key))
         candidates.discard(oid)
         diff = self._recolor(candidates)
         diff.removed = (oid, self.global_color(self.colors.pop(oid)))
@@ -144,23 +151,27 @@ class DirectionalCell:
     def _recolor(self, candidates: set[ObjectId], inserted: ObjectId | None = None) -> RecolorDiff:
         """Recompute the candidates' colors; the diff against the stored ones."""
         diff = RecolorDiff()
+        changed = diff.changed
         colors = self.colors
+        color = self.color
         g = self.global_color
         for oid in sorted(candidates):
-            new = self.color(oid)
+            new = color(oid)
             if oid == inserted:
                 colors[oid] = new
                 diff.assigned = (oid, g(new))
-            elif colors[oid] != new:
-                diff.changed[oid] = (g(colors[oid]), g(new))
-                colors[oid] = new
-        self.total_recolorings += diff.recolorings
+            else:
+                old = colors[oid]
+                if old != new:
+                    changed[oid] = (g(old), g(new))
+                    colors[oid] = new
+        self.total_recolorings += len(changed)
         return diff
 
     # -- verification views -------------------------------------------------
 
     def global_color(self, c) -> GlobalColor:
-        return GlobalColor(self.tag, c)
+        return tuple_new(GlobalColor, (self.tag, c))
 
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
         return {oid: box[4] for oid, box in self.colored_boxes()}
@@ -187,10 +198,12 @@ class Partition:
     """Objects routed to DirectionalCells, one cell per routing key.
 
     A subclass sets CELL, cell_key(obj), the key of the cell obj belongs
-    in, and route(obj), which validates obj and returns (cell key, pin,
-    tag).  A cell is created on first use and dropped when it empties.  An
-    update's diff is its cell's diff.  The audit checks every held object
-    against cell_key; MISROUTED words a miss.
+    in, check(obj), which raises if obj may not join (no check by default),
+    and either class_tag(i, j) for cells keyed and pinned at integer grid
+    points or its own route(obj) -> (cell key, pin, tag).  A cell is created
+    on first use, the only time route() builds its pin and tag, and dropped
+    when it empties.  An update's diff is its cell's diff.  The audit checks
+    every held object against cell_key; MISROUTED words a miss.
     """
 
     CELL: type[DirectionalCell]
@@ -207,9 +220,11 @@ class Partition:
     def insert(self, obj) -> RecolorDiff:
         if obj.id in self.location:
             raise DuplicateId(obj.id)
-        key, pin, tag = self.route(obj)
+        self.check(obj)
+        key = self.cell_key(obj)
         cell = self.cells.get(key)
         if cell is None:
+            _, pin, tag = self.route(obj)
             cell = self.CELL(pin, tag)
         diff = cell.insert(obj)
         self.cells[key] = cell
@@ -228,6 +243,14 @@ class Partition:
             del self.cells[key]
         self.total_recolorings += diff.recolorings
         return diff
+
+    def check(self, obj) -> None:
+        """Raise if obj may not join the structure."""
+
+    def route(self, obj) -> tuple[object, Pt, int]:
+        """(cell key, pin, tag) of obj's cell; a grid cell's pin is its key."""
+        i, j = key = self.cell_key(obj)
+        return key, Pt(float(i), float(j)), self.class_tag(i, j)
 
     # -- verification views -------------------------------------------------
 

@@ -90,7 +90,7 @@ def pair_encode(a: int, b: int) -> int:
     return s * (s + 1) // 2 + b
 
 
-@dataclass
+@dataclass(slots=True)
 class RecolorDiff:
     """Effect of one update on an existing color assignment.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tree_color
+from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tuple_new, tree_color
 from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode
 
 
@@ -64,9 +64,11 @@ class CommonPointCF(DirectionalCell):
         self.rects: dict[ObjectId, AxisRect] = self.objects
 
     def keys(self, r: AxisRect) -> tuple:
-        ymax = KeyOrder(r.y2, r.id)
-        ymin = KeyOrder(r.y1, r.id)
-        return (KeyOrder(r.x2, r.id), ymax, ymin), (KeyOrder(r.x1, r.id), ymax, ymin)
+        oid = r.id
+        ymax = tuple_new(KeyOrder, (r.y2, oid))
+        ymin = tuple_new(KeyOrder, (r.y1, oid))
+        return ((tuple_new(KeyOrder, (r.x2, oid)), ymax, ymin),
+                (tuple_new(KeyOrder, (r.x1, oid)), ymax, ymin))
 
     def color(self, oid: ObjectId) -> tuple[int, int]:
         east, west = self.RULES
@@ -74,7 +76,7 @@ class CommonPointCF(DirectionalCell):
                 tree_color(self.west.leaf_by_payload[oid], *west))
 
     def global_color(self, pair: tuple[int, int]) -> GlobalColor:
-        return GlobalColor(self.tag, pair_encode(*pair))
+        return tuple_new(GlobalColor, (self.tag, pair_encode(*pair)))
 
 
 class BoundedRectCF(Partition):
@@ -95,10 +97,8 @@ class BoundedRectCF(Partition):
     def cell_key(self, r: AxisRect) -> tuple[int, int]:
         return math.ceil(r.x1), math.ceil(r.y1)
 
-    def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
+    def check(self, r: AxisRect) -> None:
         check_sides(r.x2 - r.x1, r.y2 - r.y1, self.c)
-        key = self.cell_key(r)
-        return key, Pt(float(key[0]), float(key[1])), self.class_tag(*key)
 
 
 def skeleton_locate(n_slots: int, lo_val: int, hi_val: int) -> tuple[int, int, int]:
@@ -136,21 +136,20 @@ class UniverseRectCF(Partition):
             self.slots *= 2
         self.levels = self.slots.bit_length()  # level in 0..levels-1
 
-    def _check_coord(self, v: float) -> int:
-        if not float(v).is_integer():
-            raise CoordinateOutOfUniverse(f"non-integer coordinate {v}")
-        iv = int(v)
-        if not 0 <= iv < self.universe:
-            raise CoordinateOutOfUniverse(f"coordinate {iv} outside [0, {self.universe - 1}]")
-        return iv
+    def check(self, r: AxisRect) -> None:
+        for v in (r.x1, r.x2, r.y1, r.y2):
+            if not float(v).is_integer():
+                raise CoordinateOutOfUniverse(f"non-integer coordinate {v}")
+            iv = int(v)
+            if not 0 <= iv < self.universe:
+                raise CoordinateOutOfUniverse(f"coordinate {iv} outside [0, {self.universe - 1}]")
 
     def route(self, r: AxisRect) -> tuple[tuple[int, int], Pt, int]:
         """(cell key, pin, tag); the tag x-level * levels + y-level names a color set."""
-        x1, x2 = self._check_coord(r.x1), self._check_coord(r.x2)
-        y1, y2 = self._check_coord(r.y1), self._check_coord(r.y2)
-        hx, xv, lx = skeleton_locate(self.slots, x1, x2)
-        hy, yv, ly = skeleton_locate(self.slots, y1, y2)
+        hx, xv, lx = skeleton_locate(self.slots, int(r.x1), int(r.x2))
+        hy, yv, ly = skeleton_locate(self.slots, int(r.y1), int(r.y2))
         return (hx, hy), Pt(float(xv), float(yv)), lx * self.levels + ly
 
     def cell_key(self, r: AxisRect) -> tuple[int, int]:
-        return self.route(r)[0]
+        return (skeleton_locate(self.slots, int(r.x1), int(r.x2))[0],
+                skeleton_locate(self.slots, int(r.y1), int(r.y2))[0])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .cells import NE, NW, SE, SW, DirectionalCell, Partition
+from .cells import NE, NW, SE, SW, DirectionalCell, Partition, tuple_new
 from .geom import KeyOrder, ObjectId, Pt, UnitSquare
 
 GRID_CLASS_MODULUS = 3
@@ -33,8 +33,9 @@ class PinnedSquareCF(DirectionalCell):
         self.squares: dict[ObjectId, UnitSquare] = self.objects
 
     def keys(self, sq: UnitSquare) -> tuple:
-        y = KeyOrder(sq.y, sq.id)
-        return ((KeyOrder(sq.x, sq.id), y, y),)
+        oid = sq.id
+        y = tuple_new(KeyOrder, (sq.y, oid))
+        return ((tuple_new(KeyOrder, (sq.x, oid)), y, y),)
 
     def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
         g = self.global_color
@@ -57,7 +58,4 @@ class GridSquareCF(Partition):
 
     CELL = PinnedSquareCF
     cell_key = staticmethod(route_square)
-
-    def route(self, sq: UnitSquare) -> tuple[tuple[int, int], Pt, int]:
-        key = self.cell_key(sq)
-        return key, Pt(float(key[0]), float(key[1])), class_tag(*key)
+    class_tag = staticmethod(class_tag)

@@ -97,6 +97,23 @@ def audit(tree: AugTree) -> ViolationReport | None:
     return None
 
 
+def reference_dirty_candidates(log) -> set[int]:
+    """cfcolor.augtree.dirty_candidates read straight from its definition:
+    every object a touched node names before the update (old summaries) or
+    after it (payload; unless removed, its own and its children's
+    summaries)."""
+    out = set()
+    for e in log:
+        out.update(old.tiebreak for old in (e.old_ymax, e.old_ymin) if old is not None)
+        node = e.node
+        if node.is_leaf:
+            out.add(node.payload)
+        elif not e.removed:
+            out.update(s.tiebreak for v in (node, node.left, node.right)
+                       for s in (v.ymax, v.ymin))
+    return out
+
+
 def colored_rects(structure) -> list[tuple[AxisRect, object]]:
     """Each stored object's rectangle and global color from the structure's
     box view, by cell key, then id."""

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfcolor.augtree import AugTree, DuplicateKey, KeyNotFound
+from cfcolor.augtree import AugTree, DirtyLog, DuplicateKey, KeyNotFound, Node, dirty_candidates
 from cfcolor.geom import KeyOrder
-from reference import leaves, nodes
+from reference import leaves, nodes, reference_dirty_candidates
 
 # Frozen dirty-log bound: |log| <= DIRTY_A * log2(n + 2) + DIRTY_B per update.
 # Recorded as the max over the seeded runs below, with headroom.
@@ -70,6 +70,72 @@ def test_duplicate_key_rejected():
     insert_obj(tree, 1, 1.0, 1.0)
     with pytest.raises(DuplicateKey):
         insert_obj(tree, 1, 1.0, 2.0)
+
+
+def test_refused_insert_changes_nothing():
+    tree = AugTree()
+    for oid in range(6):
+        insert_obj(tree, oid, oid, 10 - oid)
+    index = dict(tree.leaf_by_payload)
+    shape = [(v.key, v.height, v.color, v.ymax, v.ymin) for v in nodes(tree)]
+    refused = [
+        (xk(2, 2), 2),    # the same (key, payload) again
+        (xk(7, 3), 3),    # a payload already present under another key
+        (xk(4, 4), 99),   # a new payload under a present key
+    ]
+    for key, payload in refused:
+        with pytest.raises(DuplicateKey):
+            tree.insert(key, payload, KeyOrder(0.0, payload), KeyOrder(0.0, payload))
+        assert tree.audit() is None
+        assert tree.size == 6
+        assert tree.leaf_by_payload == index
+        assert all(tree.leaf_by_payload[oid] is leaf for oid, leaf in index.items())
+        assert [(v.key, v.height, v.color, v.ymax, v.ymin) for v in nodes(tree)] == shape
+
+
+def test_dirty_log_keeps_first_touch_order_and_values():
+    a, b, c = (Node(xk(i, i), i, KeyOrder(float(i), i), KeyOrder(-float(i), i), False)
+               for i in range(3))
+    log = DirtyLog()
+    log.touch(a)
+    log.touch(b, created=True)
+    a.ymax = KeyOrder(9.0, 2)
+    log.touch(a)
+    log.touch(c)
+    assert [e.node for e in log] == [a, b, c] and len(log) == 3
+    assert (log.entries[0].old_ymax, log.entries[0].old_ymin) == (KeyOrder(0.0, 0), KeyOrder(-0.0, 0))
+    assert [(e.created, e.removed) for e in log] == [(False, False), (True, False), (False, False)]
+    assert (log.entries[1].old_ymax, log.entries[1].old_ymin) == (None, None)
+
+
+def test_dirty_log_remove_flags_the_touched_entry_and_later_touches_are_ignored():
+    a, b = (Node(xk(i, i), i, KeyOrder(float(i), i), KeyOrder(float(i), i), False)
+            for i in range(2))
+    log = DirtyLog()
+    log.touch(a)
+    a.ymax = KeyOrder(5.0, 1)
+    log.remove(a)            # flags the entry touch made, with its values
+    log.remove(b)            # a new entry, already removed
+    b.ymin = KeyOrder(-5.0, 0)
+    log.touch(b)             # ignored: b is logged
+    assert len(log) == 2 and [e.node for e in log] == [a, b]
+    ea, eb = log.entries
+    assert (ea.old_ymax, ea.removed, ea.created) == (KeyOrder(0.0, 0), True, False)
+    assert (eb.old_ymin, eb.removed, eb.created) == (KeyOrder(1.0, 1), True, False)
+
+
+def test_dirty_candidates_match_reference_on_seeded_stream():
+    rng = random.Random(5)
+    tree = AugTree()
+    live: list[KeyOrder] = []
+    for oid in range(1500):
+        if live and (rng.random() < 0.45 or len(live) > 200):
+            log = tree.delete(live.pop(rng.randrange(len(live))))
+        else:
+            key = xk(rng.randrange(300), oid)  # repeated coordinates
+            log = insert_obj(tree, oid, key.coordinate, rng.randrange(100))
+            live.append(key)
+        assert dirty_candidates(log) == reference_dirty_candidates(log)
 
 
 def test_delete_only_key_empties_tree():
