@@ -7,15 +7,18 @@ the final coloring of one seeded workload replayed through its structure,
 and every check must find it conflict-free.  The per-step cases time the
 oracle calls of a whole replay, through IncrementalCF and through check_cf,
 and everything a verified step runs: the audit, the colors and the oracle,
-the last two from one box view.
+the last two from one box view.  The small-sweep cases replay the clipped
+sweeps that IncrementalCF decided in Python during an oracle-sampled
+replay, through that decider and through check_cf.
 """
 
 import copy
 
 import pytest
 
+from cfcolor import oracle
 from cfcolor.geom import AxisRect
-from cfcolor.harness import generate_workload, make_structure
+from cfcolor.harness import generate_workload, make_structure, run_workload
 from cfcolor.oracle import IncrementalCF, check_cf, check_cf_intervals, check_cf_rect_ranges
 
 # name: (structure, object kind, inserts, delete ratio, structure params)
@@ -82,6 +85,34 @@ def test_per_step_check_cf(benchmark, name, checker):
         return [check(colored) for colored in steps]
 
     assert benchmark(replay) == [None] * len(steps)
+
+
+@pytest.mark.parametrize("kernel", ["python", "check_cf"])
+@pytest.mark.parametrize("name", ["squares-200", "bounded-200"])
+def test_small_clipped_sweeps(benchmark, monkeypatch, name, kernel):
+    """The clipped sweeps of at most SMALL_SWEEP boxes that an
+    oracle-sampled replay of the state's workload decides in Python,
+    timed apart from whole and larger sweeps."""
+    structure, kind, n, delete_ratio, params = STATES[name]
+    recorded = []
+    decide = oracle._small_sweep_fails
+    monkeypatch.setattr(oracle, "_small_sweep_fails",
+                        lambda boxes: recorded.append(boxes) or decide(boxes))
+    events = generate_workload(kind, n, delete_ratio, SEED, **params)
+    assert run_workload(structure, events, verify="oracle-sampled", **params)["summary"][
+        "violations"] == []
+    assert recorded
+    if kernel == "python":
+        def replay():
+            return [decide(boxes) for boxes in recorded]
+    else:
+        sweeps = [[(AxisRect(*box[:4], i), box[4]) for i, box in enumerate(boxes)]
+                  for boxes in recorded]
+
+        def replay():
+            return [check_cf(colored) is not None for colored in sweeps]
+
+    assert benchmark(replay) == [False] * len(recorded)
 
 
 @pytest.mark.parametrize("name", ["squares-200", "bounded-200", "full-1d-150"])

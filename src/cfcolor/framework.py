@@ -121,7 +121,11 @@ class Piece:
 
     While the piece migrates or is frozen, `order` lists the members by
     rank(colors) and star == set(order[:cut]) | {pinned}; a settled piece
-    has order None."""
+    has order None.
+
+    `checked` holds copies of the (points, colors) pair that last passed the
+    engine's range_checker, a pure function of it, which the invariant check
+    then skips on an equal pair; it is not part of equality or repr."""
 
     palette: PaletteKey
     colorer: object
@@ -132,6 +136,7 @@ class Piece:
     children: list["Piece"] = field(default_factory=list)
     order: list[ObjectId] | None = None
     cut: int = 0
+    checked: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def level(self) -> int:
@@ -394,6 +399,8 @@ class _EngineBase:
     # -- shared invariant checks ------------------------------------------------
 
     def _check_pieces(self, unimax_limit: int) -> ViolationReport | None:
+        """Every invariant on every call; range_checker only on a piece of at
+        most unimax_limit members whose pair is not the last that passed."""
         seen_palettes: set[PaletteKey] = set()
 
         def walk(piece: Piece) -> ViolationReport | None:
@@ -447,12 +454,13 @@ class _EngineBase:
                         None, "star is not the migration order's prefix plus the pinned object")
             if (self.range_checker is not None
                     and len(piece.members) <= unimax_limit and piece.members):
-                witness = self.range_checker(
-                    {o: self.objects[o] for o in piece.members},
-                    dict(colors))
-                if witness is not None:
-                    return ViolationReport(
-                        None, f"final coloring not unimax: {witness}")
+                pair = ({o: self.objects[o] for o in piece.members}, dict(colors))
+                if pair != piece.checked:
+                    witness = self.range_checker(*pair)
+                    if witness is not None:
+                        return ViolationReport(
+                            None, f"final coloring not unimax: {witness}")
+                    piece.checked = pair
             return None
 
         for lv in self.levels:

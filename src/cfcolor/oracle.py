@@ -16,20 +16,16 @@ Two families of checks:
   number of rows.  `IncrementalCF` reads (id, box) pairs and, after a
   passing call, sweeps only the box around the changed objects' old and
   new rectangles: exact, since a point outside them keeps the colored
-  cover that passed.
+  cover that passed.  A clipped sweep of at most SMALL_SWEEP boxes is
+  decided in plain Python on check_cf's probe model, which beats numpy's
+  fixed cost per call there; only a failing one goes on to check_cf,
+  the one kernel that words a witness.
 
 * point colorings (points vs. interval or rectangle ranges): canonical
   ranges span all coordinate pairs.  Exhaustive below a size cutoff,
   deterministic random sampling beyond it.  `check_cf_intervals` and the
   sampled rectangle ranges are vectorized over dense color codes in
   bounded blocks of windows.
-
-Also hosts the definitional color recomputations, which cross-check the
-incremental assignments.  Each is one post-order pass over a tree for one
-selector set (anchored NE; unit squares NE, SE, SW, NW; the east and west
-halves of a common-point cell): it recomputes heights and summaries from
-the children, ignoring the stored fields, and reads the rule node by node,
-with its own selector table, apart from the structures' leaf climb.
 """
 
 from __future__ import annotations
@@ -37,16 +33,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .augtree import AugTree, Node
 from .geom import AxisRect, Pt
 
 EXHAUSTIVE_2D_LIMIT = 40      # exhaustive canonical rectangles up to this many points
 EXHAUSTIVE_1D_LIMIT = 640     # exhaustive canonical intervals up to this many points
 SAMPLED_RANGES = 100_000      # ranges drawn beyond the exhaustive cutoffs
 CF_BLOCK_PAIRS = 4096         # (rect, probe row) pairs per check_cf block
+SMALL_SWEEP = 20              # clipped sweeps up to this many boxes are decided in Python
 BLOCK_CELLS = 1 << 15         # (window, point) cells per block of range checks
 
 
@@ -220,6 +217,49 @@ def _make_witness(colored, xs, ys, col_index: int, row: int) -> Witness:
     return Witness(p, cover)
 
 
+def _small_sweep_fails(boxes: list[tuple]) -> bool:
+    """check_cf(...) is not None for a few (x1, x2, y1, y2, color) boxes, on
+    check_cf's probe model in plain Python: its checked rows, one column
+    sweep per row with a color -> count map and the number of colors worn
+    once, and its two rules for a gap that holds no float.  A violating
+    probe wears each of its colors twice or more, so distinct colors pass."""
+    if len({b[4] for b in boxes}) == len(boxes):
+        return False
+    xs = sorted({v for b in boxes for v in b[:2]})
+    ys = sorted({v for b in boxes for v in b[2:4]})
+    xi = {v: 2 * i for i, v in enumerate(xs)}
+    yi = {v: 2 * i for i, v in enumerate(ys)}
+    # (column, first row, last row, color, +1 or -1), in column order
+    events = sorted([(xi[x1], yi[y1], yi[y2], c, 1) for x1, _, y1, y2, c in boxes]
+                    + [(xi[x2] + 1, yi[y1], yi[y2], c, -1) for _, x2, y1, y2, c in boxes],
+                    key=itemgetter(0))
+    rows = sorted({0, *(e[1] for e in events), *(e[2] + 1 for e in events)}
+                  - {2 * len(ys) - 1})
+    for k, y in enumerate(rows):
+        # a gap row without a float is skipped if the coordinate above is checked
+        if (y % 2 and k + 1 < len(rows) and rows[k + 1] == y + 1
+                and _no_float_between(ys, y // 2)):
+            continue
+        counts: dict = {}
+        covering = singles = 0
+        at = -1
+        for col, lo, hi, c, d in events:
+            if not lo <= y <= hi:
+                continue
+            if col != at:
+                # the state at `at` holds up to col; a gap column without a
+                # float is skipped if col is the next one
+                if (covering and not singles
+                        and not (at % 2 and col == at + 1 and _no_float_between(xs, at // 2))):
+                    return True
+                at = col
+            n = counts.get(c, 0) + d
+            counts[c] = n
+            covering += d
+            singles += (n == 1) - (n - d == 1)
+    return False
+
+
 class IncrementalCF:
     """check_cf over a coloring that changes between calls, sweeping after
     a passing call only the box around what changed since.
@@ -231,10 +271,12 @@ class IncrementalCF:
     had then, so it is still fine, and any violation lies in B, the
     bounding box of D.  Clipped to B, the rectangles that meet it cover
     each point of B as before and nothing else, so sweeping them finds a
-    violation exactly when sweeping all of them does.  The first call, a
-    call after a failing one and a call whose input repeats an id sweep
-    everything, and so does one whose clipped sweep fails: the witness is
-    check_cf's.  Only the rectangles swept are built as AxisRects.
+    violation exactly when sweeping all of them does.  Up to SMALL_SWEEP
+    of them are decided in Python; a failing decision, or more, go to sweep.
+    The first call, a call after a failing one and a call whose input
+    repeats an id sweep everything, and so does one whose clipped sweep
+    fails: the witness is check_cf's.  Only the rectangles swept are built
+    as AxisRects.
     """
 
     def __init__(self, sweep=check_cf):
@@ -258,9 +300,13 @@ class IncrementalCF:
             return None
         x1s, x2s, y1s, y2s, _ = zip(*(entry for _, entry in changed))
         x1, x2, y1, y2 = min(x1s), max(x2s), min(y1s), max(y2s)
-        return self.sweep([(AxisRect(max(a, x1), min(b, x2), max(c, y1), min(d, y2), oid), color)
-                           for oid, (a, b, c, d, color) in boxes
-                           if a <= x2 and x1 <= b and c <= y2 and y1 <= d])
+        clipped = [(oid, (max(a, x1), min(b, x2), max(c, y1), min(d, y2), color))
+                   for oid, (a, b, c, d, color) in boxes
+                   if a <= x2 and x1 <= b and c <= y2 and y1 <= d]
+        if len(clipped) <= SMALL_SWEEP and not _small_sweep_fails([box for _, box in clipped]):
+            return None
+        return self.sweep([(AxisRect(a, b, c, d, oid), color)
+                           for oid, (a, b, c, d, color) in clipped])
 
 
 # ---------------------------------------------------------------------------
@@ -461,59 +507,3 @@ def _first_bad_row(mask: np.ndarray, codes: np.ndarray, unimax: bool) -> int | N
     good = single[:, -1] if unimax else single.any(axis=1)
     bad = np.flatnonzero(mask.any(axis=1) & ~good)
     return int(bad[0]) if len(bad) else None
-
-
-# ---------------------------------------------------------------------------
-# definitional recomputation from tree shape
-# ---------------------------------------------------------------------------
-
-# The oracle's own selector table: a child side, and where the summary sits
-# in the (height, ymax, ymin) triples that _recompute builds.
-NE = ("right", 1)
-SE = ("right", 2)
-SW = ("left", 2)
-NW = ("left", 1)
-
-
-def _recompute(tree: AugTree, selectors: tuple) -> dict[int, int]:
-    """Colors by the rule over k selectors, from one post-order pass that
-    recomputes (height, ymax, ymin) from the children, ignoring the stored
-    fields.  At an internal node of height h, the object that selector j
-    names gets the key (h, -j); an object's color is k*h + j from its
-    largest key, which is (0, 0) when no node names it."""
-    best: dict[int, tuple[int, int]] = {}
-
-    def go(v: Node) -> tuple:
-        if v.is_leaf:
-            best[v.payload] = (0, 0)
-            return 0, v.ymax, v.ymin
-        left, right = go(v.left), go(v.right)
-        h = max(left[0], right[0]) + 1
-        for j, (side, summary) in enumerate(selectors):
-            oid = (right if side == "right" else left)[summary].tiebreak
-            if (h, -j) > best[oid]:
-                best[oid] = (h, -j)
-        return h, max(left[1], right[1]), min(left[2], right[2])
-
-    if tree.root is not None:
-        go(tree.root)
-    k = len(selectors)
-    return {oid: k * h - neg_j for oid, (h, neg_j) in best.items()}
-
-
-def recompute_anchored_colors(tree: AugTree) -> dict[int, int]:
-    """The anchored rule: the height of the highest node whose NE summary
-    names the object."""
-    return _recompute(tree, (NE,))
-
-
-def recompute_pinned_square_colors(tree: AugTree) -> dict[int, int]:
-    """The unit-square rule: 4*h + j over NE, SE, SW, NW."""
-    return _recompute(tree, (NE, SE, SW, NW))
-
-
-def recompute_common_point_colors(east: AugTree, west: AugTree) -> dict[int, tuple[int, int]]:
-    """Pair colors of a common-point cell: (NE, SE) east, (NW, SW) west."""
-    e = _recompute(east, (NE, SE))
-    w = _recompute(west, (NW, SW))
-    return {oid: (e[oid], w[oid]) for oid in e}

@@ -6,8 +6,9 @@ versions in cfcolor.oracle are compared with: per probe point over the
 probe grid, and per window over canonical rectangles.  Also the colored
 rectangles of a geometric structure, the tree audit as a closure that
 the module-level walk in cfcolor.augtree is compared with, the engines'
-locate/actual check object by object, and the workload reader that runs
-json.loads line by line.
+locate/actual check object by object, the workload reader that runs
+json.loads line by line, and the definitional color recomputations from
+tree shape.
 """
 
 from __future__ import annotations
@@ -317,3 +318,64 @@ def read_workload(path: str) -> list[dict]:
                     raise ParseError(f"line {lineno}: {error}")
             events.append(ev)
     return events
+
+
+# -- definitional recomputation from tree shape ---------------------------
+#
+# The definitional color recomputations, which cross-check the incremental
+# assignments.  Each is one post-order pass over a tree for one selector
+# set (anchored NE; unit squares NE, SE, SW, NW; the east and west halves
+# of a common-point cell): it recomputes heights and summaries from the
+# children, ignoring the stored fields, and reads the rule node by node,
+# with its own selector table, apart from the structures' leaf climb.
+
+# The recompute's own selector table: a child side, and where the summary
+# sits in the (height, ymax, ymin) triples that _recompute builds.
+NE = ("right", 1)
+SE = ("right", 2)
+SW = ("left", 2)
+NW = ("left", 1)
+
+
+def _recompute(tree: AugTree, selectors: tuple) -> dict[int, int]:
+    """Colors by the rule over k selectors, from one post-order pass that
+    recomputes (height, ymax, ymin) from the children, ignoring the stored
+    fields.  At an internal node of height h, the object that selector j
+    names gets the key (h, -j); an object's color is k*h + j from its
+    largest key, which is (0, 0) when no node names it."""
+    best: dict[int, tuple[int, int]] = {}
+
+    def go(v: Node) -> tuple:
+        if v.is_leaf:
+            best[v.payload] = (0, 0)
+            return 0, v.ymax, v.ymin
+        left, right = go(v.left), go(v.right)
+        h = max(left[0], right[0]) + 1
+        for j, (side, summary) in enumerate(selectors):
+            oid = (right if side == "right" else left)[summary].tiebreak
+            if (h, -j) > best[oid]:
+                best[oid] = (h, -j)
+        return h, max(left[1], right[1]), min(left[2], right[2])
+
+    if tree.root is not None:
+        go(tree.root)
+    k = len(selectors)
+    return {oid: k * h - neg_j for oid, (h, neg_j) in best.items()}
+
+
+def recompute_anchored_colors(tree: AugTree) -> dict[int, int]:
+    """The anchored rule: the height of the highest node whose NE summary
+    names the object."""
+    return _recompute(tree, (NE,))
+
+
+def recompute_pinned_square_colors(tree: AugTree) -> dict[int, int]:
+    """The unit-square rule: 4*h + j over NE, SE, SW, NW."""
+    return _recompute(tree, (NE, SE, SW, NW))
+
+
+def recompute_common_point_colors(east: AugTree, west: AugTree) -> dict[int, tuple[int, int]]:
+    """Pair colors of a common-point cell: (NE, SE) east, (NW, SW) west."""
+    e = _recompute(east, (NE, SE))
+    w = _recompute(west, (NW, SW))
+    return {oid: (e[oid], w[oid]) for oid in e}

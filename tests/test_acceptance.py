@@ -20,9 +20,6 @@ from cfcolor.harness import generate_workload, run_workload, write_report
 from cfcolor.oracle import (
     check_unimax_intervals,
     check_unimax_rect_ranges,
-    recompute_anchored_colors,
-    recompute_common_point_colors,
-    recompute_pinned_square_colors,
 )
 from cfcolor.rects import CommonPointCF
 from cfcolor.squares import GridSquareCF
@@ -31,7 +28,12 @@ from cfcolor.unimax import (
     RectPointColorer,
     chain_decompose,
 )
-from reference import interval_palette_size
+from reference import (
+    interval_palette_size,
+    recompute_anchored_colors,
+    recompute_common_point_colors,
+    recompute_pinned_square_colors,
+)
 
 SUITE_RUNTIME_LIMIT = 180.0  # seconds per structure suite (criterion 1)
 

@@ -5,8 +5,9 @@ import pytest
 
 from cfcolor.anchored import AnchoredCF, NotAnchored
 from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, UnknownId
-from cfcolor.oracle import check_cf, recompute_anchored_colors
-from reference import check_cf_probes, colored_rects, nodes as tree_nodes
+from cfcolor.oracle import check_cf
+from reference import (check_cf_probes, colored_rects, nodes as tree_nodes,
+                       recompute_anchored_colors)
 
 # Frozen recoloring bound: recolorings <= REC_A * log2(n + 2) + REC_B.
 # Max ratio observed over the seeded runs below is ~1.3; headroom kept.

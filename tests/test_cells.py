@@ -6,11 +6,6 @@ from hypothesis import given, settings, strategies as st
 from cfcolor.anchored import AnchoredCF, NotAnchored
 from cfcolor.cells import NE, NW, SE, SW, compile_selectors, tree_color
 from cfcolor.geom import AxisRect, DuplicateId, Pt, UnitSquare, UnknownId
-from cfcolor.oracle import (
-    recompute_anchored_colors,
-    recompute_common_point_colors,
-    recompute_pinned_square_colors,
-)
 from cfcolor.rects import (
     BoundedRectCF,
     CommonPointCF,
@@ -20,7 +15,13 @@ from cfcolor.rects import (
     UniverseRectCF,
 )
 from cfcolor.squares import GridSquareCF, PinnedSquareCF
-from reference import colored_rects, leaves
+from reference import (
+    colored_rects,
+    leaves,
+    recompute_anchored_colors,
+    recompute_common_point_colors,
+    recompute_pinned_square_colors,
+)
 
 
 def test_compiled_picks_follow_selector_order():

@@ -20,9 +20,6 @@ from cfcolor.oracle import (
     check_cf_rect_ranges,
     check_unimax_intervals,
     check_unimax_rect_ranges,
-    recompute_anchored_colors,
-    recompute_common_point_colors,
-    recompute_pinned_square_colors,
 )
 from reference import (
     check_cf_probes,
@@ -32,6 +29,9 @@ from reference import (
     leaves,
     nodes,
     probe_grid,
+    recompute_anchored_colors,
+    recompute_common_point_colors,
+    recompute_pinned_square_colors,
 )
 
 

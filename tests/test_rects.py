@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cfcolor.geom import AxisRect, GlobalColor, Pt, pair_encode
-from cfcolor.oracle import check_cf, recompute_common_point_colors
+from cfcolor.oracle import check_cf
 from cfcolor.rects import (
     BoundedRectCF,
     CommonPointCF,
@@ -14,7 +14,8 @@ from cfcolor.rects import (
     UniverseRectCF,
     skeleton_locate,
 )
-from reference import check_cf_probes, colored_rects, pair_decode, skeleton_path_values
+from reference import (check_cf_probes, colored_rects, pair_decode,
+                       recompute_common_point_colors, skeleton_path_values)
 
 
 def rect(x1, x2, y1, y2, oid):

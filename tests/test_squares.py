@@ -5,12 +5,10 @@ import pytest
 
 from cfcolor.anchored import AnchoredCF
 from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, Pt, UnitSquare, UnknownId
-from cfcolor.oracle import (
-    check_cf,
-    recompute_pinned_square_colors,
-)
+from cfcolor.oracle import check_cf
 from cfcolor.squares import GridSquareCF, PinnedSquareCF, class_tag, route_square
-from reference import category_heights, check_cf_probes, colored_rects, pinned_color
+from reference import (category_heights, check_cf_probes, colored_rects, pinned_color,
+                       recompute_pinned_square_colors)
 
 
 def sq(x, y, oid):

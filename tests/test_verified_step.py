@@ -1,15 +1,18 @@
 """What one verified step reads: a geometric structure's box view once,
-shared by the colors check and the oracle, and an engine's locate/actual
-maps in one pass that words a fault as the object-by-object loop does."""
+shared by the colors check and the oracle, an engine's locate/actual maps
+in one pass that words a fault as the object-by-object loop does, and the
+unimax range check only on pieces whose points or final colors changed
+since they last passed it."""
 
 import random
 
 import pytest
 
 from cfcolor import harness
-from cfcolor.framework import FullyDynamicEngine, SemiDynamicEngine
+from cfcolor.framework import SETTLED, FullyDynamicEngine, SemiDynamicEngine
 from cfcolor.geom import GlobalColor, UnitSquare
 from cfcolor.harness import generate_workload, run_workload
+from cfcolor.oracle import check_unimax_intervals
 from cfcolor.rects import BoundedRectCF
 from cfcolor.squares import GridSquareCF
 from cfcolor.unimax import IntervalPointColorer
@@ -139,3 +142,123 @@ def test_a_sound_engine_resolves_no_object_one_by_one():
         checked += 1
     assert checked > 100 and climbs == []
 
+
+# -- the unimax range check, once per unchanged piece -------------------------
+
+def _counting_full_1d(calls):
+    """A full-1d engine whose range checker records each (points, colors)
+    pair it is given, as sorted item tuples."""
+    def checker(points, colors):
+        calls.append(_pair(points, colors))
+        return harness._interval_checker(points, colors)
+    return FullyDynamicEngine(IntervalPointColorer, checker)
+
+
+def _pair(points, colors):
+    return tuple(sorted(points.items())), tuple(sorted(colors.items()))
+
+
+def _pieces(engine):
+    """Every piece of the engine, children included."""
+    todo = [lv.piece for lv in engine.levels if lv.piece is not None]
+    while todo:
+        piece = todo.pop()
+        yield piece
+        todo.extend(piece.children)
+
+
+def _settled_piece(engine):
+    """The largest settled piece below the last level."""
+    return max((lv.piece for lv in engine.levels[:-1] if lv.state == SETTLED),
+               key=lambda piece: len(piece.members))
+
+
+def _swap_colors(engine, pieces, breaks):
+    """Swap, in place, the final colors of two differently colored members
+    of the first of the pieces where that leaves it not unimax (breaks) or
+    still unimax; the two ids, or None if no such swap exists."""
+    for piece in pieces:
+        colors = piece.colors
+        for a in sorted(piece.members):
+            for b in sorted(piece.members):
+                if colors[a] >= colors[b]:
+                    continue
+                colors[a], colors[b] = colors[b], colors[a]
+                bad = check_unimax_intervals([(engine.objects[o], colors[o])
+                                              for o in piece.members])
+                if (bad is not None) == breaks:
+                    return a, b
+                colors[a], colors[b] = colors[b], colors[a]
+    return None
+
+
+def _loaded_engine(calls):
+    engine = _counting_full_1d(calls)
+    rng = random.Random(6)
+    # levels of 2, 4, 8 and 16, all settled
+    for oid in range(30):
+        engine.insert(oid, rng.uniform(0, 100))
+    return engine
+
+
+def test_a_swap_in_a_piece_that_passed_is_still_not_unimax():
+    engine = _loaded_engine([])
+    assert engine.check_invariants() is None
+    assert _swap_colors(engine, [_settled_piece(engine)], breaks=True)
+    report = engine.check_invariants()
+    assert report is not None and report.reason.startswith("final coloring not unimax")
+
+
+def test_a_weak_deletion_re_runs_the_checker_on_its_piece():
+    calls = []
+    engine = _loaded_engine(calls)
+    assert engine.check_invariants() is None
+    piece = _settled_piece(engine)
+    engine.delete(min(piece.members))
+    calls.clear()
+    assert engine.check_invariants() is None
+    now = _pair({o: engine.objects[o] for o in piece.members}, piece.colors)
+    assert now in calls
+    # what passed now is the state a later fault is told apart from
+    assert _swap_colors(engine, [piece], breaks=True)
+    report = engine.check_invariants()
+    assert report is not None and report.reason.startswith("final coloring not unimax")
+
+
+def test_an_unchanged_piece_is_checked_once():
+    """Over a seeded stream, each check calls the range checker exactly on
+    the pieces whose pair differs from the one they last passed with, and
+    a repeated check calls it on none.  Every fifth step also swaps two
+    colors inside a settled piece, which keeps its members."""
+    calls = []
+    engine = _counting_full_1d(calls)
+    last: dict = {}      # piece -> the pair it last passed with
+    skipped = swapped = 0
+    for step, ev in enumerate(generate_workload("point_1d", 120, 0.4, seed=9)):
+        if ev["op"] == "insert":
+            engine.insert(ev["id"], ev["object"]["x"])
+        else:
+            engine.delete(ev["id"])
+        if step % 5 == 0:
+            # a sound engine whose piece changed in place
+            settled = [lv.piece for lv in engine.levels if lv.state == SETTLED]
+            swap = _swap_colors(engine, settled, breaks=False)
+            if swap is not None:
+                a, b = swap
+                engine.actual[a], engine.actual[b] = engine.actual[b], engine.actual[a]
+                swapped += 1
+        want = []
+        for piece in _pieces(engine):
+            if 0 < len(piece.members) <= 32:
+                pair = _pair({o: engine.objects[o] for o in piece.members}, piece.colors)
+                if last.get(id(piece), (None, None))[1] == pair:
+                    skipped += 1
+                else:
+                    want.append(pair)
+                last[id(piece)] = piece, pair
+        calls.clear()
+        assert engine.check_invariants() is None
+        assert sorted(calls) == sorted(want)
+        assert engine.check_invariants() is None and engine.check_invariants() is None
+        assert sorted(calls) == sorted(want)
+    assert skipped > 100 and swapped > 20
