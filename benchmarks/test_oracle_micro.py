@@ -7,9 +7,9 @@ the final coloring of one seeded workload replayed through its structure,
 and every check must find it conflict-free.  The per-step cases time the
 oracle calls of a whole replay, through IncrementalCF and through check_cf,
 and everything a verified step runs: the audit, the colors and the oracle,
-the last two from one box view.  The small-sweep cases replay the clipped
-sweeps that IncrementalCF decided in Python during an oracle-sampled
-replay, through that decider and through check_cf.
+the last two from one box view.  The clipped-sweep cases replay the
+clipped sets of an oracle-sampled replay through IncrementalCF's sweep,
+which passes a set of distinct colors unswept, and through check_cf.
 """
 
 import copy
@@ -87,32 +87,33 @@ def test_per_step_check_cf(benchmark, name, checker):
     assert benchmark(replay) == [None] * len(steps)
 
 
-@pytest.mark.parametrize("kernel", ["python", "check_cf"])
+@pytest.mark.parametrize("kernel", ["incremental", "check_cf"])
 @pytest.mark.parametrize("name", ["squares-200", "bounded-200"])
-def test_small_clipped_sweeps(benchmark, monkeypatch, name, kernel):
-    """The clipped sweeps of at most SMALL_SWEEP boxes that an
-    oracle-sampled replay of the state's workload decides in Python,
-    timed apart from whole and larger sweeps."""
+def test_clipped_sweeps(benchmark, monkeypatch, name, kernel):
+    """The clipped sets of an oracle-sampled replay of the state's
+    workload, timed apart from whole sweeps."""
     structure, kind, n, delete_ratio, params = STATES[name]
     recorded = []
-    decide = oracle._small_sweep_fails
-    monkeypatch.setattr(oracle, "_small_sweep_fails",
-                        lambda boxes: recorded.append(boxes) or decide(boxes))
+    clip = oracle._clipped
+    monkeypatch.setattr(oracle, "_clipped",
+                        lambda boxes, changed: recorded.append(clip(boxes, changed))
+                        or recorded[-1])
     events = generate_workload(kind, n, delete_ratio, SEED, **params)
     assert run_workload(structure, events, verify="oracle-sampled", **params)["summary"][
         "violations"] == []
     assert recorded
-    if kernel == "python":
+    if kernel == "incremental":
+        sweep = IncrementalCF()._sweep
+
         def replay():
-            return [decide(boxes) for boxes in recorded]
+            return [sweep(boxes) for boxes in recorded]
     else:
-        sweeps = [[(AxisRect(*box[:4], i), box[4]) for i, box in enumerate(boxes)]
-                  for boxes in recorded]
+        sweeps = [_rects(boxes) for boxes in recorded]
 
         def replay():
-            return [check_cf(colored) is not None for colored in sweeps]
+            return [check_cf(colored) for colored in sweeps]
 
-    assert benchmark(replay) == [False] * len(recorded)
+    assert benchmark(replay) == [None] * len(recorded)
 
 
 @pytest.mark.parametrize("name", ["squares-200", "bounded-200", "full-1d-150"])

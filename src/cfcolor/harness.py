@@ -65,9 +65,10 @@ geometric structure's view, colored_boxes(): (id, (x1, x2, y1, y2,
 color)) per object, once; the colors check and the oracle share it, and
 an update drops it.  After a passing check the next one sweeps only the
 box around the old and new rectangles of objects changed since
-(oracle.IncrementalCF): a point outside keeps the cover that passed; a
-few boxes there are decided in Python.  An engine's invariant check skips
-the unimax check of a piece whose points and colors passed it unchanged.
+(oracle.IncrementalCF): a point outside keeps the cover that passed,
+and a set whose colors are all distinct passes without a sweep.  An
+engine's invariant check skips the unimax check of a piece whose points
+and colors passed it unchanged.
 """
 
 from __future__ import annotations

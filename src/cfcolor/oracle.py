@@ -16,10 +16,8 @@ Two families of checks:
   number of rows.  `IncrementalCF` reads (id, box) pairs and, after a
   passing call, sweeps only the box around the changed objects' old and
   new rectangles: exact, since a point outside them keeps the colored
-  cover that passed.  A clipped sweep of at most SMALL_SWEEP boxes is
-  decided in plain Python on check_cf's probe model, which beats numpy's
-  fixed cost per call there; only a failing one goes on to check_cf,
-  the one kernel that words a witness.
+  cover that passed.  A set whose colors are all distinct passes without
+  a sweep, which skips check_cf's fixed numpy cost per call.
 
 * point colorings (points vs. interval or rectangle ranges): canonical
   ranges span all coordinate pairs.  Exhaustive below a size cutoff,
@@ -33,7 +31,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -43,7 +40,6 @@ EXHAUSTIVE_2D_LIMIT = 40      # exhaustive canonical rectangles up to this many 
 EXHAUSTIVE_1D_LIMIT = 640     # exhaustive canonical intervals up to this many points
 SAMPLED_RANGES = 100_000      # ranges drawn beyond the exhaustive cutoffs
 CF_BLOCK_PAIRS = 4096         # (rect, probe row) pairs per check_cf block
-SMALL_SWEEP = 20              # clipped sweeps up to this many boxes are decided in Python
 BLOCK_CELLS = 1 << 15         # (window, point) cells per block of range checks
 
 
@@ -217,49 +213,6 @@ def _make_witness(colored, xs, ys, col_index: int, row: int) -> Witness:
     return Witness(p, cover)
 
 
-def _small_sweep_fails(boxes: list[tuple]) -> bool:
-    """check_cf(...) is not None for a few (x1, x2, y1, y2, color) boxes, on
-    check_cf's probe model in plain Python: its checked rows, one column
-    sweep per row with a color -> count map and the number of colors worn
-    once, and its two rules for a gap that holds no float.  A violating
-    probe wears each of its colors twice or more, so distinct colors pass."""
-    if len({b[4] for b in boxes}) == len(boxes):
-        return False
-    xs = sorted({v for b in boxes for v in b[:2]})
-    ys = sorted({v for b in boxes for v in b[2:4]})
-    xi = {v: 2 * i for i, v in enumerate(xs)}
-    yi = {v: 2 * i for i, v in enumerate(ys)}
-    # (column, first row, last row, color, +1 or -1), in column order
-    events = sorted([(xi[x1], yi[y1], yi[y2], c, 1) for x1, _, y1, y2, c in boxes]
-                    + [(xi[x2] + 1, yi[y1], yi[y2], c, -1) for _, x2, y1, y2, c in boxes],
-                    key=itemgetter(0))
-    rows = sorted({0, *(e[1] for e in events), *(e[2] + 1 for e in events)}
-                  - {2 * len(ys) - 1})
-    for k, y in enumerate(rows):
-        # a gap row without a float is skipped if the coordinate above is checked
-        if (y % 2 and k + 1 < len(rows) and rows[k + 1] == y + 1
-                and _no_float_between(ys, y // 2)):
-            continue
-        counts: dict = {}
-        covering = singles = 0
-        at = -1
-        for col, lo, hi, c, d in events:
-            if not lo <= y <= hi:
-                continue
-            if col != at:
-                # the state at `at` holds up to col; a gap column without a
-                # float is skipped if col is the next one
-                if (covering and not singles
-                        and not (at % 2 and col == at + 1 and _no_float_between(xs, at // 2))):
-                    return True
-                at = col
-            n = counts.get(c, 0) + d
-            counts[c] = n
-            covering += d
-            singles += (n == 1) - (n - d == 1)
-    return False
-
-
 class IncrementalCF:
     """check_cf over a coloring that changes between calls, sweeping after
     a passing call only the box around what changed since.
@@ -271,12 +224,11 @@ class IncrementalCF:
     had then, so it is still fine, and any violation lies in B, the
     bounding box of D.  Clipped to B, the rectangles that meet it cover
     each point of B as before and nothing else, so sweeping them finds a
-    violation exactly when sweeping all of them does.  Up to SMALL_SWEEP
-    of them are decided in Python; a failing decision, or more, go to sweep.
-    The first call, a call after a failing one and a call whose input
-    repeats an id sweep everything, and so does one whose clipped sweep
-    fails: the witness is check_cf's.  Only the rectangles swept are built
-    as AxisRects.
+    violation exactly when sweeping all of them does.  The first call, a
+    call after a failing one and a call whose input repeats an id sweep
+    everything, and so does one whose clipped sweep fails: the witness is
+    check_cf's.  A set to sweep whose colors are all distinct passes
+    without one, and only the rectangles swept are built as AxisRects.
     """
 
     def __init__(self, sweep=check_cf):
@@ -287,26 +239,32 @@ class IncrementalCF:
         now = dict(boxes)
         before, self.passed = self.passed, None
         whole = before is None or len(now) != len(boxes)
-        witness = None if whole else self._sweep_changed(boxes, before.items() ^ now.items())
+        witness = None if whole else self._sweep(_clipped(boxes, before.items() ^ now.items()))
         if whole or witness is not None:
-            witness = self.sweep([(AxisRect(x1, x2, y1, y2, oid), color)
-                                  for oid, (x1, x2, y1, y2, color) in boxes]) or witness
+            witness = self._sweep(boxes) or witness
         if witness is None and len(now) == len(boxes):
             self.passed = now
         return witness
 
-    def _sweep_changed(self, boxes, changed) -> Witness | None:
-        if not changed:
+    def _sweep(self, boxes: list[tuple[int, tuple]]) -> Witness | None:
+        """self.sweep over the boxes as AxisRects.  Distinct colors pass
+        unswept: a violating probe wears each of its colors twice or more."""
+        if len({box[4] for _, box in boxes}) == len(boxes):
             return None
-        x1s, x2s, y1s, y2s, _ = zip(*(entry for _, entry in changed))
-        x1, x2, y1, y2 = min(x1s), max(x2s), min(y1s), max(y2s)
-        clipped = [(oid, (max(a, x1), min(b, x2), max(c, y1), min(d, y2), color))
-                   for oid, (a, b, c, d, color) in boxes
-                   if a <= x2 and x1 <= b and c <= y2 and y1 <= d]
-        if len(clipped) <= SMALL_SWEEP and not _small_sweep_fails([box for _, box in clipped]):
-            return None
-        return self.sweep([(AxisRect(a, b, c, d, oid), color)
-                           for oid, (a, b, c, d, color) in clipped])
+        return self.sweep([(AxisRect(x1, x2, y1, y2, oid), color)
+                           for oid, (x1, x2, y1, y2, color) in boxes])
+
+
+def _clipped(boxes, changed) -> list[tuple[int, tuple]]:
+    """The boxes meeting the bounding box of the changed entries, clipped
+    to it; none if nothing changed."""
+    if not changed:
+        return []
+    x1s, x2s, y1s, y2s, _ = zip(*(entry for _, entry in changed))
+    x1, x2, y1, y2 = min(x1s), max(x2s), min(y1s), max(y2s)
+    return [(oid, (max(a, x1), min(b, x2), max(c, y1), min(d, y2), color))
+            for oid, (a, b, c, d, color) in boxes
+            if a <= x2 and x1 <= b and c <= y2 and y1 <= d]
 
 
 # ---------------------------------------------------------------------------

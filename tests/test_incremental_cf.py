@@ -1,5 +1,5 @@
-"""IncrementalCF against check_cf, call by call, its small path on replayed
-streams, and the sampled 2-D range check's memory bound."""
+"""IncrementalCF against check_cf, call by call, its distinct-colors pass on
+replayed streams, and the sampled 2-D range check's memory bound."""
 
 import random
 import tracemalloc
@@ -8,7 +8,6 @@ import pytest
 
 from cfcolor.geom import AxisRect, Pt
 from cfcolor.harness import generate_workload, make_structure
-from cfcolor import oracle
 from cfcolor.oracle import IncrementalCF, check_cf, check_unimax_rect_ranges
 from cfcolor.unimax import RectPointColorer
 from reference import colored_rects
@@ -85,16 +84,17 @@ def test_agrees_with_check_cf_on_replayed_streams_with_planted_faults(structure)
 
 
 @pytest.mark.parametrize("structure", sorted(STREAMS))
-def test_replayed_streams_take_the_small_path(structure, monkeypatch):
-    """The replay above, counting the clipped sweeps decided in Python:
-    some pass there, calling no sweep, and some planted faults fail there
-    and go on to check_cf."""
-    decisions = []
-    real = oracle._small_sweep_fails
-    monkeypatch.setattr(oracle, "_small_sweep_fails",
-                        lambda boxes: decisions.append(real(boxes)) or decisions[-1])
+def test_replayed_streams_pass_distinct_colored_sets_unswept(structure, monkeypatch):
+    """The replay above, counting the sets IncrementalCF would sweep: many
+    have distinct colors and pass without calling the sweep, the others
+    are swept."""
+    sets = []
+    real = IncrementalCF._sweep
+    monkeypatch.setattr(IncrementalCF, "_sweep",
+                        lambda self, boxes: sets.append(boxes) or real(self, boxes))
     test_agrees_with_check_cf_on_replayed_streams_with_planted_faults(structure)
-    assert decisions.count(False) > 10 and True in decisions
+    distinct = sum(len({box[4] for _, box in boxes}) == len(boxes) for boxes in sets)
+    assert distinct > 10 and distinct < len(sets)
 
 
 def _three_in_a_row():
