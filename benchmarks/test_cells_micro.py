@@ -7,7 +7,10 @@ benchmark replays one fixed seeded insert/delete stream into a fresh
 structure; the tree benchmark replays the anchored stream's keys into a
 bare AugTree and derives each update's dirty candidates, which times the
 tree layer apart from the cells; the walk benchmark colors every square of
-one large pinned cell.
+one large pinned cell.  The verified-read benchmarks time what a verified
+step reads of a 2,000-rectangle bounded partition right after one update
+(untimed): its audit and its box view, which re-check and rebuild only
+the cell the update changed.
 """
 
 import random
@@ -85,3 +88,24 @@ def test_tree_color_large_square_cell(benchmark):
         return [tree_color(leaf, *rule) for leaf in leaves]
 
     assert benchmark(color_all) == [cell.colors[leaf.payload] for leaf in leaves]
+
+
+@pytest.mark.parametrize("read", ["audit", "colored_boxes"])
+def test_verified_read_after_one_update(benchmark, read):
+    params = {"c": 3.0}
+    adapter = make_structure("bounded", **params)
+    s = adapter.structure
+    events = generate_workload("bounded_rect", 2000, 0.0, SEED, **params)
+    for ev in events:
+        adapter.insert(ev["id"], ev["object"])
+    assert s.audit() is None and len(s.colored_boxes()) == len(s) == 2000
+    last = events[-1]
+
+    def one_update():
+        if last["id"] in s.location:
+            adapter.delete(last["id"])
+        else:
+            adapter.insert(last["id"], last["object"])
+
+    result = benchmark.pedantic(getattr(s, read), setup=one_update, rounds=200)
+    assert result is None if read == "audit" else len(result) == len(s)

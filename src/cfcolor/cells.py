@@ -21,6 +21,22 @@ x1-ordered west tree).
 colored_boxes(), the one view the oracle and global_colors() read, lists
 (id, (x1, x2, y1, y2, global color)) per stored object, cell by cell.
 
+Snapshots.  Verified replay audits and reads the view after every update,
+while an update changes one cell.  So each audit that passes keeps a
+snapshot of what it passed: a tree its root, size, a copy of
+leaf_by_payload, the nodes it walked and their slot values (augtree); a
+cell those of its trees plus its pin, a copy of objects and its trees; a
+partition a copy of location and each cell with its snapshot.  The next
+audit compares the state with the snapshot by C-level equality and
+re-checks in Python only what differs: a partition audits only the cells
+whose state differs and routes only their objects that are new since, and
+a cell tests only those objects against its pin.  Nothing is trusted: a
+fault planted anywhere, with or without an update since, differs from the
+snapshot, and a failing audit keeps none, so it is reported again.  A
+cell's box view is likewise reused while tag, objects and colors equal
+copies of those it was built from.  Snapshots sit in attributes whose
+class-level default is None; no update path reads or writes them.
+
 The update path.  A cell's keys(obj) and its global colors are KeyOrder and
 GlobalColor values built as tuple_new(KeyOrder, (coordinate, id)): the same
 NamedTuples (callers read .tiebreak), but made by tuple.__new__ in C rather
@@ -30,10 +46,16 @@ dirty_candidates of each tree's log, reading summaries' ids by index.
 
 from __future__ import annotations
 
-from .augtree import LEFT, RIGHT, AugTree, ViolationReport, dirty_candidates
+from itertools import chain, compress
+from operator import attrgetter, is_not
+
+from .augtree import (LEFT, RIGHT, AugTree, ViolationReport, dirty_candidates, slot_values,
+                      tree_state)
 from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId
 
 tuple_new = tuple.__new__  # tuple_new(KeyOrder, (coordinate, id)) builds a KeyOrder in C
+_objects = attrgetter("objects")
+_cell_state = attrgetter("pin", "objects", "trees")
 
 NE = (RIGHT, "ymax")
 SE = (RIGHT, "ymin")
@@ -94,6 +116,12 @@ class DirectionalCell:
     """
 
     SELECTORS: tuple[tuple[tuple[str, str], ...], ...] = ()
+    # ((pin, copy of objects, trees), each tree's state, the trees' nodes
+    # walked, their slot_values) of the last passing audit, from the
+    # trees' own snapshots
+    passed: tuple | None = None
+    # (tag, copy of objects, copy of colors, the list) of the last box view built
+    _boxes: tuple | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -177,21 +205,62 @@ class DirectionalCell:
         return {oid: box[4] for oid, box in self.colored_boxes()}
 
     def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
+        """The box view, copied from the last one built while tag, objects
+        and colors equal the copies it was built from."""
+        memo = self._boxes
+        if memo is None or memo[:3] != (self.tag, self.objects, self.colors):
+            memo = self._boxes = (self.tag, dict(self.objects), dict(self.colors),
+                                  self._build_boxes())
+        return list(memo[3])
+
+    def _build_boxes(self) -> list[tuple[ObjectId, tuple]]:
         g = self.global_color
         return [(oid, (r.x1, r.x2, r.y1, r.y2, g(self.colors[oid])))
                 for oid, r in self.objects.items()]
 
     def audit(self) -> ViolationReport | None:
+        """Each tree's audit and leaves against objects, then each object
+        against the pin.  A passing audit keeps a snapshot in `passed`; while
+        unchanged_since(passed) the audit passes as it is, and otherwise only
+        objects not in the snapshot's copy are tested against the same pin
+        (objects are frozen and contains is pure)."""
+        passed = self.passed
+        if passed is not None and self.unchanged_since(passed):
+            return None
+        self.passed = None
+        objects = self.objects
         for tree in self.trees:
             report = tree.audit()
             if report is not None:
                 return report
-            if tree.leaf_by_payload.keys() != self.objects.keys():
+            if tree.leaf_by_payload.keys() != objects.keys():
                 return ViolationReport(None, "tree leaves out of sync with the cell's objects")
-        for oid, obj in self.objects.items():
-            if not obj.contains(self.pin):
+        pin = self.pin
+        new = objects
+        if passed is not None:
+            old_pin, old_objects, _ = passed[0]
+            if old_pin is pin:
+                new = _not_in(objects, old_objects)
+        for oid in new:
+            if not objects[oid].contains(pin):
                 return ViolationReport(None, f"object {oid} does not contain its pin")
+        trees = self.trees
+        states, nodes, values = zip(*[tree.passed for tree in trees])
+        self.passed = ((pin, dict(objects), trees), states,
+                       list(chain.from_iterable(nodes)), list(chain.from_iterable(values)))
         return None
+
+    def unchanged_since(self, passed: tuple) -> bool:
+        """Whether pin, objects, trees and every tree are as in the snapshot
+        (each tree's unchanged_since, for all of them at once)."""
+        state, tree_states, nodes, values = passed
+        return (_cell_state(self) == state and tuple(map(tree_state, self.trees)) == tree_states
+                and slot_values(*nodes) == values)
+
+
+def _not_in(objects: dict, known: dict):
+    """The ids whose object is not the one `known` holds for them, in order."""
+    return compress(objects, map(is_not, map(known.get, objects), objects.values()))
 
 
 class Partition:
@@ -208,6 +277,8 @@ class Partition:
 
     CELL: type[DirectionalCell]
     MISROUTED = "object {} not in the cell route() gives it"
+    # (copy of location, {cell key: (cell, its snapshot)}) of the last passing audit
+    passed: tuple | None = None
 
     def __init__(self) -> None:
         self.cells: dict[object, DirectionalCell] = {}
@@ -264,29 +335,58 @@ class Partition:
         return out
 
     def audit(self) -> ViolationReport | None:
-        location = self.location
+        """Every cell's audit, non-empty, its objects located at its key and
+        routed to it, and as many held as located.
+
+        A passing audit keeps a copy of location and, per key, the cell and
+        its snapshot.  A cell that is the same object and unchanged_since its
+        snapshot passed all of this and is not audited again; the others are
+        audited and their objects not in the snapshot's copy at that key
+        routed.  An unchanged cell still holds every object it held, so it is
+        out of step with location exactly when a location entry that changed
+        since named it.  The verdict is the full audit's.
+        """
+        location, cells = self.location, self.cells
+        before, snapshots = self.passed or ({}, {})
+        self.passed = None
+        stale = [key for key, cell in cells.items()
+                 if (rec := snapshots.get(key)) is None or rec[0] is not cell
+                 or not cell.unchanged_since(rec[1])]
         cell_key = self.cell_key
-        held = 0
         located = True
         misrouted = None
-        for key, cell in self.cells.items():
+        for key in stale:
+            cell = cells[key]
             report = cell.audit()
             if report is not None:
                 return report
             objects = cell.objects
             if not objects:
                 return ViolationReport(None, f"empty cell {key} left in the partition")
-            held += len(objects)
-            for oid, obj in objects.items():
-                if location.get(oid) != key:
-                    located = False
-                if misrouted is None and cell_key(obj) != key:
-                    misrouted = oid
+            if not dict.fromkeys(objects, key).items() <= location.items():
+                located = False
+            if misrouted is None:
+                rec = snapshots.get(key)
+                # objects the snapshot holds at this key were routed to it
+                new = objects if rec is None else _not_in(objects, rec[1][0][1])
+                for oid in new:
+                    if cell_key(objects[oid]) != key:
+                        misrouted = oid
+                        break
+        if before:
+            kept = cells.keys() - stale
+            if any(before.get(oid) in kept for oid, _ in location.items() ^ before.items()):
+                located = False
         # each held object located at its cell, whose key is distinct, and as
         # many held as located: every object held by one cell, the one its
         # location names
-        if not located or held != len(location):
+        if not located or sum(map(len, map(_objects, cells.values()))) != len(location):
             return ViolationReport(None, "cells out of step with the location map")
         if misrouted is not None:
             return ViolationReport(None, self.MISROUTED.format(misrouted))
+        for key in snapshots.keys() - cells.keys():
+            del snapshots[key]
+        for key in stale:
+            snapshots[key] = (cells[key], cells[key].passed)
+        self.passed = (dict(location), snapshots)
         return None

@@ -70,6 +70,12 @@ class BoundExceeded(AssertionError):
     Raised by explicit checks, so it fires under `python -O` too."""
 
 
+class InvariantBroken(AssertionError):
+    """An update found the engine outside a state its procedure relies on.
+
+    Raised by explicit checks, so it fires under `python -O` too."""
+
+
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n >= 1 else 0
 
@@ -364,8 +370,8 @@ class _EngineBase:
         i = next((lv.index for lv in levels if lv.state == EMPTY), len(levels))
         below = levels[:i]
         for lv in below:
-            assert lv.state == SETTLED, \
-                "sets below the first empty one must be non-empty and settled"
+            if lv.state != SETTLED:
+                raise InvariantBroken("sets below the first empty one must be non-empty and settled")
         points = {o: self.objects[o] for lv in below for o in lv.piece.members}
         points[oid] = obj
         j = ceil_log2(len(points))
@@ -603,13 +609,15 @@ class FullyDynamicEngine(_EngineBase):
         """Downward migration: the last set hit quarter capacity."""
         ell_prime = self.ell
         last = self.levels[ell_prime]
-        assert last.state == SETTLED, \
-            "last set must not be in migration when a downward migration starts"
+        if last.state != SETTLED:
+            raise InvariantBroken(
+                "last set must not be in migration when a downward migration starts")
         cands = self._piece_delete(last.piece, oid)
         parts, members = self._take_levels(ell_prime - 2, ell_prime + 1)
         if not members:
             # the engine emptied out entirely
-            assert set(self.objects) == {oid}
+            if self.objects.keys() != {oid}:
+                raise InvariantBroken("no set holds a member, but other objects are live")
             self.levels = [Level(0)]
             return cands
 

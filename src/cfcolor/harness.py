@@ -66,9 +66,12 @@ color)) per object, once; the colors check and the oracle share it, and
 an update drops it.  After a passing check the next one sweeps only the
 box around the old and new rectangles of objects changed since
 (oracle.IncrementalCF): a point outside keeps the cover that passed,
-and a set whose colors are all distinct passes without a sweep.  An
-engine's invariant check skips the unimax check of a piece whose points
-and colors passed it unchanged.
+and a set whose colors are all distinct passes without a sweep.  The
+geometric audits and the view re-check and rebuild only the cells whose
+state differs, by C-level equality, from the snapshot of what last passed
+(cells.py); an engine's invariant check skips the unimax check of a piece
+whose points and colors passed it unchanged.  Every check still covers
+the whole state, so each verdict is the full check's.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ import csv
 import json
 import random
 import sys
+import time
 from typing import Callable, NamedTuple
 
 from .anchored import AnchoredCF
@@ -609,7 +613,8 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
 REPORT_FIELDS = ("step", "op", "id", "n", "recolorings", "distinct_colors",
                  "verified", "level", "set_states")
 BENCH_FIELDS = ("structure", "n", "seed", "events", "final_n",
-                "max_recolorings", "max_distinct_colors", "total_recolorings")
+                "max_recolorings", "max_distinct_colors", "total_recolorings",
+                "us_per_event")
 
 
 def _write_json_csv(doc: dict, key: str, fields: tuple, path: str) -> None:
@@ -659,7 +664,9 @@ def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
               delete_ratio: float | None = None, c: float | None = None,
               universe: int | None = None) -> dict:
     """Seeded trials per size; delete_ratio None means 0.3, or 0 for a
-    structure that cannot delete."""
+    structure that cannot delete.  A trial's us_per_event is the wall-clock
+    time of its replay (verify "none") over its events: the one column that
+    differs between runs, which is why only bench files carry it."""
     kind = STRUCTURES[structure_name].kind
     if delete_ratio is None:
         deletes = make_structure(structure_name, c=c, universe=universe).supports_delete
@@ -669,13 +676,16 @@ def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
         for seed in seeds:
             events = generate_workload(kind, n, delete_ratio, seed,
                                        c=c, universe=universe)
+            start = time.perf_counter()
             summary = run_workload(structure_name, events, verify="none",
                                    c=c, universe=universe)["summary"]
+            elapsed = time.perf_counter() - start
             trials.append({"structure": structure_name, "n": n, "seed": seed,
                            "events": len(events), "final_n": summary["final_n"],
                            "max_recolorings": summary["max_recolorings"],
                            "max_distinct_colors": summary["max_distinct_colors"],
-                           "total_recolorings": summary["total_recolorings"]})
+                           "total_recolorings": summary["total_recolorings"],
+                           "us_per_event": round(elapsed * 1e6 / max(len(events), 1), 2)})
     return {"config": {"structure": structure_name, "sizes": sizes,
                        "seeds": seeds, "delete_ratio": delete_ratio,
                        "c": c, "universe": universe},

@@ -1,0 +1,177 @@
+"""The audits and box views that keep a snapshot of what last passed, each
+against the full audit and a freshly built view: after every update of
+seeded streams, and after faults planted in a cell the last update did not
+touch.  A fresh result is the same call with every memo set aside, then
+put back, so the memoized chain of calls goes on undisturbed."""
+
+import pytest
+
+from cfcolor.augtree import RED
+from cfcolor.geom import KeyOrder, Pt
+from cfcolor.harness import STRUCTURES, generate_workload, make_structure
+from reference import nodes
+
+PARAMS = {"squares": {}, "bounded": {"c": 3.0}, "universe": {"universe": 32}}
+PARTITIONS = sorted(PARAMS)
+
+
+def _memo_holders(s):
+    """(object, attribute) for every memo of s, its cells' and their trees'."""
+    cells = list(s.cells.values()) if hasattr(s, "cells") else [s]
+    holders = [(s, "passed")] if hasattr(s, "cells") else []
+    for cell in cells:
+        holders += [(cell, "passed"), (cell, "_boxes")]
+        holders += [(tree, "passed") for tree in cell.trees]
+    return holders
+
+
+def _outcome(call):
+    """call()'s value, or the type of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+def fresh(s, call):
+    """call() with every memo of s set aside: the full audit or a view built
+    anew.  The memos are put back afterwards."""
+    holders = _memo_holders(s)
+    saved = [getattr(obj, name) for obj, name in holders]
+    for obj, name in holders:
+        setattr(obj, name, None)
+    try:
+        return call()
+    finally:
+        for (obj, name), value in zip(holders, saved):
+            setattr(obj, name, value)
+
+
+def _replay(name, n, seed, delete_ratio=0.3):
+    """The adapter and its events, not yet applied."""
+    params = PARAMS.get(name, {})
+    adapter = make_structure(name, **params)
+    return adapter, generate_workload(STRUCTURES[name].kind, n, delete_ratio, seed, **params)
+
+
+def _apply(adapter, ev):
+    if ev["op"] == "insert":
+        adapter.insert(ev["id"], ev["object"])
+    else:
+        adapter.delete(ev["id"])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", PARTITIONS + ["anchored"])
+def test_memoized_audit_and_view_equal_fresh_ones_after_every_update(name, seed):
+    adapter, events = _replay(name, 120, seed)
+    s = adapter.structure
+    for ev in events:
+        _apply(adapter, ev)
+        assert s.audit() is None
+        assert fresh(s, s.audit) is None
+        # a second call finds everything unchanged
+        assert s.audit() is None
+        assert s.colored_boxes() == fresh(s, s.colored_boxes)
+        assert s.colored_boxes() == fresh(s, s.colored_boxes)
+
+
+def _passed_then_updated(name, seed):
+    """A structure whose audit and view passed, then one more update: the
+    structure and the key of the cell that update touched."""
+    adapter, events = _replay(name, 150, seed, delete_ratio=0.0)
+    s = adapter.structure
+    for ev in events[:-1]:
+        _apply(adapter, ev)
+    assert s.audit() is None
+    s.colored_boxes()
+    last = events[-1]
+    _apply(adapter, last)
+    return s, s.location[last["id"]]
+
+
+def _untouched(s, touched):
+    """The key of a cell other than `touched` with three objects or more, so
+    its tree has an internal node below the root."""
+    return next(key for key, cell in s.cells.items() if key != touched and len(cell) >= 3)
+
+
+def _internal(cell, ok):
+    return next(v for v in nodes(cell.trees[0]) if not v.is_leaf and ok(v))
+
+
+def _stale_ymax(s, key, spare):
+    cell = s.cells[key]
+    _internal(cell, lambda v: True).ymax = KeyOrder(999.0, 999)
+
+
+def _red_red(s, key, spare):
+    tree = s.cells[key].trees[0]
+    v = _internal(s.cells[key], lambda v: v is not tree.root)
+    v.color = RED
+    v.left.color = RED
+
+
+def _broken_parent_link(s, key, spare):
+    tree = s.cells[key].trees[0]
+    _internal(s.cells[key], lambda v: v is not tree.root).left.parent = tree.root
+
+
+def _moved_between_cells(s, key, spare):
+    oid = next(iter(s.cells[key].objects))
+    s.cells[spare].objects[oid] = s.cells[key].objects.pop(oid)
+
+
+def _moved_pin(s, key, spare):
+    s.cells[key].pin = Pt(-99.0, -99.0)
+
+
+def _redirected_location(s, key, spare):
+    oid = next(iter(s.cells[key].objects))
+    s.location[oid] = spare
+
+
+FAULTS = {
+    "stale ymax summary": _stale_ymax,
+    "red node with red child": _red_red,
+    "broken parent link": _broken_parent_link,
+    "tree leaves out of sync with the cell's objects": _moved_between_cells,
+    "does not contain its pin": _moved_pin,
+    "cells out of step with the location map": _redirected_location,
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_a_fault_in_an_untouched_cell_is_reported_at_the_next_call(name, fault, seed):
+    s, touched = _passed_then_updated(name, seed)
+    # the fault's cell and a second one, both untouched by the last update
+    key = _untouched(s, touched)
+    spare = next(k for k in s.cells if k not in (key, touched))
+    FAULTS[fault](s, key, spare)
+    want = fresh(s, s.audit)
+    assert want is not None and fault in want.reason
+    got = s.audit()
+    assert got is not None and got.reason == want.reason and got.node is want.node
+    # a failing audit keeps no snapshot: the next call reports it again
+    again = s.audit()
+    assert again is not None and again.reason == want.reason and again.node is want.node
+    # an object moved between cells has no color in its new cell: both raise
+    assert _outcome(s.colored_boxes) == fresh(s, lambda: _outcome(s.colored_boxes))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_swapped_colors_in_an_untouched_cell_show_in_the_next_view(name, seed):
+    s, touched = _passed_then_updated(name, seed)
+    before = s.colored_boxes()
+    key = next(key for key, cell in s.cells.items()
+               if key != touched and len(set(cell.colors.values())) >= 2)
+    colors = s.cells[key].colors
+    a = next(iter(colors))
+    b = next(o for o in colors if colors[o] != colors[a])
+    colors[a], colors[b] = colors[b], colors[a]
+    after = s.colored_boxes()
+    assert after == fresh(s, s.colored_boxes) and after != before
+    assert s.global_colors()[a] == s.cells[key].global_color(colors[a])

@@ -455,6 +455,64 @@ def test_bound_checks_survive_python_O():
         "optimized True raised recoloring bound per deletion exceeded"
 
 
+def test_precondition_checks_survive_python_O():
+    # a full-1d stream with deletions replays clean under -O, then each
+    # planted precondition fault raises InvariantBroken before any change
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from cfcolor.framework import UP, FullyDynamicEngine, InvariantBroken\n"
+        "from cfcolor.harness import generate_workload, make_structure\n"
+        "from cfcolor.unimax import IntervalPointColorer\n"
+        "adapter = make_structure('full-1d')\n"
+        "e = adapter.structure\n"
+        "events = generate_workload('point_1d', 300, 0.3, seed=5)\n"
+        "for ev in events:\n"
+        "    if ev['op'] == 'insert':\n"
+        "        adapter.insert(ev['id'], ev['object'])\n"
+        "    else:\n"
+        "        adapter.delete(ev['id'])\n"
+        "print('optimized', not __debug__, 'deletions',\n"
+        "      sum(ev['op'] == 'delete' for ev in events), 'clean', e.check_invariants() is None)\n"
+        "live = sorted(e.objects)\n"
+        "e.levels[0].state = UP\n"
+        "try:\n"
+        "    adapter.insert(10_000, {'kind': 'point_1d', 'x': 0.5})\n"
+        "except InvariantBroken as exc:\n"
+        "    print('insert:', exc, sorted(e.objects) == live)\n"
+        "e.levels[0].state = 'full'\n"
+        "e.levels[e.ell].state = UP\n"
+        "try:\n"
+        "    e._merge_last_three(live[0])\n"
+        "except InvariantBroken as exc:\n"
+        "    print('merge:', exc, sorted(e.objects) == live)\n"
+        "last = FullyDynamicEngine(IntervalPointColorer)\n"
+        "for oid in range(4):\n"
+        "    last.insert(oid, float(oid))\n"
+        "for oid in range(3):\n"
+        "    last.delete(oid)\n"
+        "last.objects[99] = 9.0\n"
+        "try:\n"
+        "    last.delete(3)\n"
+        "except InvariantBroken as exc:\n"
+        "    print('emptied:', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimized True deletions 90 clean True",
+        "insert: sets below the first empty one must be non-empty and settled True",
+        "merge: last set must not be in migration when a downward migration starts True",
+        "emptied: no set holds a member, but other objects are live",
+    ]
+
+
 @pytest.mark.parametrize("engine_cls", [SemiDynamicEngine, FullyDynamicEngine])
 def test_insert_is_atomic_when_the_colorer_build_fails(engine_cls):
     builds = []

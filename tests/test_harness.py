@@ -285,7 +285,10 @@ def test_cli_bench(tmp_path):
     assert rc == 0
     bench = json.loads(rep.read_text())
     assert len(bench["trials"]) == 4
-    assert (tmp_path / "bench.csv").exists()
+    # wall-clock cost per event, a bench-only column
+    assert all(t["us_per_event"] > 0 for t in bench["trials"])
+    header = (tmp_path / "bench.csv").read_text().splitlines()[0]
+    assert header.split(",") == list(harness.BENCH_FIELDS) and header.endswith("us_per_event")
 
 
 def test_cli_bench_insert_only_structure_defaults_to_no_deletions(tmp_path, capsys):
