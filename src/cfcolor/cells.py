@@ -373,10 +373,9 @@ class Partition:
                     if cell_key(objects[oid]) != key:
                         misrouted = oid
                         break
-        if before:
-            kept = cells.keys() - stale
-            if any(before.get(oid) in kept for oid, _ in location.items() ^ before.items()):
-                located = False
+        kept = cells.keys() - stale
+        if any(before.get(oid) in kept for oid, _ in location.items() ^ before.items()):
+            located = False
         # each held object located at its cell, whose key is distinct, and as
         # many held as located: every object held by one cell, the one its
         # location names
