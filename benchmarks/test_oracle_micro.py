@@ -10,16 +10,28 @@ and everything a verified step runs: the audit, the colors and the oracle,
 the last two from one box view.  The clipped-sweep cases replay the
 clipped sets of an oracle-sampled replay through IncrementalCF's sweep,
 which passes a set of distinct colors unswept, and through check_cf.
+The piece cases time the unimax range checks an engine runs on one
+piece's final coloring, a seeded colorer's, of 16 or 32 points on a line
+and 32 in the plane.
 """
 
 import copy
+import random
 
 import pytest
 
 from cfcolor import oracle
-from cfcolor.geom import AxisRect
+from cfcolor.geom import AxisRect, Pt
 from cfcolor.harness import generate_workload, make_structure, run_workload
-from cfcolor.oracle import IncrementalCF, check_cf, check_cf_intervals, check_cf_rect_ranges
+from cfcolor.oracle import (
+    IncrementalCF,
+    check_cf,
+    check_cf_intervals,
+    check_cf_rect_ranges,
+    check_unimax_intervals,
+    check_unimax_rect_ranges,
+)
+from cfcolor.unimax import IntervalPointColorer, RectPointColorer
 
 # name: (structure, object kind, inserts, delete ratio, structure params)
 STATES = {
@@ -85,6 +97,40 @@ def test_per_step_check_cf(benchmark, name, checker):
         return [check(colored) for colored in steps]
 
     assert benchmark(replay) == [None] * len(steps)
+
+
+def test_per_step_check_cf_intervals(benchmark):
+    """check_cf_intervals on the final coloring after each event of the
+    full-1d-150 replay."""
+    steps = [[(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
+             for adapter in _replayed("full-1d-150")]
+
+    def replay():
+        return [check_cf_intervals(colored) for colored in steps]
+
+    assert benchmark(replay) == [None] * len(steps)
+
+
+def _piece(colorer_cls, m, point):
+    """A colorer's final coloring of m seeded points, as (point, color) pairs."""
+    rng = random.Random(SEED)
+    points = {oid: point(rng) for oid in range(m)}
+    colors = colorer_cls(points).colors
+    return [(points[oid], colors[oid]) for oid in points]
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_check_unimax_intervals_piece(benchmark, m):
+    colored = _piece(IntervalPointColorer, m, lambda rng: rng.uniform(0, 100))
+    assert benchmark(check_unimax_intervals, colored) is None
+
+
+@pytest.mark.parametrize("check", [check_unimax_rect_ranges, check_cf_rect_ranges],
+                         ids=["unimax", "cf"])
+def test_rect_ranges_piece(benchmark, check):
+    colored = _piece(RectPointColorer, 32, lambda rng: Pt(rng.uniform(0, 100),
+                                                          rng.uniform(0, 100)))
+    assert benchmark(check, colored) is None
 
 
 @pytest.mark.parametrize("kernel", ["incremental", "check_cf"])

@@ -20,10 +20,16 @@ Two families of checks:
   a sweep, which skips check_cf's fixed numpy cost per call.
 
 * point colorings (points vs. interval or rectangle ranges): canonical
-  ranges span all coordinate pairs.  Exhaustive below a size cutoff,
-  deterministic random sampling beyond it.  `check_cf_intervals` and the
-  sampled rectangle ranges are vectorized over dense color codes in
-  bounded blocks of windows.
+  ranges span all coordinate pairs.  On a line, two exact deciders judge
+  every canonical interval at once: `_cf_pass` splits the points at each
+  point whose color occurs once, recursively, and `_unimax_pass` is one
+  stack pass over the coordinate groups' maxima.  Only when a decider
+  reports a bad window does a per-window kernel run, to word the witness:
+  `check_cf_intervals` vectorized over dense color codes in bounded blocks
+  of windows, `_first_bad_window` for unimax.  The exhaustive rectangle
+  ranges, up to a size cutoff, put the same deciders in front of
+  `_first_bad_window` on each x-strip; beyond the cutoff, deterministic
+  random ranges are checked in vectorized batches.
 """
 
 from __future__ import annotations
@@ -285,17 +291,25 @@ def check_cf_intervals(points: list[tuple[float, object]],
     """Conflict-freeness of colored 1-D points w.r.t. every canonical interval.
 
     Canonical windows start and end at point coordinates (duplicate
-    coordinates are covered together).  Exhaustive up to
-    EXHAUSTIVE_1D_LIMIT points; beyond that, a seeded sample of window
-    starts is extended exhaustively.
+    coordinates are covered together).  `_cf_pass` decides every window
+    first, and a passing set returns None at once.  Otherwise the window
+    kernel words the witness: the first bad window by start, then end.  It
+    tries every start, or, given `max_starts`, a seeded sample of that
+    many starts, each extended to every end; a bad window outside the
+    sample then goes unreported.  Without `max_starts`, beyond
+    EXHAUSTIVE_1D_LIMIT points the kernel samples that many starts, and
+    where it finds nothing the decider's bad window is the witness, so
+    the check stays exact at every size.
     """
     pts = sorted(points, key=lambda pc: pc[0])
     n = len(pts)
-    if n == 0:
+    window = _cf_pass(pts)
+    if window is None:
         return None
     is_start, is_end = _group_bounds([x for x, _ in pts])
     start_idxs = [i for i in range(n) if is_start[i]]
-    if max_starts is None and n > EXHAUSTIVE_1D_LIMIT:
+    fallback = max_starts is None and n > EXHAUSTIVE_1D_LIMIT
+    if fallback:
         max_starts = EXHAUSTIVE_1D_LIMIT
     if max_starts is not None and len(start_idxs) > max_starts:
         rng = random.Random(seed)
@@ -331,19 +345,110 @@ def check_cf_intervals(points: list[tuple[float, object]],
         if len(rows):
             r = rows[0]
             si, sj = int(block[r]), i0 + int(np.argmax(bad[r]))
-            return Witness((pts[si][0], pts[sj][0]),
-                           sorted(v for _, v in pts[si:sj + 1]))
-    return None
+            return _window_witness(pts, si, sj)
+    return _window_witness(pts, *window) if fallback else None
 
 
 def check_unimax_intervals(points: list[tuple[float, object]]) -> Witness | None:
-    """Unique-maximum over every canonical interval; exhaustive."""
+    """Unique-maximum over every canonical interval; exhaustive.
+    `_unimax_pass` decides every window, and only a failing set goes on to
+    `_first_bad_window`, which words the first bad window by start, then
+    end."""
     pts = sorted(points, key=lambda pc: pc[0])
-    bad = _first_bad_window(pts, unimax=True)
-    if bad is None:
+    if _unimax_pass(pts) is None:
         return None
-    i, j = bad
+    return _window_witness(pts, *_first_bad_window(pts, unimax=True))
+
+
+def _window_witness(pts: list[tuple[float, object]], i: int, j: int) -> Witness:
     return Witness((pts[i][0], pts[j][0]), sorted(v for _, v in pts[i:j + 1]))
+
+
+def _cf_pass(pts: list[tuple[float, object]]) -> tuple[int, int] | None:
+    """None when every canonical window of coordinate-sorted pts has a
+    color that occurs once in it; otherwise (i, j) such that pts[i..j] is
+    a canonical window without one.
+
+    A window holding a point whose color occurs once in an enclosing
+    segment passes, since that color occurs once in the window too.  So a
+    segment is cut at each such point, removing the point's whole
+    coordinate group (every window holding one of the group holds all of
+    it), and only the pieces between cuts still need a check.  A segment
+    with no color that occurs once is itself a bad window, and one whose
+    colors are all distinct is cut away whole.  A point's color occurs
+    once in [lo, hi) exactly when the same color's previous index is
+    below lo and its next at or past hi.  Each round of cuts removes at
+    least one color from every piece, so a point is looked at most once
+    per distinct color: O(n d) for d colors.
+    """
+    xs = [x for x, _ in pts]
+    n = len(pts)
+    last: dict = {}
+    prev = [0] * n
+    for i, (_, c) in enumerate(pts):
+        prev[i] = last.get(c, -1)
+        last[c] = i
+    nxt = [n] * n
+    for i, p in enumerate(prev):
+        if p >= 0:
+            nxt[p] = i
+    todo = [(0, n)] if n > 1 else []
+    while todo:
+        lo, hi = todo.pop()
+        start = lo
+        for i in [k for k in range(lo, hi) if prev[k] < lo and nxt[k] >= hi]:
+            if i < start:
+                continue  # in the coordinate group cut last
+            a = i
+            while a > start and xs[a - 1] == xs[i]:
+                a -= 1
+            if a - start > 1:
+                todo.append((start, a))
+            start = i + 1
+            while start < hi and xs[start] == xs[i]:
+                start += 1
+        if start == lo:
+            return lo, hi - 1
+        if hi - start > 1:
+            todo.append((start, hi))
+    return None
+
+
+def _unimax_pass(pts: list[tuple[float, object]]) -> tuple[int, int] | None:
+    """None when every canonical window of coordinate-sorted pts has a
+    unique maximum color; otherwise (i, j) such that pts[i..j] is a
+    canonical window without one.
+
+    One pass over the coordinate groups, each reduced to its maximum and
+    how often it occurs.  A window's maximum repeats exactly when one of
+    its groups wears its maximum twice, or two of its groups have equal
+    maxima and every group between them a smaller one.  A stack of group
+    maxima, strictly decreasing, finds the second case: a new group pops
+    the smaller maxima it hides, and an equal one left on top sees it.
+    """
+    stack: list[tuple[object, int]] = []  # (group maximum, group start)
+    n = len(pts)
+    i = 0
+    while i < n:
+        x, top = pts[i]
+        times = 1
+        j = i + 1
+        while j < n and pts[j][0] == x:
+            c = pts[j][1]
+            if c > top:
+                top, times = c, 1
+            elif c == top:
+                times += 1
+            j += 1
+        if times > 1:
+            return i, j - 1
+        while stack and stack[-1][0] < top:
+            stack.pop()
+        if stack and stack[-1][0] == top:
+            return stack[-1][1], j - 1
+        stack.append((top, i))
+        i = j
+    return None
 
 
 def _first_bad_window(pts: list[tuple[float, object]], unimax: bool) -> tuple[int, int] | None:
@@ -402,17 +507,19 @@ def check_unimax_rect_ranges(points: list[tuple[Pt, object]],
 
 def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Witness | None:
     """Every canonical rectangle: x-windows, then the y-windows of the
-    points each x-window holds."""
+    points each x-window holds.  A strip that its 1-D decider passes needs
+    no window scan; `_first_bad_window` words the witness of one that
+    fails."""
     xs = sorted({p.x for p, _ in points})
     by_x = sorted(points, key=lambda pc: (pc[0].x, pc[0].y))
+    decide = _unimax_pass if unimax else _cf_pass
     for a in range(len(xs)):
         for b in range(a, len(xs)):
             xlo, xhi = xs[a], xs[b]
             strip = [(p.y, c) for p, c in by_x if xlo <= p.x <= xhi]
             strip.sort(key=lambda t: t[0])
-            bad = _first_bad_window(strip, unimax)
-            if bad is not None:
-                i, j = bad
+            if decide(strip) is not None:
+                i, j = _first_bad_window(strip, unimax)
                 return Witness((xlo, xhi, strip[i][0], strip[j][0]),
                                sorted(v for _, v in strip[i:j + 1]))
     return None

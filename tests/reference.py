@@ -3,18 +3,20 @@
 Walks, decoders, per-square color readings and palette sizes that only
 tests need, and the plain oracle checks that the sweeps and running-count
 versions in cfcolor.oracle are compared with: per probe point over the
-probe grid, and per window over canonical rectangles.  Also the colored
-rectangles of a geometric structure, the tree audit as a closure that
-the module-level walk in cfcolor.augtree is compared with, the engines'
-locate/actual check object by object, the workload reader that runs
-json.loads line by line, and the definitional color recomputations from
-tree shape.
+probe grid, and per window over canonical intervals and rectangles.
+Also the colored rectangles of a geometric structure, the tree audit as
+a closure that the module-level walk in cfcolor.augtree is compared
+with, the engines' locate/actual check object by object, the workload
+reader that runs json.loads line by line, and the definitional color
+recomputations from tree shape.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
+from collections import Counter
 from typing import Iterator
 
 from cfcolor.augtree import RED, AugTree, Node, ViolationReport
@@ -232,6 +234,23 @@ def _window_violates(colors: list, unimax: bool) -> bool:
     if unimax:
         return colors.count(max(colors)) != 1
     return not _has_singleton(colors)
+
+
+def intervals_reference(points, max_starts=None, seed=0):
+    """Every canonical window checked on its own, by coordinate value: the
+    first without a color that occurs once, as ((lo, hi), sorted colors),
+    or None.  With max_starts, only the windows starting at the same seeded
+    sample of start coordinates that check_cf_intervals draws."""
+    xs = sorted({x for x, _ in points})
+    starts = xs
+    if max_starts is not None and len(xs) > max_starts:
+        starts = sorted(random.Random(seed).sample(xs, max_starts))
+    for lo in starts:
+        for hi in xs:
+            window = [c for x, c in points if lo <= x <= hi]
+            if hi >= lo and 1 not in Counter(window).values():
+                return (lo, hi), sorted(window)
+    return None
 
 
 def exhaustive_rect_ranges(points, unimax: bool) -> Witness | None:

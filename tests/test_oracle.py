@@ -26,6 +26,7 @@ from reference import (
     check_unimax_probes,
     colored_rects,
     exhaustive_rect_ranges,
+    intervals_reference,
     leaves,
     nodes,
     probe_grid,
@@ -194,27 +195,13 @@ def test_intervals_trivial_and_violation():
     assert check_cf_intervals([(1.0, 0), (2.0, 1), (3.0, 0)]) is None
 
 
-def _intervals_reference(points, max_starts, seed):
-    """Every canonical window checked on its own, by coordinate value."""
-    xs = sorted({x for x, _ in points})
-    starts = xs
-    if max_starts is not None and len(xs) > max_starts:
-        starts = sorted(random.Random(seed).sample(xs, max_starts))
-    for lo in starts:
-        for hi in xs:
-            window = [c for x, c in points if lo <= x <= hi]
-            if hi >= lo and 1 not in Counter(window).values():
-                return (lo, hi), sorted(window)
-    return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=25),
        st.sampled_from([None, 1, 2, 5]), st.integers(0, 3))
 def test_intervals_agree_with_per_window_reference(raw, max_starts, seed):
     points = [(float(x), c) for x, c in raw]
     w = check_cf_intervals(points, max_starts=max_starts, seed=seed)
-    want = _intervals_reference(points, max_starts, seed)
+    want = intervals_reference(points, max_starts, seed)
     assert (None if w is None else (w.probe, w.colors)) == want
 
 
