@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the harness's file writers and reader.
+"""Micro-benchmarks of the harness's file writers, reader and replay loop.
 
     python -m pytest benchmarks -q
 
@@ -28,6 +28,11 @@ def test_write_report(benchmark, stream, tmp_path):
     path = tmp_path / "report.json"
     benchmark(write_report, report, str(path))
     assert path.with_suffix(".csv").exists()
+
+
+def test_replay_loop(benchmark, stream):
+    events, report = stream
+    assert benchmark(run_workload, "full-1d", events, "none") == report
 
 
 def test_write_workload(benchmark, stream, tmp_path):

@@ -51,9 +51,8 @@ from operator import attrgetter, is_not
 
 from .augtree import (LEFT, RIGHT, AugTree, ViolationReport, dirty_candidates, slot_values,
                       tree_state)
-from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId
+from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId, tuple_new
 
-tuple_new = tuple.__new__  # tuple_new(KeyOrder, (coordinate, id)) builds a KeyOrder in C
 _objects = attrgetter("objects")
 _cell_state = attrgetter("pin", "objects", "trees")
 

@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .augtree import ViolationReport
-from .geom import GlobalColor, ObjectId, RecolorDiff, UnknownId, pair_encode
+from .geom import GlobalColor, ObjectId, RecolorDiff, UnknownId, pair_encode, tuple_new
 
 PaletteKey = tuple[int, int]  # (level, t)
 
@@ -143,6 +143,10 @@ class Piece:
     order: list[ObjectId] | None = None
     cut: int = 0
     checked: tuple | None = field(default=None, compare=False, repr=False)
+    tag: int = field(init=False, compare=False, repr=False)  # pair_encode(*palette)
+
+    def __post_init__(self) -> None:
+        self.tag = pair_encode(*self.palette)
 
     @property
     def level(self) -> int:
@@ -151,9 +155,6 @@ class Piece:
     @property
     def settled(self) -> bool:
         return not self.children and self.star == self.members
-
-    def final_color(self, oid: ObjectId) -> GlobalColor:
-        return GlobalColor(pair_encode(*self.palette), self.colors[oid])
 
 
 @dataclass
@@ -205,8 +206,13 @@ class _EngineBase:
 
     def _resolve(self, piece: Piece, oid: ObjectId) -> GlobalColor:
         while oid not in piece.star:
-            piece = next(ch for ch in piece.children if oid in ch.members)
-        return piece.final_color(oid)
+            for child in piece.children:
+                if oid in child.members:
+                    piece = child
+                    break
+            else:
+                raise InvariantBroken(f"no child piece hosts {oid}")
+        return tuple_new(GlobalColor, (piece.tag, piece.colors[oid]))
 
     def _release_piece(self, piece: Piece) -> None:
         self.pool.release(piece.palette)
@@ -312,19 +318,22 @@ class _EngineBase:
 
     def _reconcile(self, cands: set[ObjectId], diff: RecolorDiff,
                    assigned: ObjectId | None = None) -> None:
+        objects, levels, locate, actual = self.objects, self.levels, self.locate, self.actual
+        resolve = self._resolve
+        changed = diff.changed
         for oid in sorted(cands):
-            if oid not in self.objects:
+            if oid not in objects:
                 continue
-            piece = self.levels[self.locate[oid]].piece
-            new = self._resolve(piece, oid)
-            old = self.actual.get(oid)
+            new = resolve(levels[locate[oid]].piece, oid)
             if oid == assigned:
-                self.actual[oid] = new
+                actual[oid] = new
                 diff.assigned = (oid, new)
-            elif old != new:
-                self.actual[oid] = new
-                diff.changed[oid] = (old, new)
-        self.total_recolorings += diff.recolorings
+            else:
+                old = actual.get(oid)
+                if old != new:
+                    actual[oid] = new
+                    changed[oid] = (old, new)
+        self.total_recolorings += len(changed)
 
     def _take_levels(self, lo: int, hi: int) -> tuple[list[Piece], set[ObjectId]]:
         """Empty levels lo..hi-1: their non-empty pieces, lowest level

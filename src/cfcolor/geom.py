@@ -84,6 +84,9 @@ class GlobalColor(NamedTuple):
     local: int
 
 
+tuple_new = tuple.__new__  # tuple_new(KeyOrder, (coordinate, id)) builds a KeyOrder in C
+
+
 def pair_encode(a: int, b: int) -> int:
     """Cantor pairing: injective map of ordered non-negative pairs to ints."""
     s = a + b

@@ -41,9 +41,16 @@ File contract: the report JSON is the bytes of json.dump(report, indent=2,
 sort_keys=True) plus a newline, and the CSV those of csv.DictWriter over
 REPORT_FIELDS with restval "" and newline line ends; a bench file is the
 same over its trials and BENCH_FIELDS.  A workload line is
-json.dumps(event, sort_keys=True).  The writers produce these bytes through
-the C encoder, and for that rely on every step and trial row being a
-non-empty, flat dict of scalars.
+json.dumps(event, sort_keys=True).  The writers use json.dumps for all but
+the rows, and one %-template per row shape (geometric step, framework step,
+bench trial) for each row's JSON object and CSV line, a block of
+_ROWS_PER_ENCODE rows at a time to bound the text held.  So they rely on
+closed schemas, every row holding exactly one shape's fields, and closed
+value types: ints; one finite float, us_per_event, whose repr is its JSON
+and CSV text; verified true, false or "skipped"; and strings from closed
+sets (ops, level states, structure names) that JSON writes as themselves
+and CSV writes bare, but for a set_states of several states, which CSV
+quotes for its commas.
 
 distinct_colors is counted from the RecolorDiff of each update, whose
 colors are those global_colors() reports: replay keeps an object -> color
@@ -76,11 +83,11 @@ the whole state, so each verdict is the full check's.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 import sys
 import time
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .anchored import AnchoredCF
@@ -103,9 +110,6 @@ ORACLE_EVERY_STEP_LIMIT = 256
 ORACLE_SAMPLE_STRIDE = 32
 VERIFY_MODES = ("none", "invariants", "oracle-sampled", "oracle-every-step")
 _FLOAT_MAX = sys.float_info.max
-# Without indent, json encodes in C.  Report rows are written one key per
-# line, six spaces in: their depth under json.dump(indent=2).
-_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _ROWS_PER_ENCODE = 256
 _encode_event = json.JSONEncoder(sort_keys=True).encode
 _decode_event = json.JSONDecoder().raw_decode
@@ -477,44 +481,25 @@ def make_structure(name: str, c: float | None = None, universe: int | None = Non
 # replay
 # ---------------------------------------------------------------------------
 
-def _should_verify(mode: str, step: int, total: int, n: int) -> tuple[bool, bool]:
-    """(run invariants, run oracle) for this step."""
-    last = step == total - 1
-    if mode == "none":
-        return False, False
-    if mode == "invariants":
-        return True, False
-    if mode == "oracle-every-step":
-        return True, True
-    if mode == "oracle-sampled":
-        due = n <= ORACLE_EVERY_STEP_LIMIT or step % ORACLE_SAMPLE_STRIDE == 0 or last
-        return due, due
-    raise InvalidParams(f"unknown verify mode {mode!r}")
-
-
-def _wear(worn: dict, counts: dict, oid, color) -> None:
-    """Record that oid now wears color (None: it left), in the object ->
-    color map and the color -> multiplicity map over it."""
-    old = worn.pop(oid, None)
-    if old is not None:
-        k = counts[old] - 1
-        if k:
-            counts[old] = k
-        else:
-            del counts[old]
-    if color is not None:
-        worn[oid] = color
-        counts[color] = counts.get(color, 0) + 1
-
-
 def _apply_diff(worn: dict, counts: dict, diff) -> None:
-    """Apply one update's RecolorDiff to both maps."""
-    for oid, (_, new) in diff.changed.items():
-        _wear(worn, counts, oid, new)
+    """Apply one update's RecolorDiff to the object -> color map and the
+    color -> multiplicity map over it, in one pass over what it names:
+    changed objects, then the assigned one, then the removed one, which
+    leaves.  An object's old color is the one it wears in worn, not the
+    diff's."""
+    wear = [*diff.changed.items()]
     if diff.assigned is not None:
-        _wear(worn, counts, *diff.assigned)
+        oid, color = diff.assigned
+        wear.append((oid, (None, color)))
     if diff.removed is not None:
-        _wear(worn, counts, diff.removed[0], None)
+        wear.append((diff.removed[0], (None, None)))
+    for oid, (_, color) in wear:
+        old = worn.pop(oid, None)
+        if old is not None and (k := counts.pop(old) - 1):
+            counts[old] = k
+        if color is not None:
+            worn[oid] = color
+            counts[color] = counts.get(color, 0) + 1
 
 
 def _colors_mismatch(reported: dict, worn: dict) -> str:
@@ -530,7 +515,19 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
     """Replay events; returns the report dict (schema in the module docstring)."""
     adapter = make_structure(structure_name, c=c, universe=universe)
     expected_kind = STRUCTURES[structure_name].kind
+    if verify not in VERIFY_MODES:
+        raise InvalidParams(f"unknown verify mode {verify!r}")
+    # the verify schedule: every step, or while n <= the limit, every
+    # stride-th step and the last one
+    checked = verify != "none"
+    sampled = verify == "oracle-sampled"
+    oracle = verify in ("oracle-sampled", "oracle-every-step")
+    last = len(events) - 1
+    framework_info = adapter.framework_info
+    framework = framework_info() is not None   # the row shape
+    insert, delete = adapter.insert, adapter.delete
     steps = []
+    append_row = steps.append
     violations = []
     live_ids: set[int] = set()
     # each live object's color and the colors in use, from the diffs
@@ -539,6 +536,9 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
     for step, ev in enumerate(events):
         op = ev["op"]
         oid = ev["id"]
+        # the row's op and id are written unescaped (file contract)
+        if type(oid) is not int:
+            raise ParseError(f"step {step}: id must be an int, got {oid!r}")
         if op == "insert":
             obj = ev["object"]
             if obj.get("kind") != expected_kind:
@@ -546,51 +546,43 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                     f"step {step}: structure {structure_name} cannot hold {obj.get('kind')!r}")
             if oid in live_ids:
                 raise ParseError(f"step {step}: duplicate insert id {oid}")
-            diff = adapter.insert(oid, obj)
+            diff = insert(oid, obj)
             live_ids.add(oid)
-        else:
+        elif op == "delete":
             if oid not in live_ids:
                 raise ParseError(f"step {step}: delete of non-live id {oid}")
-            diff = adapter.delete(oid)
+            diff = delete(oid)
             live_ids.discard(oid)
+        else:
+            raise ParseError(f"step {step}: unknown op {op!r}")
         _apply_diff(worn, color_counts, diff)
 
         n = len(adapter)
-        inv_due, oracle_due = _should_verify(verify, step, len(events), n)
         verified: bool | str = "skipped"
-        if inv_due or oracle_due:
+        if checked and (not sampled or n <= ORACLE_EVERY_STEP_LIMIT
+                        or step % ORACLE_SAMPLE_STRIDE == 0 or step == last):
             verified = True
-            if inv_due:
-                report = adapter.check_invariants()
-                if report is not None:
-                    verified = False
-                    violations.append({"step": step, "check": "invariants",
-                                       "detail": str(report.reason)})
-                reported = adapter.colors()
-                if reported != worn:
-                    verified = False
-                    violations.append({"step": step, "check": "colors",
-                                       "detail": _colors_mismatch(reported, worn)})
-            if oracle_due and verified is True:
+            report = adapter.check_invariants()
+            if report is not None:
+                verified = False
+                violations.append({"step": step, "check": "invariants",
+                                   "detail": str(report.reason)})
+            reported = adapter.colors()
+            if reported != worn:
+                verified = False
+                violations.append({"step": step, "check": "colors",
+                                   "detail": _colors_mismatch(reported, worn)})
+            if oracle and verified:
                 witness = adapter.check_oracle()
                 if witness is not None:
                     verified = False
                     violations.append({"step": step, "check": "oracle",
                                        "detail": str(witness)})
-        row = {
-            "step": step,
-            "op": op,
-            "id": oid,
-            "n": n,
-            "recolorings": diff.recolorings,
-            "distinct_colors": len(color_counts),
-            "verified": verified,
-        }
-        info = adapter.framework_info()
-        if info is not None:
-            row["level"] = info[0]
-            row["set_states"] = info[1]
-        steps.append(row)
+        row = {"step": step, "op": op, "id": oid, "n": n, "recolorings": len(diff.changed),
+               "distinct_colors": len(color_counts), "verified": verified}
+        if framework:
+            row["level"], row["set_states"] = framework_info()
+        append_row(row)
 
     summary = {
         "events": len(events),
@@ -617,43 +609,70 @@ BENCH_FIELDS = ("structure", "n", "seed", "events", "final_n",
                 "us_per_event")
 
 
-def _write_json_csv(doc: dict, key: str, fields: tuple, path: str) -> None:
+_VERIFIED_JSON = {True: "true", False: "false", "skipped": '"skipped"'}
+_STRING_FIELDS = ("op", "set_states", "structure")
+
+
+def _row_shape(table_fields: tuple, fields: tuple) -> tuple[Callable, Callable]:
+    """The writers of a row with exactly these fields, in a table of
+    table_fields: row -> its JSON object as json.dump(indent=2) writes it in
+    the table, and row -> its CSV line, where a field the row lacks is an
+    empty cell.  The JSON template is one per value of "verified"; the CSV
+    cell of "set_states", the last field, is quoted when it joins states."""
+    keys = sorted(fields)
+    json_values = itemgetter(*(k for k in keys if k != "verified"))
+    by_verified = {}
+    for value, text in (_VERIFIED_JSON if "verified" in fields else {None: None}).items():
+        slots = (text if k == "verified" else '"%s"' if k in _STRING_FIELDS else "%s" for k in keys)
+        by_verified[value] = ("{\n" + ",\n".join(f'      "{k}": {v}' for k, v in zip(keys, slots))
+                              + "\n    }")
+    to_json = lambda row: by_verified[row.get("verified")] % json_values(row)
+    csv_values = itemgetter(*fields)
+    line = ",".join("%s" if f in fields else "" for f in table_fields) + "\n"
+    if "set_states" not in fields:
+        return to_json, lambda row: line % csv_values(row)
+    quoted = line[:-3] + '"%s"\n'
+    return to_json, lambda row: (quoted if "," in row["set_states"] else line) % csv_values(row)
+
+
+def _write_json_csv(doc: dict, key: str, fields: tuple, shapes: dict, path: str) -> None:
     """doc as JSON at path, and its rows table doc[key] as CSV next to it
     (.json becomes .csv), in the bytes of the file contract (module
-    docstring) but through the C encoders."""
+    docstring): json.dumps writes all but the rows, and each row is its
+    shape's templates filled in.  shapes maps a row's length to its
+    _row_shape writers; a row that fits none fails with KeyError, as does
+    one that lacks a field of its shape."""
     rows = doc[key]
     # the rows table is doc's only top-level key of that name, and a newline
     # followed by two spaces and a quote opens a top-level key, nothing else
     head, tail = json.dumps({**doc, key: []}, indent=2, sort_keys=True).split(
         f'\n  "{key}": []')
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    csv_path = path[:-5] + ".csv" if path.endswith(".json") else path + ".csv"
+    to_json = {size: writers[0] for size, writers in shapes.items()}
+    to_csv = {size: writers[1] for size, writers in shapes.items()}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh, \
+            open(csv_path, "w", encoding="utf-8", newline="\n") as table:
         fh.write(head)
-        fh.write(f'\n  "{key}": ')
+        fh.write(f'\n  "{key}": [' if rows else f'\n  "{key}": []')
+        table.write(",".join(fields) + "\n")
+        # a block of rows at a time bounds the text held at once
+        for i in range(0, len(rows), _ROWS_PER_ENCODE):
+            block = rows[i:i + _ROWS_PER_ENCODE]
+            fh.write(",\n    " if i else "\n    ")
+            fh.write(",\n    ".join([to_json[len(row)](row) for row in block]))
+            table.write("".join([to_csv[len(row)](row) for row in block]))
         if rows:
-            # A newline in the encoder's output comes only from a separator
-            # (strings escape theirs), and rows are flat dicts of scalars, so
-            # "},\n      {" is always a break between two rows.  Blocks of rows
-            # bound the encoder's memory: it holds every piece of its output
-            # as a separate string until it returns.
-            row_break = "\n    },\n    {\n      "
-            for i in range(0, len(rows), _ROWS_PER_ENCODE):
-                fh.write(row_break if i else "[\n    {\n      ")
-                block = _ROWS_ENCODER.encode(rows[i:i + _ROWS_PER_ENCODE])
-                fh.write(block[2:-2].replace("},\n      {", row_break))
-            fh.write("\n    }\n  ]")
-        else:
-            fh.write("[]")
+            fh.write("\n  ]")
         fh.write(tail)
         fh.write("\n")
-    csv_path = path[:-5] + ".csv" if path.endswith(".json") else path + ".csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows([row.get(f, "") for f in fields] for row in rows)
+
+
+_REPORT_ROWS = {len(f): _row_shape(REPORT_FIELDS, f) for f in (REPORT_FIELDS[:-2], REPORT_FIELDS)}
+_BENCH_ROWS = {len(BENCH_FIELDS): _row_shape(BENCH_FIELDS, BENCH_FIELDS)}
 
 
 def write_report(report: dict, path: str) -> None:
-    _write_json_csv(report, "steps", REPORT_FIELDS, path)
+    _write_json_csv(report, "steps", REPORT_FIELDS, _REPORT_ROWS, path)
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +687,9 @@ def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
     time of its replay (verify "none") over its events: the one column that
     differs between runs, which is why only bench files carry it."""
     kind = STRUCTURES[structure_name].kind
+    # the trial rows' n and seed are written unescaped (file contract)
+    if any(type(v) is not int for v in (*sizes, *seeds)):
+        raise InvalidParams(f"sizes and seeds must be ints, got {sizes!r} and {seeds!r}")
     if delete_ratio is None:
         deletes = make_structure(structure_name, c=c, universe=universe).supports_delete
         delete_ratio = 0.3 if deletes else 0.0
@@ -693,4 +715,4 @@ def run_bench(structure_name: str, sizes: list[int], seeds: list[int],
 
 
 def write_bench(bench: dict, path: str) -> None:
-    _write_json_csv(bench, "trials", BENCH_FIELDS, path)
+    _write_json_csv(bench, "trials", BENCH_FIELDS, _BENCH_ROWS, path)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from cfcolor import harness
 from cfcolor.cli import build_parser
 from cfcolor.cli import main as cli_main
+from cfcolor.framework import DOWN, EMPTY, SETTLED, UP
 from cfcolor.geom import GlobalColor
 from cfcolor.harness import (
     InvalidParams,
@@ -187,14 +188,27 @@ def _byte_identity_cases(monkeypatch):
     # the rows are encoded a block at a time: cover a partial last block
     assert len(full["steps"]) % harness._ROWS_PER_ENCODE
     assert len(full["steps"]) > 2 * harness._ROWS_PER_ENCODE
+    invariants = run_workload("squares", events, verify="invariants")
+    assert all(row["verified"] is True for row in invariants["steps"])
+    bench = harness.run_bench("universe", [0, 6], [1, 2], universe=16)
+    # floats whose repr has an exponent, is a bare zero, or has many digits
+    for trial, us in zip(bench["trials"], (1e-05, 1.5e+16, 0.0, 123456.78)):
+        trial["us_per_event"] = us
     return {
         "violation": ("steps", leaky),
         "full-1d": ("steps", full),
+        "full-1d unverified": ("steps", run_workload(
+            "full-1d", generate_workload("point_1d", 60, 0.5, seed=5))),
+        "semi-1d unverified": ("steps", run_workload(
+            "semi-1d", generate_workload("point_1d", 60, 0.0, seed=5))),
+        "full-2d": ("steps", run_workload(
+            "full-2d", generate_workload("point_2d", 40, 0.3, seed=6), verify="invariants")),
+        "invariants": ("steps", invariants),
         "empty": ("steps", run_workload("anchored", [], verify="invariants")),
         "odd path": ("steps", run_workload(
             "bounded", generate_workload("bounded_rect", 5, 0.0, seed=1, c=2.0),
             c=2.0, config_extra={"workload": ODD_PATH})),
-        "bench": ("trials", harness.run_bench("universe", [0, 6], [1, 2], universe=16)),
+        "bench": ("trials", bench),
     }
 
 
@@ -212,6 +226,27 @@ def test_written_files_are_the_stdlib_writers_bytes(tmp_path, monkeypatch):
         assert path.with_suffix(".csv").read_bytes() == want_csv, name
     assert json.loads((tmp_path / "odd path.json").read_text(encoding="utf-8"))[
         "config"]["workload"] == ODD_PATH
+
+
+def test_closed_strings_encode_to_themselves():
+    """The row templates write these strings bare inside JSON quotes and as
+    bare CSV cells, so each must be its own JSON encoding and need no CSV
+    quoting."""
+    strings = ["insert", "delete", "skipped", EMPTY, SETTLED, UP, DOWN, *harness.STRUCTURES]
+    for s in strings:
+        assert json.dumps(s)[1:-1] == s, s
+        assert not set(s) & set('"\r\n,'), s
+
+
+def test_rows_take_only_closed_values():
+    """Replay and bench refuse what the row templates could not write."""
+    insert = generate_workload("unit_square", 1, 0.0, seed=1)[0]
+    with pytest.raises(ParseError, match="unknown op"):
+        run_workload("squares", [insert, {"op": "remove", "id": 0}])
+    with pytest.raises(ParseError, match="must be an int"):
+        run_workload("squares", [dict(insert, id="0")])
+    with pytest.raises(InvalidParams, match="must be ints"):
+        harness.run_bench("squares", [4], ["seed"])
 
 
 @pytest.mark.parametrize("events", [
