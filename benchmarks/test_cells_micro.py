@@ -4,7 +4,10 @@
 
 Kept out of the tier-1 testpaths; needs pytest-benchmark.  Each update
 benchmark replays one fixed seeded insert/delete stream into a fresh
-structure; the tree benchmark replays the anchored stream's keys into a
+structure: test_updates with its objects built before the timed region,
+test_adapter_updates through the adapter's insert(oid, payload) and
+delete(oid), as perfbench times them, so building each object is timed
+too.  The tree benchmark replays the anchored stream's keys into a
 bare AugTree and derives each update's dirty candidates, which times the
 tree layer apart from the cells; the walk benchmark colors every square of
 one large pinned cell.  The verified-read benchmarks time what a verified
@@ -51,6 +54,25 @@ def test_updates(benchmark, name):
            for ev in generate_workload(kind, n, delete_ratio, SEED, **params)]
     structure = benchmark(_replay, name, ops)
     assert structure.audit() is None
+
+
+def _adapter_replay(name, events):
+    adapter = make_structure(name, **STREAMS[name][3])
+    for ev in events:
+        if ev["op"] == "insert":
+            adapter.insert(ev["id"], ev["object"])
+        else:
+            adapter.delete(ev["id"])
+    return adapter
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_adapter_updates(benchmark, name):
+    kind, n, delete_ratio, params = STREAMS[name]
+    events = generate_workload(kind, n, delete_ratio, SEED, **params)
+    adapter = benchmark(_adapter_replay, name, events)
+    assert adapter.structure.audit() is None
+    assert len(adapter) == sum(1 if ev["op"] == "insert" else -1 for ev in events)
 
 
 def _tree_replay(ops):

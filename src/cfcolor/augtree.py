@@ -9,9 +9,10 @@ split goes left) and exactly two children.  Every node is augmented with
 
 where the tiebreak of ymax/ymin is the owning object's id.  Updates return
 a DirtyLog covering every node whose augmentation changed, which is what
-the coloring layers consume to recompute affected colors: one slotted
-DirtyEntry per node, kept in a node -> entry dict, so touching or removing
-a node is O(1).  dirty_candidates turns a log into object ids in one pass.
+the coloring layers consume to recompute affected colors: a dict from each
+node to its old (ymax, ymin) pair, or None when created, and a set of the
+removed nodes, so touching or removing a node is O(1) and builds nothing
+but that pair.  dirty_candidates turns a log into object ids in one pass.
 
 The rebalancing is the classic red-black scheme where leaves play the role
 of (data-carrying) black nil nodes: an insertion splices a red internal
@@ -27,7 +28,6 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator
 
 from .geom import KeyOrder, ObjectId
 
@@ -85,50 +85,31 @@ else:
         return list(map(_fields, nodes))
 
 
-@dataclass(slots=True)
-class DirtyEntry:
-    """One touched node with its pre-update augmentation (None if created)."""
-
-    node: Node
-    old_ymax: KeyOrder | None
-    old_ymin: KeyOrder | None
-    created: bool = False
-    removed: bool = False
-
-
 class DirtyLog:
-    """Superset of the nodes whose (height, ymax, ymin) changed in one update:
-    one entry per node in first-touch order (a Node hashes by identity).  A
-    later touch is a no-op; remove() flags the entry, or adds a removed one."""
+    """Superset of the nodes whose (height, ymax, ymin) changed in one update.
 
-    __slots__ = ("_by_node",)
+    `old` maps each node, in first-touch order (a Node hashes by identity),
+    to its (ymax, ymin) at first touch, or None when the update created it;
+    `removed` holds the nodes the update took out.  A later touch is a no-op.
+    """
+
+    __slots__ = ("old", "removed")
 
     def __init__(self) -> None:
-        self._by_node: dict[Node, DirtyEntry] = {}
+        self.old: dict[Node, tuple[KeyOrder, KeyOrder] | None] = {}
+        self.removed: set[Node] = set()
 
     def touch(self, node: Node, created: bool = False) -> None:
-        by_node = self._by_node
-        if node not in by_node:
-            by_node[node] = (DirtyEntry(node, None, None, True) if created
-                             else DirtyEntry(node, node.ymax, node.ymin))
+        old = self.old
+        if node not in old:
+            old[node] = None if created else (node.ymax, node.ymin)
 
     def remove(self, node: Node) -> None:
-        # removal dominates: keep old values but mark dead
-        entry = self._by_node.get(node)
-        if entry is None:
-            self._by_node[node] = DirtyEntry(node, node.ymax, node.ymin, removed=True)
-        else:
-            entry.removed = True
-
-    @property
-    def entries(self) -> list[DirtyEntry]:
-        return list(self._by_node.values())
+        self.touch(node)
+        self.removed.add(node)
 
     def __len__(self) -> int:
-        return len(self._by_node)
-
-    def __iter__(self) -> Iterator[DirtyEntry]:
-        return iter(self._by_node.values())
+        return len(self.old)
 
 
 @dataclass
@@ -172,7 +153,9 @@ class AugTree:
         ymax = right.ymax if right.ymax > left.ymax else left.ymax
         ymin = right.ymin if right.ymin < left.ymin else left.ymin
         if h != v.height or ymax != v.ymax or ymin != v.ymin:
-            log.touch(v)
+            old = log.old  # log.touch(v), inlined on the hottest path
+            if v not in old:
+                old[v] = (v.ymax, v.ymin)
             v.height, v.ymax, v.ymin = h, ymax, ymin
             return True
         return False
@@ -437,14 +420,14 @@ def dirty_candidates(log: DirtyLog) -> set[ObjectId]:
     """
     out: set[ObjectId] = set()
     add = out.add
-    for e in log:
-        if not e.created:
-            add(e.old_ymax[1])
-            add(e.old_ymin[1])
-        node = e.node
+    removed = log.removed
+    for node, old in log.old.items():
+        if old is not None:
+            add(old[0][1])
+            add(old[1][1])
         if node.payload is not None:
             add(node.payload)
-        elif not e.removed:  # a removed node's child links may be stale
+        elif node not in removed:  # a removed node's child links may be stale
             left, right = node.left, node.right
             add(left.ymax[1])
             add(left.ymin[1])

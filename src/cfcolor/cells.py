@@ -40,8 +40,13 @@ class-level default is None; no update path reads or writes them.
 The update path.  A cell's keys(obj) and its global colors are KeyOrder and
 GlobalColor values built as tuple_new(KeyOrder, (coordinate, id)): the same
 NamedTuples (callers read .tiebreak), but made by tuple.__new__ in C rather
-than by the NamedTuple's Python-level constructor.  An update recolors the
-dirty_candidates of each tree's log, reading summaries' ids by index.
+than by the NamedTuple's Python-level constructor.  An update takes the
+dirty_candidates of each tree's log, reading summaries' ids by index, and
+recomputes tree i's half of a color only for the ids tree i's log names:
+the rule reads nothing else, so no other half can change.  halves keeps
+each tree's half per object, and join(oid) makes the color from them (a
+one-tree cell's colors dict is its one halves dict).  Only ids with a half
+that changed are joined anew, which are the recolored ones and a new one.
 """
 
 from __future__ import annotations
@@ -109,9 +114,9 @@ class DirectionalCell:
     A subclass sets SELECTORS, one tuple of selectors per tree, and keys(obj),
     which gives (key, ymax, ymin) per tree, each tie-broken by the object's
     id.  A one-tree cell's colors are ints; CommonPointCF, the two-tree
-    cell, colors by (east, west) pairs.  The tag names the cell's palette.
-    colors and color_of hold these local colors; diffs and colored_boxes()
-    carry global_color(local color).
+    cell, colors by (east, west) pairs of halves.  The tag names the cell's
+    palette.  colors and color_of hold these local colors; diffs and
+    colored_boxes() carry global_color(local color).
     """
 
     SELECTORS: tuple[tuple[tuple[str, str], ...], ...] = ()
@@ -132,6 +137,8 @@ class DirectionalCell:
         self.trees = tuple(AugTree() for _ in self.SELECTORS)
         self.objects: dict[ObjectId, object] = {}
         self.colors: dict[ObjectId, object] = {}
+        # per tree, each object's half of its color; one tree's half is the color
+        self.halves: tuple[dict[ObjectId, int], ...] = (self.colors,)
         self.total_recolorings = 0
 
     def __len__(self) -> int:
@@ -147,21 +154,24 @@ class DirectionalCell:
         oid = obj.id
         if oid in self.objects:
             raise DuplicateId(oid)
-        candidates: set[ObjectId] = set()
+        dirty = []
         for tree, (key, ymax, ymin) in zip(self.trees, self.keys(obj)):
-            candidates |= dirty_candidates(tree.insert(key, oid, ymax, ymin))
+            dirty.append(dirty_candidates(tree.insert(key, oid, ymax, ymin)))
         self.objects[oid] = obj
-        return self._recolor(candidates, inserted=oid)
+        return self._recolor(dirty)
 
     def delete(self, oid: ObjectId) -> RecolorDiff:
         if self.objects.pop(oid, None) is None:
             raise UnknownId(oid)
-        candidates: set[ObjectId] = set()
+        dirty = []
         for tree in self.trees:
-            candidates |= dirty_candidates(tree.delete(tree.leaf_by_payload[oid].key))
-        candidates.discard(oid)
-        diff = self._recolor(candidates)
+            names = dirty_candidates(tree.delete(tree.leaf_by_payload[oid].key))
+            names.discard(oid)
+            dirty.append(names)
+        diff = self._recolor(dirty)
         diff.removed = (oid, self.global_color(self.colors.pop(oid)))
+        for half in self.halves:
+            half.pop(oid, None)  # None: a one-tree cell's half was its color
         return diff
 
     def color_of(self, oid: ObjectId):
@@ -170,30 +180,39 @@ class DirectionalCell:
             raise UnknownId(oid)
         return self.colors[oid]
 
-    def color(self, oid: ObjectId):
-        """The rule's color of a stored object, from the trees as they are."""
-        (tree,), (rule,) = self.trees, self.RULES
-        return tree_color(tree.leaf_by_payload[oid], *rule)
-
-    def _recolor(self, candidates: set[ObjectId], inserted: ObjectId | None = None) -> RecolorDiff:
-        """Recompute the candidates' colors; the diff against the stored ones."""
+    def _recolor(self, dirty: list[set[ObjectId]]) -> RecolorDiff:
+        """Recompute tree i's half of the color of each id dirty[i] names;
+        the diff of the colors with a half that changed, joined anew, against
+        the stored ones.  A new object has no stored color or half, and
+        every tree's log names it."""
+        colors = self.colors
+        moved = {}  # id with a changed half -> its stored color
+        for names, tree, half, (k, left, right) in zip(dirty, self.trees, self.halves,
+                                                       self.RULES):
+            leaf = tree.leaf_by_payload
+            for oid in names:
+                c = tree_color(leaf[oid], k, left, right)
+                if half.get(oid) != c:
+                    if oid not in moved:
+                        moved[oid] = colors.get(oid)
+                    half[oid] = c
         diff = RecolorDiff()
         changed = diff.changed
-        colors = self.colors
-        color = self.color
+        join = self.join
         g = self.global_color
-        for oid in sorted(candidates):
-            new = color(oid)
-            if oid == inserted:
-                colors[oid] = new
+        for oid in sorted(moved):
+            old = moved[oid]
+            new = colors[oid] = join(oid)
+            if old is None:
                 diff.assigned = (oid, g(new))
             else:
-                old = colors[oid]
-                if old != new:
-                    changed[oid] = (g(old), g(new))
-                    colors[oid] = new
+                changed[oid] = (g(old), g(new))
         self.total_recolorings += len(changed)
         return diff
+
+    def join(self, oid: ObjectId):
+        """oid's color from its halves: one tree's half is the color."""
+        return self.colors[oid]
 
     # -- verification views -------------------------------------------------
 

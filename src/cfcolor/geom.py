@@ -1,8 +1,11 @@
 """Core value types shared by every coloring scheme.
 
 Object identifiers, closed geometric primitives, tie-broken key ordering,
-and the structured global color encoding.  All objects here are plain
+and the structured global color encoding.  All objects here are immutable
 values; mutation and bookkeeping live in the structures that use them.
+Rectangles, squares, keys and global colors are NamedTuples, built once per
+update or more; a point stays a frozen dataclass, whose field reads are
+cheaper and far more frequent than its construction.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from typing import NamedTuple
 # Object identifiers are plain ints: unique within one structure instance,
 # strictly increasing in insertion order.
 ObjectId = int
+
+tuple_new = tuple.__new__  # tuple_new(KeyOrder, (coordinate, id)) builds a KeyOrder in C
 
 
 class DuplicateId(ValueError):
@@ -29,26 +34,28 @@ class Pt:
     y: float
 
 
-@dataclass(frozen=True)
-class AxisRect:
-    """Closed axis-parallel rectangle [x1,x2] x [y1,y2]."""
+class AxisRect(NamedTuple("AxisRect", [("x1", float), ("x2", float), ("y1", float),
+                                        ("y2", float), ("id", ObjectId)])):
+    """Closed axis-parallel rectangle [x1,x2] x [y1,y2]; its constructor
+    refuses inverted bounds."""
 
-    x1: float
-    x2: float
-    y1: float
-    y2: float
-    id: ObjectId
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
+    def __new__(cls, x1: float, x2: float, y1: float, y2: float, id: ObjectId) -> AxisRect:
+        self = tuple_new(cls, (x1, x2, y1, y2, id))
+        if not (x1 <= x2 and y1 <= y2):
             raise ValueError(f"degenerate rectangle bounds: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> AxisRect:  # _replace calls it: both check bounds
+        return cls(*iterable)
 
     def contains(self, p: Pt) -> bool:
         return self.x1 <= p.x <= self.x2 and self.y1 <= p.y <= self.y2
 
 
-@dataclass(frozen=True)
-class UnitSquare:
+class UnitSquare(NamedTuple):
     """Closed unit square [x,x+1] x [y,y+1]; (x, y) is the bottom-left corner."""
 
     x: float
@@ -82,9 +89,6 @@ class GlobalColor(NamedTuple):
 
     scheme_tag: int
     local: int
-
-
-tuple_new = tuple.__new__  # tuple_new(KeyOrder, (coordinate, id)) builds a KeyOrder in C
 
 
 def pair_encode(a: int, b: int) -> int:

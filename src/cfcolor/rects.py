@@ -6,7 +6,9 @@ rule of cells.py in two trees: the east tree in x2-order with selectors
 (NE, SE), read from right-child summaries (max y2, min y1), and the west
 tree in x1-order with selectors (NW, SW), read from left-child summaries.
 Each half yields 0 or 2*h + j with j in {0,1}; the color of a rectangle is
-the ordered (east, west) pair.
+the ordered (east, west) pair.  An update recomputes a rectangle's east
+half only when the east tree's dirty log names it, and its west half only
+when the west tree's does; the other half is kept from the last update.
 
 BoundedRectCF routes rectangles with side lengths in [1, c] to the
 lexicographically smallest contained integer grid point and runs one
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tuple_new, tree_color
+from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tuple_new
 from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode
 
 
@@ -61,6 +63,8 @@ class CommonPointCF(DirectionalCell):
     def __init__(self, pin: Pt, tag: int = 0) -> None:
         super().__init__(pin, tag)
         self.east, self.west = self.trees   # keyed by x2, by x1
+        self.colors = {}   # (east, west) pairs joined from the two halves
+        self.halves = ({}, {})
         self.rects: dict[ObjectId, AxisRect] = self.objects
 
     def keys(self, r: AxisRect) -> tuple:
@@ -70,10 +74,9 @@ class CommonPointCF(DirectionalCell):
         return ((tuple_new(KeyOrder, (r.x2, oid)), ymax, ymin),
                 (tuple_new(KeyOrder, (r.x1, oid)), ymax, ymin))
 
-    def color(self, oid: ObjectId) -> tuple[int, int]:
-        east, west = self.RULES
-        return (tree_color(self.east.leaf_by_payload[oid], *east),
-                tree_color(self.west.leaf_by_payload[oid], *west))
+    def join(self, oid: ObjectId) -> tuple[int, int]:
+        east, west = self.halves
+        return east[oid], west[oid]
 
     def global_color(self, pair: tuple[int, int]) -> GlobalColor:
         return tuple_new(GlobalColor, (self.tag, pair_encode(*pair)))

@@ -4,11 +4,11 @@ Walks, decoders, per-square color readings and palette sizes that only
 tests need, and the plain oracle checks that the sweeps and running-count
 versions in cfcolor.oracle are compared with: per probe point over the
 probe grid, and per window over canonical intervals and rectangles.
-Also the colored rectangles of a geometric structure, the tree audit as
-a closure that the module-level walk in cfcolor.augtree is compared
-with, the engines' locate/actual check object by object, the workload
-reader that runs json.loads line by line, and the definitional color
-recomputations from tree shape.
+Also the colored rectangles of a geometric structure, a dirty log as one
+entry per node, the tree audit as a closure that the module-level walk in
+cfcolor.augtree is compared with, the engines' locate/actual check object
+by object, the workload reader that runs json.loads line by line, and the
+definitional color recomputations from tree shape.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator
 
 from cfcolor.augtree import RED, AugTree, Node, ViolationReport
-from cfcolor.geom import AxisRect, Pt
+from cfcolor.geom import AxisRect, KeyOrder, Pt
 from cfcolor.harness import ParseError, _object_error
 from cfcolor.oracle import Witness, _between, _group_bounds
 
@@ -100,13 +101,31 @@ def audit(tree: AugTree) -> ViolationReport | None:
     return None
 
 
+@dataclass
+class DirtyEntry:
+    """One node of a DirtyLog with its augmentation before the update (None
+    if created) and whether the update created or removed it."""
+
+    node: Node
+    old_ymax: KeyOrder | None
+    old_ymin: KeyOrder | None
+    created: bool
+    removed: bool
+
+
+def dirty_entries(log) -> list[DirtyEntry]:
+    """A DirtyLog as one DirtyEntry per node, in first-touch order."""
+    return [DirtyEntry(node, *(old or (None, None)), old is None, node in log.removed)
+            for node, old in log.old.items()]
+
+
 def reference_dirty_candidates(log) -> set[int]:
     """cfcolor.augtree.dirty_candidates read straight from its definition:
     every object a touched node names before the update (old summaries) or
     after it (payload; unless removed, its own and its children's
     summaries)."""
     out = set()
-    for e in log:
+    for e in dirty_entries(log):
         out.update(old.tiebreak for old in (e.old_ymax, e.old_ymin) if old is not None)
         node = e.node
         if node.is_leaf:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfcolor.augtree import AugTree, DirtyLog, DuplicateKey, KeyNotFound, Node, dirty_candidates
 from cfcolor.geom import KeyOrder
-from reference import leaves, nodes, reference_dirty_candidates
+from reference import dirty_entries, leaves, nodes, reference_dirty_candidates
 
 # Frozen dirty-log bound: |log| <= DIRTY_A * log2(n + 2) + DIRTY_B per update.
 # Recorded as the max over the seeded runs below, with headroom.
@@ -28,7 +28,7 @@ def snapshot(tree):
 
 def assert_log_covers_changes(tree, before, log):
     """Every node whose augmentation differs from the snapshot is in the log."""
-    logged = {id(e.node) for e in log}
+    logged = {id(e.node) for e in dirty_entries(log)}
     for v in nodes(tree):
         prev = before.get(id(v))
         if prev is None:
@@ -49,7 +49,7 @@ def test_insert_into_empty_tree():
     assert tree.root.height == 0
     assert tree.root.ymax.tiebreak == 1
     assert tree.root.ymin.tiebreak == 1
-    assert len(log) == 1 and log.entries[0].created
+    assert len(log) == 1 and dirty_entries(log)[0].created
     assert tree.audit() is None
 
 
@@ -102,10 +102,11 @@ def test_dirty_log_keeps_first_touch_order_and_values():
     a.ymax = KeyOrder(9.0, 2)
     log.touch(a)
     log.touch(c)
-    assert [e.node for e in log] == [a, b, c] and len(log) == 3
-    assert (log.entries[0].old_ymax, log.entries[0].old_ymin) == (KeyOrder(0.0, 0), KeyOrder(-0.0, 0))
-    assert [(e.created, e.removed) for e in log] == [(False, False), (True, False), (False, False)]
-    assert (log.entries[1].old_ymax, log.entries[1].old_ymin) == (None, None)
+    entries = dirty_entries(log)
+    assert [e.node for e in entries] == [a, b, c] and len(log) == 3
+    assert (entries[0].old_ymax, entries[0].old_ymin) == (KeyOrder(0.0, 0), KeyOrder(-0.0, 0))
+    assert [(e.created, e.removed) for e in entries] == [(False, False), (True, False), (False, False)]
+    assert (entries[1].old_ymax, entries[1].old_ymin) == (None, None)
 
 
 def test_dirty_log_remove_flags_the_touched_entry_and_later_touches_are_ignored():
@@ -118,8 +119,8 @@ def test_dirty_log_remove_flags_the_touched_entry_and_later_touches_are_ignored(
     log.remove(b)            # a new entry, already removed
     b.ymin = KeyOrder(-5.0, 0)
     log.touch(b)             # ignored: b is logged
-    assert len(log) == 2 and [e.node for e in log] == [a, b]
-    ea, eb = log.entries
+    assert len(log) == 2 and [e.node for e in dirty_entries(log)] == [a, b]
+    ea, eb = dirty_entries(log)
     assert (ea.old_ymax, ea.removed, ea.created) == (KeyOrder(0.0, 0), True, False)
     assert (eb.old_ymin, eb.removed, eb.created) == (KeyOrder(1.0, 1), True, False)
 
@@ -144,7 +145,7 @@ def test_delete_only_key_empties_tree():
     log = tree.delete(xk(5.0, 1))
     assert tree.root is None
     assert tree.size == 0
-    assert any(e.removed for e in log)
+    assert any(e.removed for e in dirty_entries(log))
 
 
 def test_delete_missing_key():

@@ -1,11 +1,16 @@
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cfcolor.geom import (
     AxisRect,
     KeyOrder,
+    Pt,
+    UnitSquare,
     pair_encode,
 )
+from cfcolor.harness import make_structure
 from reference import pair_decode
 
 
@@ -47,6 +52,78 @@ def test_compare_keys_distinct_pairs_never_equal(k1, k2):
 def test_rect_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         AxisRect(2.0, 1.0, 0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("bounds", [(2.0, 1.0, 0.0, 1.0), (0.0, 1.0, 3.0, 2.5),
+                                    (0.0, float("nan"), 0.0, 1.0)])
+def test_rect_refusal_names_the_rectangle(bounds):
+    x1, x2, y1, y2 = bounds
+    with pytest.raises(ValueError) as exc:
+        AxisRect(x1, x2, y1, y2, 7)
+    assert str(exc.value) == (f"degenerate rectangle bounds: "
+                              f"AxisRect(x1={x1!r}, x2={x2!r}, y1={y1!r}, y2={y2!r}, id=7)")
+    with pytest.raises(ValueError, match="degenerate rectangle bounds"):
+        AxisRect(x1=x1, x2=x2, y1=y1, y2=y2, id=7)
+    with pytest.raises(ValueError, match="degenerate rectangle bounds"):
+        AxisRect._make((x1, x2, y1, y2, 7))
+    with pytest.raises(ValueError, match="degenerate rectangle bounds"):
+        AxisRect(0.0, 5.0, 0.0, 5.0, 7)._replace(x1=x1, x2=x2, y1=y1, y2=y2)
+
+
+def test_rect_and_square_fields_and_construction():
+    r = AxisRect(0.0, 2.0, -1.0, 3.0, 5)
+    assert r == AxisRect(x1=0.0, x2=2.0, y1=-1.0, y2=3.0, id=5) == AxisRect(0.0, 2.0, -1.0, 3.0, id=5)
+    assert list(inspect.signature(AxisRect).parameters) == ["x1", "x2", "y1", "y2", "id"]
+    assert (r.x1, r.x2, r.y1, r.y2, r.id) == (0.0, 2.0, -1.0, 3.0, 5)
+    assert repr(r) == "AxisRect(x1=0.0, x2=2.0, y1=-1.0, y2=3.0, id=5)"
+    sq = UnitSquare(0.5, 1.5, 4)
+    assert sq == UnitSquare(x=0.5, y=1.5, id=4) == UnitSquare(0.5, y=1.5, id=4)
+    assert list(inspect.signature(UnitSquare).parameters) == ["x", "y", "id"]
+    assert (sq.x, sq.y, sq.id) == (0.5, 1.5, 4)
+    assert repr(sq) == "UnitSquare(x=0.5, y=1.5, id=4)"
+    with pytest.raises(AttributeError):
+        r.x1 = 1.0
+    with pytest.raises(AttributeError):
+        sq.x = 1.0
+    with pytest.raises(AttributeError):
+        r.extra = 1   # no per-object __dict__
+
+
+def test_rect_and_square_equality_and_hash_by_fields():
+    r, sq = AxisRect(0.0, 2.0, -1.0, 3.0, 5), UnitSquare(0.5, 1.5, 4)
+    assert r != AxisRect(0.0, 2.0, -1.0, 3.0, 6) and r != AxisRect(0.0, 2.5, -1.0, 3.0, 5)
+    assert sq != UnitSquare(0.5, 1.5, 3) and sq != UnitSquare(0.5, 2.0, 4)
+    assert hash(r) == hash(AxisRect(0.0, 2.0, -1.0, 3.0, 5)) == hash((0.0, 2.0, -1.0, 3.0, 5))
+    assert hash(sq) == hash(UnitSquare(0.5, 1.5, 4)) == hash((0.5, 1.5, 4))
+    assert len({r, AxisRect(0.0, 2.0, -1.0, 3.0, 5), sq, UnitSquare(0.5, 1.5, 4)}) == 2
+
+
+def test_contains_is_closed():
+    r, sq = AxisRect(0.0, 2.0, -1.0, 3.0, 5), UnitSquare(0.5, 1.5, 4)
+    for p in (Pt(0.0, -1.0), Pt(2.0, 3.0), Pt(1.0, 0.0)):
+        assert r.contains(p)
+    for p in (Pt(-0.1, 0.0), Pt(1.0, 3.5), Pt(2.01, 3.0)):
+        assert not r.contains(p)
+    for p in (Pt(0.5, 1.5), Pt(1.5, 2.5), Pt(1.0, 2.0)):
+        assert sq.contains(p)
+    for p in (Pt(0.4, 2.0), Pt(1.0, 2.6), Pt(1.6, 1.5)):
+        assert not sq.contains(p)
+
+
+def test_inverted_payload_refused_without_the_reader():
+    # UniverseRectCF.check tests integrality and range but not order: the
+    # rectangle's constructor is the only guard for a payload that bypasses
+    # read_workload.  Past it, skeleton_locate would not stop on an inverted
+    # range, so the object is built on its own first.
+    adapter = make_structure("universe", universe=64)
+    adapter.insert(0, {"x1": 1, "x2": 5, "y1": 2, "y2": 6})
+    for payload in ({"x1": 9, "x2": 3, "y1": 0, "y2": 4}, {"x1": 0, "x2": 4, "y1": 8, "y2": 2}):
+        with pytest.raises(ValueError, match="degenerate rectangle bounds"):
+            adapter.to_object(1, payload)
+        with pytest.raises(ValueError, match="degenerate rectangle bounds"):
+            adapter.insert(1, payload)
+    assert len(adapter) == 1 and adapter.structure.audit() is None
+    assert list(adapter.colors()) == [0]
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))
