@@ -5,6 +5,8 @@
 Kept out of the tier-1 testpaths; needs pytest-benchmark.  The stream is
 shaped like one full-1d stream of perfbench's dyn-churn workload (1,500
 inserts, 90% deletions); its events and report are built once per module.
+The workload writer also runs over a bounded_rect stream of the same
+shape, since a line's cost grows with its kind's coordinate count.
 """
 
 import pytest
@@ -35,8 +37,10 @@ def test_replay_loop(benchmark, stream):
     assert benchmark(run_workload, "full-1d", events, "none") == report
 
 
-def test_write_workload(benchmark, stream, tmp_path):
-    events, _ = stream
+@pytest.mark.parametrize("kind, params", [("point_1d", {}), ("bounded_rect", {"c": 4.0})],
+                         ids=["full-1d", "bounded"])
+def test_write_workload(benchmark, kind, params, tmp_path):
+    events = generate_workload(kind, N, DELETE_RATIO, SEED, **params)
     path = tmp_path / "w.jsonl"
     benchmark(write_workload, events, str(path))
     assert read_workload(str(path)) == events

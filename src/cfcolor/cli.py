@@ -10,6 +10,7 @@ VERIFY_MODES).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,10 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, since in-process replays
+    call main again and again; callers read it and never change it."""
     parser = _Parser(
         prog="cfcolor",
         description="Dynamic conflict-free coloring workloads: generate, replay, bench.")

@@ -40,10 +40,9 @@ Report schema (run_workload):
 File contract: the report JSON is the bytes of json.dump(report, indent=2,
 sort_keys=True) plus a newline, and the CSV those of csv.DictWriter over
 REPORT_FIELDS with restval "" and newline line ends; a bench file is the
-same over its trials and BENCH_FIELDS.  A workload line is
-json.dumps(event, sort_keys=True).  The writers use json.dumps for all but
-the rows, and one %-template per row shape (geometric step, framework step,
-bench trial) for each row's JSON object and CSV line, a block of
+same over its trials and BENCH_FIELDS.  The writers use json.dumps for all
+but the rows, and one %-template per row shape (geometric step, framework
+step, bench trial) for each row's JSON object and CSV line, a block of
 _ROWS_PER_ENCODE rows at a time to bound the text held.  So they rely on
 closed schemas, every row holding exactly one shape's fields, and closed
 value types: ints; one finite float, us_per_event, whose repr is its JSON
@@ -51,6 +50,19 @@ and CSV text; verified true, false or "skipped"; and strings from closed
 sets (ops, level states, structure names) that JSON writes as themselves
 and CSV writes bare, but for a set_states of several states, which CSV
 quotes for its commas.
+
+A workload file holds one JSON object per line, each line the bytes of
+json.dumps(event, sort_keys=True) plus a newline: keys sorted, ", " and
+": " separators, ints and finite floats as repr writes them.
+write_workload fills one %-template per line shape, built at import from
+KINDS: one for a delete, and one for an insert of each kind whose name and
+fields JSON writes as themselves.  An event takes a template only when it
+has exactly that shape: a dict keyed exactly "op" and "id" with op
+"delete", or "op", "id" and "object" with op "insert"; an id of type int;
+an object keyed exactly "kind" and that kind's fields; and coordinates of
+type int or float within +-sys.float_info.max.  Every other event (a bool,
+NaN or +-inf, an int beyond the float range, a float subclass, a key
+missing or extra, a kind unknown or not a str) goes to the stdlib encoder.
 
 distinct_colors is counted from the RecolorDiff of each update, whose
 colors are those global_colors() reports: replay keeps an object -> color
@@ -291,9 +303,59 @@ def generate_workload(kind: str, n: int, delete_ratio: float, seed: int,
     return events
 
 
+def _insert_template(kind: str, fields: tuple[str, ...]) -> tuple | None:
+    """(object size, object -> its coordinates in sorted field order, line
+    template) of a kind's insert, as json.dumps(sort_keys=True) writes it
+    with the id and coordinates left to %r; None if JSON would escape the
+    kind or a field name."""
+    keys = sorted(("kind", *fields))
+    if any(json.dumps(k) != f'"{k}"' for k in (kind, *keys)):
+        return None
+    slots = ", ".join(f'"{k}": "{kind}"' if k == "kind" else f'"{k}": %r' for k in keys)
+    coords = [k for k in keys if k != "kind"]
+    get = itemgetter(*coords)
+    if len(coords) == 1:
+        get = lambda obj, one=get: (one(obj),)
+    return len(keys), get, '{"id": %r, "object": {' + slots + '}, "op": "insert"}\n'
+
+
+_DELETE_LINE = '{"id": %r, "op": "delete"}\n'
+_INSERT_LINES = {kind: line for kind, spec in KINDS.items()
+                 if (line := _insert_template(kind, spec.fields)) is not None}
+
+
+def _event_line(ev) -> str:
+    """ev's workload line: its template filled in when ev has exactly a
+    template's shape (module docstring), json's encoder's line otherwise."""
+    oid = ev.get("id") if type(ev) is dict else None
+    if type(oid) is int:
+        op = ev.get("op")
+        # with "id" and "op" present, the size rules out any other key
+        if len(ev) == 2 and op == "delete":
+            return _DELETE_LINE % oid
+        obj = ev.get("object") if len(ev) == 3 and op == "insert" else None
+        kind = obj.get("kind") if type(obj) is dict else None
+        shape = _INSERT_LINES.get(kind) if type(kind) is str else None
+        if shape is not None and len(obj) == shape[0]:
+            try:
+                coords = shape[1](obj)
+            except KeyError:  # a field missing, another key in its place
+                return _encode_event(ev) + "\n"
+            for v in coords:
+                # type() rules out bool and float subclasses, whose %r may
+                # differ; the comparison rules out NaN and +-inf
+                if type(v) not in (int, float) or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+                    break
+            else:
+                return shape[2] % (oid, *coords)
+    return _encode_event(ev) + "\n"
+
+
 def write_workload(events: list[dict], path: str) -> None:
+    """Write events to path as a JSONL workload, one line per event in the
+    bytes of json.dumps(event, sort_keys=True) (module docstring)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join([_encode_event(ev) + "\n" for ev in events]))
+        fh.write("".join([_event_line(ev) for ev in events]))
 
 
 def _object_error(obj) -> str | None:

@@ -140,6 +140,9 @@ class UniverseRectCF(Partition):
         self.levels = self.slots.bit_length()  # level in 0..levels-1
 
     def check(self, r: AxisRect) -> None:
+        # skeleton_locate finds no node for an inverted range and would not stop
+        if not (r.x1 <= r.x2 and r.y1 <= r.y2):
+            raise ValueError(f"degenerate rectangle bounds: {r}")
         for v in (r.x1, r.x2, r.y1, r.y2):
             if not float(v).is_integer():
                 raise CoordinateOutOfUniverse(f"non-integer coordinate {v}")

@@ -111,10 +111,9 @@ def test_contains_is_closed():
 
 
 def test_inverted_payload_refused_without_the_reader():
-    # UniverseRectCF.check tests integrality and range but not order: the
-    # rectangle's constructor is the only guard for a payload that bypasses
-    # read_workload.  Past it, skeleton_locate would not stop on an inverted
-    # range, so the object is built on its own first.
+    # A payload that bypasses read_workload meets the rectangle's constructor
+    # first, and UniverseRectCF.check refuses inverted bounds again before
+    # routing, where skeleton_locate would not stop on an inverted range.
     adapter = make_structure("universe", universe=64)
     adapter.insert(0, {"x1": 1, "x2": 5, "y1": 2, "y2": 6})
     for payload in ({"x1": 9, "x2": 3, "y1": 0, "y2": 4}, {"x1": 0, "x2": 4, "y1": 8, "y2": 2}):

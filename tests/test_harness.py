@@ -249,18 +249,67 @@ def test_rows_take_only_closed_values():
         harness.run_bench("squares", [4], ["seed"])
 
 
+class _OwnReprFloat(float):
+    def __repr__(self):
+        return "not JSON"
+
+
+def _insert(**obj):
+    return {"op": "insert", "id": 3, "object": obj}
+
+
+# every kind at its default span and, where its rules allow, at spans of
+# 1e-300 and 1e300; bounded rectangles round to no side at 1e300
+_WRITER_PARAMS = {"bounded_rect": {"c": 3.0}, "universe_rect": {"universe": int(1e300) + 1}}
+_WRITER_STREAMS = {
+    f"{kind} span {span}": generate_workload(kind, 30, 0.3, seed=9, span=span,
+                                              **_WRITER_PARAMS.get(kind, {}))
+    for kind in harness.KINDS for span in (None, 1e-300, 1e300)
+    if (kind, span) != ("bounded_rect", 1e300)
+}
+# one event per branch that leaves the templates for the stdlib encoder
+_WRITER_FALLBACKS = {
+    "non-dict event": [["op", "delete"], ["id", 4]],
+    "bool id": {"op": "delete", "id": True},
+    "bool coordinate": _insert(kind="point_1d", x=False),
+    "nan": _insert(kind="point_2d", x=1.0, y=float("nan")),
+    "inf": _insert(kind="unit_square", x=float("-inf"), y=float("inf")),
+    "int beyond floats": _insert(kind="universe_rect", x1=0, x2=10 ** 400, y1=0, y2=1),
+    "float subclass": _insert(kind="point_1d", x=_OwnReprFloat(2.5)),
+    "missing field": _insert(kind="point_2d", x=1.0),
+    "field swapped for another key": _insert(kind="point_2d", x=1.0, z=2.0),
+    "extra object key": _insert(kind="point_1d", x=1.0, note=2),
+    "extra top-level key": {"op": "delete", "id": 4, "note": 5},
+    "extra top-level key on an insert": dict(_insert(kind="point_1d", x=1.0), note=5),
+    "non-dict object": {"op": "insert", "id": 3, "object": [1.0, 2.0]},
+    "unknown kind": _insert(kind="hexagon", x=1.0),
+    "non-str kind": _insert(kind=["point_1d"], x=1.0),
+}
+
+
 @pytest.mark.parametrize("events", [
     [],
     generate_workload("point_2d", 30, 0.3, seed=5),
     generate_workload("universe_rect", 30, 0.3, seed=5, universe=16),
     [{"op": "insert", "id": 0, "object": {"kind": "unit_square", "x": 1e-310, "y": -0.0,
                                           "note": ODD_PATH}}],
-], ids=["empty", "point_2d", "universe_rect", "odd strings"])
+    *_WRITER_STREAMS.values(),
+    *([ev] for ev in _WRITER_FALLBACKS.values()),
+], ids=["empty", "point_2d", "universe_rect", "odd strings", *_WRITER_STREAMS,
+        *_WRITER_FALLBACKS])
 def test_written_workload_is_the_stdlib_writers_bytes(tmp_path, events):
     path = tmp_path / "w.jsonl"
     write_workload(events, str(path))
     want = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in events)
     assert path.read_bytes() == want.encode()
+
+
+def test_kind_names_json_escapes_get_no_template():
+    assert harness._insert_template("point_1d", ("x",)) is not None
+    for kind, fields in (('quoted "kind"', ("x",)), ("d\u00e9j\u00e0", ("x",)),
+                         ("point_1d", ("x\n",))):
+        assert harness._insert_template(kind, fields) is None, kind
+    assert harness._INSERT_LINES.keys() == harness.KINDS.keys()
 
 
 def test_cli_gen_run_roundtrip(tmp_path, capsys):

@@ -197,6 +197,15 @@ def test_universe_rejects_bad_coordinates():
     s2.insert(rect(0, 9, 0, 9, 1))
 
 
+def test_universe_refuses_inverted_bounds_before_routing():
+    # built past AxisRect's own guard, as a payload that skips the reader could be
+    for inverted in ((5, 2, 1, 3, 0), (1, 3, 5, 2, 0)):
+        s = UniverseRectCF(universe=64)
+        with pytest.raises(ValueError, match="degenerate rectangle bounds"):
+            s.insert(tuple.__new__(AxisRect, inverted))
+        assert len(s) == 0 and s.audit() is None
+
+
 def test_universe_routing_soundness_random():
     rng = random.Random(41)
     s = UniverseRectCF(universe=64)
