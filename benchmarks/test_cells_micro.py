@@ -13,7 +13,10 @@ tree layer apart from the cells; the walk benchmark colors every square of
 one large pinned cell.  The verified-read benchmarks time what a verified
 step reads of a 2,000-rectangle bounded partition right after one update
 (untimed): its audit and its box view, which re-check and rebuild only
-the cell the update changed.
+the cell the update changed.  The verified-step benchmark times what a
+verified step costs the adapter at the sizes verified replay runs: one
+update, the audit that hands over the view, and the colors read from it,
+on a seeded state of about 140 objects.
 """
 
 import random
@@ -131,3 +134,28 @@ def test_verified_read_after_one_update(benchmark, read):
 
     result = benchmark.pedantic(getattr(s, read), setup=one_update, rounds=200)
     assert result is None if read == "audit" else len(result) == len(s)
+
+
+@pytest.mark.parametrize("name", ["squares", "bounded"])
+def test_verified_partition_step(benchmark, name):
+    kind, _, _, params = STREAMS[name]
+    adapter = make_structure(name, **params)
+    events = generate_workload(kind, 200, 0.3, SEED, **params)
+    for ev in events:
+        if ev["op"] == "insert":
+            adapter.insert(ev["id"], ev["object"])
+        else:
+            adapter.delete(ev["id"])
+    s = adapter.structure
+    assert adapter.check_invariants() is None and 130 <= len(s) <= 150
+    last = next(ev for ev in reversed(events) if ev["op"] == "insert" and ev["id"] in s.location)
+
+    def step():
+        if last["id"] in s.location:
+            adapter.delete(last["id"])
+        else:
+            adapter.insert(last["id"], last["object"])
+        return adapter.check_invariants(), adapter.colors()
+
+    report, colors = benchmark(step)
+    assert report is None and colors == s.global_colors()

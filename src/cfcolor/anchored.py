@@ -27,10 +27,10 @@ class AnchoredCF(DirectionalCell):
     """Dynamic CF-coloring of anchored rectangles; colors are small ints."""
 
     SELECTORS = ((NE,),)
+    __slots__ = ()
 
     def __init__(self) -> None:
         super().__init__(Pt(0.0, 0.0), ANCHORED_SCHEME_TAG)
-        (self.tree,) = self.trees
 
     def check(self, r: AxisRect) -> None:
         if r.x1 != 0.0 or r.y1 != 0.0:

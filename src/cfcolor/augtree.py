@@ -65,16 +65,17 @@ class Node:
         return self.payload is not None
 
 
-def _traversal_visits_every_slot() -> bool:
-    """Whether gc.get_referents(node) lists each slot's value, as CPython's
-    traversal of a slotted object does (it visits the type, then each slot)."""
-    probe = Node.__new__(Node)
-    for name in Node.__slots__:
+def lists_every_slot(cls: type) -> bool:
+    """Whether gc.get_referents(obj) lists each slot's value of a cls
+    instance, as CPython's traversal of a slotted object does (it visits
+    each slot, then the type)."""
+    probe = cls.__new__(cls)
+    for name in cls.__slots__:
         setattr(probe, name, object())
-    return {id(getattr(probe, name)) for name in Node.__slots__} <= set(map(id, gc.get_referents(probe)))
+    return {id(getattr(probe, name)) for name in cls.__slots__} <= set(map(id, gc.get_referents(probe)))
 
 
-if _traversal_visits_every_slot():
+if lists_every_slot(Node):
     # Every field of the nodes, flat and in a fixed order, so equal lists
     # mean equal fields; one C call.
     slot_values = gc.get_referents
@@ -123,16 +124,19 @@ tree_state = attrgetter("root", "size", "leaf_by_payload")
 
 
 class AugTree:
-    """Ordered container of (key, payload, ymax, ymin) with dirty-node logs."""
+    """Ordered container of (key, payload, ymax, ymin) with dirty-node logs.
 
-    # ((root, size, copy of leaf_by_payload), the nodes walked, their
-    # slot_values) of the last passing audit
-    passed: tuple | None = None
+    Slotted, so gc.get_referents(tree) lists its fields (cells.py)."""
+
+    __slots__ = ("root", "size", "leaf_by_payload", "passed")
 
     def __init__(self) -> None:
         self.root: Node | None = None
         self.size = 0
         self.leaf_by_payload: dict[ObjectId, Node] = {}
+        # ((root, size, copy of leaf_by_payload), the nodes walked, their
+        # slot_values) of the last passing audit
+        self.passed: tuple | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -255,10 +259,14 @@ class AugTree:
 
     # -- deletion -----------------------------------------------------------
 
-    def delete(self, key: KeyOrder) -> DirtyLog:
-        leaf = self.find_leaf(key)
-        if leaf is None:
-            raise KeyNotFound(f"key not present: {key}")
+    def delete(self, key: KeyOrder, leaf: Node | None = None) -> DirtyLog:
+        """Remove the leaf holding key.  A caller that holds that leaf may
+        pass it: when it holds key and the payload index holds it, the walk
+        down from the root is skipped."""
+        if leaf is None or leaf.key != key or self.leaf_by_payload.get(leaf.payload) is not leaf:
+            leaf = self.find_leaf(key)
+            if leaf is None:
+                raise KeyNotFound(f"key not present: {key}")
         log = DirtyLog()
         log.remove(leaf)
         del self.leaf_by_payload[leaf.payload]

@@ -18,24 +18,36 @@ SW, NW) the unit-square rule, and k = 2 per tree the two halves of the
 common-point rule ((NE, SE) in the x2-ordered east tree, (NW, SW) in the
 x1-ordered west tree).
 
-colored_boxes(), the one view the oracle and global_colors() read, lists
-(id, (x1, x2, y1, y2, global color)) per stored object, cell by cell.
+colored_boxes(), the one view global_colors() and the oracle read (the
+latter as a passing audited_view() hands it over), lists (id, (x1, x2, y1,
+y2, global color)) per stored object, cell by cell.
 
 Snapshots.  Verified replay audits and reads the view after every update,
 while an update changes one cell.  So each audit that passes keeps a
 snapshot of what it passed: a tree its root, size, a copy of
 leaf_by_payload, the nodes it walked and their slot values (augtree); a
-cell those of its trees plus its pin, a copy of objects and its trees; a
-partition a copy of location and each cell with its snapshot.  The next
-audit compares the state with the snapshot by C-level equality and
-re-checks in Python only what differs: a partition audits only the cells
-whose state differs and routes only their objects that are new since, and
-a cell tests only those objects against its pin.  Nothing is trusted: a
-fault planted anywhere, with or without an update since, differs from the
-snapshot, and a failing audit keeps none, so it is reported again.  A
-cell's box view is likewise reused while tag, objects and colors equal
-copies of those it was built from.  Snapshots sit in attributes whose
-class-level default is None; no update path reads or writes them.
+cell those of its trees plus its pin, a copy of objects and its trees.  A
+partition keeps a copy of location and, per cell, the cell's snapshot, its
+box list and its fingerprint: what gc.get_referents lists of the cell, its
+objects and colors, its trees and their leaf_by_payload, and the nodes its
+audit walked.  That is every field, dict key and value and node slot the
+audit and the view read (cells and trees are slotted for it).  The next
+partition audit audits the cells a changed location entry names, as every
+update's does, and lists the other cells' fingerprints anew in one call,
+compared with the kept ones in one list comparison; only where that
+differs does it compare them cell by cell.  An audited cell routes and
+tests against its pin only its objects that are new since.  A passing
+partition audit hands over its view, the kept box lists in cell order
+(audited_view), so a verified step reads each cell once and builds boxes
+only for the cells it audited.  Nothing is trusted: a fault planted
+anywhere, with or without an update since, differs from the snapshot, and
+a failing audit keeps none, so it is reported again.  Where get_referents
+does not list tuple items, dict values and non-str keys, and slots
+(probed at import: FINGERPRINTS), a partition compares each cell with
+unchanged_since instead and reads the view through colored_boxes(), where
+a cell reuses its box list while tag, objects and colors equal copies of
+those it was built from.  Snapshots sit in attributes that start as None;
+no update path reads or writes them.
 
 The update path.  A cell's keys(obj) and its global colors are KeyOrder and
 GlobalColor values built as tuple_new(KeyOrder, (coordinate, id)): the same
@@ -51,15 +63,18 @@ that changed are joined anew, which are the recolored ones and a new one.
 
 from __future__ import annotations
 
+import gc
 from itertools import chain, compress
-from operator import attrgetter, is_not
+from operator import attrgetter, is_not, itemgetter
 
-from .augtree import (LEFT, RIGHT, AugTree, ViolationReport, dirty_candidates, slot_values,
-                      tree_state)
+from .augtree import (LEFT, RIGHT, AugTree, Node, ViolationReport, dirty_candidates,
+                      lists_every_slot, slot_values, tree_state)
 from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId, tuple_new
 
 _objects = attrgetter("objects")
 _cell_state = attrgetter("pin", "objects", "trees")
+_index = attrgetter("leaf_by_payload")
+_boxes_of = itemgetter(4)   # of a partition snapshot's record of a cell
 
 NE = (RIGHT, "ymax")
 SE = (RIGHT, "ymin")
@@ -120,18 +135,16 @@ class DirectionalCell:
     """
 
     SELECTORS: tuple[tuple[tuple[str, str], ...], ...] = ()
-    # ((pin, copy of objects, trees), each tree's state, the trees' nodes
-    # walked, their slot_values) of the last passing audit, from the
-    # trees' own snapshots
-    passed: tuple | None = None
-    # (tag, copy of objects, copy of colors, the list) of the last box view built
-    _boxes: tuple | None = None
+    # slotted, so gc.get_referents(cell) lists its fields (Partition.audit);
+    # a subclass adds none: __slots__ = ()
+    __slots__ = ("pin", "tag", "trees", "objects", "colors", "halves", "total_recolorings",
+                 "passed", "_boxes")
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.RULES = tuple(compile_selectors(s) for s in cls.SELECTORS)
 
-    def __init__(self, pin: Pt, tag: int) -> None:
+    def __init__(self, pin: Pt, tag: int = 0) -> None:
         self.pin = pin
         self.tag = tag
         self.trees = tuple(AugTree() for _ in self.SELECTORS)
@@ -140,9 +153,20 @@ class DirectionalCell:
         # per tree, each object's half of its color; one tree's half is the color
         self.halves: tuple[dict[ObjectId, int], ...] = (self.colors,)
         self.total_recolorings = 0
+        # ((pin, copy of objects, trees), each tree's state, the trees' nodes
+        # walked, their slot_values) of the last passing audit, from the
+        # trees' own snapshots
+        self.passed: tuple | None = None
+        # (tag, copy of objects, copy of colors, the list) of the last box view built
+        self._boxes: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.objects)
+
+    @property
+    def tree(self) -> AugTree:
+        """A one-tree cell's tree."""
+        return self.trees[0]
 
     def check(self, obj) -> None:
         """Raise if obj may not join this cell."""
@@ -165,7 +189,8 @@ class DirectionalCell:
             raise UnknownId(oid)
         dirty = []
         for tree in self.trees:
-            names = dirty_candidates(tree.delete(tree.leaf_by_payload[oid].key))
+            leaf = tree.leaf_by_payload[oid]
+            names = dirty_candidates(tree.delete(leaf.key, leaf))
             names.discard(oid)
             dirty.append(names)
         diff = self._recolor(dirty)
@@ -268,6 +293,12 @@ class DirectionalCell:
                        list(chain.from_iterable(nodes)), list(chain.from_iterable(values)))
         return None
 
+    def audited_view(self) -> tuple[ViolationReport | None, list | None]:
+        """audit() and, when it passes, colored_boxes(): a verified step's
+        one read of the structure."""
+        report = self.audit()
+        return report, (self.colored_boxes() if report is None else None)
+
     def unchanged_since(self, passed: tuple) -> bool:
         """Whether pin, objects, trees and every tree are as in the snapshot
         (each tree's unchanged_since, for all of them at once)."""
@@ -279,6 +310,71 @@ class DirectionalCell:
 def _not_in(objects: dict, known: dict):
     """The ids whose object is not the one `known` holds for them, in order."""
     return compress(objects, map(is_not, map(known.get, objects), objects.values()))
+
+
+def _referents_list_the_state() -> bool:
+    """Whether gc.get_referents lists exactly a tuple's items and a dict's
+    values and non-str keys, and every slot of a node, a tree and a cell."""
+    def lists_exactly(container, items) -> bool:
+        got = gc.get_referents(container)
+        return len(got) == len(items) and set(map(id, got)) == set(map(id, items))
+    a, b, key = object(), object(), 10 ** 30
+    return (lists_exactly((a, b, key), (a, b, key)) and lists_exactly({key: a}, (key, a))
+            and all(map(lists_every_slot, (Node, AugTree, DirectionalCell))))
+
+
+# Where this is False, a partition compares each cell with unchanged_since
+# and reads the view through colored_boxes().
+FINGERPRINTS = _referents_list_the_state()
+
+
+def _fingerprint_args(cell: DirectionalCell, nodes: list) -> tuple:
+    """What gc.get_referents lists as a passing cell's fingerprint: a
+    marker, the cell, its objects and colors, its trees and their
+    leaf_by_payload, and the nodes its audit walked.  A dict or tree
+    swapped in since differs from these in the cell's or a tree's fields.
+    The marker, an object nothing else holds, opens the fingerprint, so
+    two concatenations of fingerprints are equal only where each
+    fingerprint is."""
+    trees = cell.trees
+    return ((object(),), cell, cell.objects, cell.colors, *trees, *map(_index, trees), *nodes)
+
+
+class _Fingerprints:
+    """The fingerprints of the cells a partition audit passed, as one list,
+    with the arguments that list them anew, as one list: per key, in key
+    order, its cell, its arguments and its fingerprint."""
+
+    __slots__ = ("keys", "cells", "counts", "args", "lengths", "prints")
+
+    def __init__(self) -> None:
+        self.keys: list = []
+        self.cells: list[DirectionalCell] = []
+        self.counts: list[int] = []
+        self.args: list = []
+        self.lengths: list[int] = []
+        self.prints: list = []
+
+    def add(self, key, cell: DirectionalCell, args: tuple, fingerprint: list) -> None:
+        self.keys.append(key)
+        self.cells.append(cell)
+        self.counts.append(len(args))
+        self.args += args
+        self.lengths.append(len(fingerprint))
+        self.prints += fingerprint
+
+    def drop(self, keys) -> None:
+        """Take out the entries of the keys, each held once."""
+        for i in sorted(map(self.keys.index, keys), reverse=True):
+            for flat, sizes in ((self.args, self.counts), (self.prints, self.lengths)):
+                start = sum(sizes[:i])
+                del flat[start:start + sizes[i]], sizes[i]
+            del self.keys[i], self.cells[i]
+
+    def unchanged(self, cells: dict) -> bool:
+        """Whether each key still holds its cell, listed as when it passed."""
+        return (list(map(cells.get, self.keys)) == self.cells
+                and gc.get_referents(*self.args) == self.prints)
 
 
 class Partition:
@@ -295,7 +391,10 @@ class Partition:
 
     CELL: type[DirectionalCell]
     MISROUTED = "object {} not in the cell route() gives it"
-    # (copy of location, {cell key: (cell, its snapshot)}) of the last passing audit
+    # (copy of location, {cell key: record}, _Fingerprints) of the last
+    # passing audit; a record is (cell, its snapshot, _fingerprint_args, the
+    # fingerprint, its box list), or (cell, its snapshot) where FINGERPRINTS
+    # is False
     passed: tuple | None = None
 
     def __init__(self) -> None:
@@ -352,24 +451,42 @@ class Partition:
             out += cell.colored_boxes()
         return out
 
+    def audited_view(self) -> tuple[ViolationReport | None, list | None]:
+        """audit() and, when it passes, the view of the state it passed:
+        colored_boxes() as a fresh build lists it, joined from the box lists
+        the snapshot keeps per cell, in cell order."""
+        report = self.audit()
+        if report is not None:
+            return report, None
+        if not FINGERPRINTS:
+            return None, self.colored_boxes()
+        records = self.passed[1]
+        return None, list(chain.from_iterable(map(_boxes_of, map(records.__getitem__,
+                                                                 self.cells))))
+
     def audit(self) -> ViolationReport | None:
         """Every cell's audit, non-empty, its objects located at its key and
         routed to it, and as many held as located.
 
-        A passing audit keeps a copy of location and, per key, the cell and
-        its snapshot.  A cell that is the same object and unchanged_since its
-        snapshot passed all of this and is not audited again; the others are
-        audited and their objects not in the snapshot's copy at that key
-        routed.  An unchanged cell still holds every object it held, so it is
-        out of step with location exactly when a location entry that changed
-        since named it.  The verdict is the full audit's.
+        A passing audit keeps a copy of location and a record per key.  A
+        cell found unchanged since (see _stale) that no changed location
+        entry names passed all of this and is not audited again; the others
+        are audited and their objects not in the snapshot's copy at that key
+        routed.  An unaudited cell still holds every object it held, and
+        location still names its key for each.  The verdict is the full
+        audit's.
         """
         location, cells = self.location, self.cells
-        before, snapshots = self.passed or ({}, {})
+        before, records, prints = self.passed or ({}, {}, _Fingerprints())
         self.passed = None
-        stale = [key for key, cell in cells.items()
-                 if (rec := snapshots.get(key)) is None or rec[0] is not cell
-                 or not cell.unchanged_since(rec[1])]
+        # the keys a location entry changed from or to since
+        touched = {key for _, key in location.items() ^ before.items()}
+        if FINGERPRINTS:
+            stale, prints = self._stale(records, prints, touched)
+        else:
+            stale = [key for key, cell in cells.items()
+                     if key in touched or (rec := records.get(key)) is None or rec[0] is not cell
+                     or not cell.unchanged_since(rec[1])]
         cell_key = self.cell_key
         located = True
         misrouted = None
@@ -384,16 +501,13 @@ class Partition:
             if not dict.fromkeys(objects, key).items() <= location.items():
                 located = False
             if misrouted is None:
-                rec = snapshots.get(key)
+                rec = records.get(key)
                 # objects the snapshot holds at this key were routed to it
                 new = objects if rec is None else _not_in(objects, rec[1][0][1])
                 for oid in new:
                     if cell_key(objects[oid]) != key:
                         misrouted = oid
                         break
-        kept = cells.keys() - stale
-        if any(before.get(oid) in kept for oid, _ in location.items() ^ before.items()):
-            located = False
         # each held object located at its cell, whose key is distinct, and as
         # many held as located: every object held by one cell, the one its
         # location names
@@ -401,9 +515,48 @@ class Partition:
             return ViolationReport(None, "cells out of step with the location map")
         if misrouted is not None:
             return ViolationReport(None, self.MISROUTED.format(misrouted))
-        for key in snapshots.keys() - cells.keys():
-            del snapshots[key]
+        # a dropped cell's objects left location or moved: its key is touched
+        for key in touched - cells.keys():
+            records.pop(key, None)
         for key in stale:
-            snapshots[key] = (cells[key], cells[key].passed)
-        self.passed = (dict(location), snapshots)
+            cell = cells[key]
+            passed = cell.passed
+            if FINGERPRINTS:
+                args = _fingerprint_args(cell, passed[2])
+                fingerprint = gc.get_referents(*args)
+                records[key] = (cell, passed, args, fingerprint, cell._build_boxes())
+                prints.add(key, cell, args, fingerprint)
+            else:
+                records[key] = (cell, passed)
+        self.passed = (dict(location), records, prints)
         return None
+
+    def _stale(self, records: dict, prints: _Fingerprints,
+               touched: set) -> tuple[list, _Fingerprints]:
+        """The keys, in cell order, of the cells to audit, and the
+        fingerprints of the others.
+
+        A cell is unchanged when its key still holds it and gc.get_referents
+        lists its fingerprint arguments as when it passed: every field, dict
+        entry and slot its audit and box view read.  The cells that a
+        changed location entry names, as every update's does, are audited;
+        the others are compared all at once, in one call and one list
+        comparison.  Where that differs, a cell was dropped, swapped or
+        changed in place, and they are compared one by one.
+        """
+        cells = self.cells
+        prints.drop([key for key in touched if key in records])
+        if prints.unchanged(cells):
+            stale = list(filter(touched.__contains__, cells))
+            if len(stale) + len(prints.keys) == len(cells):   # no untouched key is new
+                return stale, prints
+        stale = [key for key, cell in cells.items()
+                 if key in touched or (rec := records.get(key)) is None or rec[0] is not cell
+                 or gc.get_referents(*rec[2]) != rec[3]]
+        prints = _Fingerprints()
+        skip = set(stale)
+        for key in cells:
+            if key not in skip:
+                cell, _, args, fingerprint, _ = records[key]
+                prints.add(key, cell, args, fingerprint)
+        return stale, prints

@@ -375,6 +375,7 @@ class _EngineBase:
         j = ceil(log2(merged size)), then advance every migrating set."""
         if oid in self.objects:
             raise ValueError(f"duplicate object id {oid}")
+        self.colorer_cls.check_point(obj)
         levels = self.levels
         i = next((lv.index for lv in levels if lv.state == EMPTY), len(levels))
         below = levels[:i]

@@ -80,17 +80,20 @@ Verification modes: "none", "invariants" (structure audits and the color
 check every step), "oracle-sampled" (both, plus ground-truth conflict-free
 checks, every step while n <= 256, every 32nd step beyond, and always at
 the final state), and "oracle-every-step".  A verified step reads a
-geometric structure's view, colored_boxes(): (id, (x1, x2, y1, y2,
-color)) per object, once; the colors check and the oracle share it, and
-an update drops it.  After a passing check the next one sweeps only the
-box around the old and new rectangles of objects changed since
-(oracle.IncrementalCF): a point outside keeps the cover that passed,
-and a set whose colors are all distinct passes without a sweep.  The
-geometric audits and the view re-check and rebuild only the cells whose
-state differs, by C-level equality, from the snapshot of what last passed
-(cells.py); an engine's invariant check skips the unimax check of a piece
-whose points and colors passed it unchanged.  Every check still covers
-the whole state, so each verdict is the full check's.
+geometric structure's view, (id, (x1, x2, y1, y2, color)) per object,
+once: the structure's audited_view() audits it and, when the audit
+passes, hands over the view of the state it passed, which is what
+colored_boxes() lists; after a failing audit the step reads
+colored_boxes().  The colors check and the oracle share the view, and an
+update drops it.  After a passing check the next one sweeps only the box
+around the old and new rectangles of objects changed since
+(oracle.IncrementalCF): a point outside keeps the cover that passed, and
+a set whose colors are all distinct passes without a sweep.  A partition
+audit re-checks, and builds boxes for, only the cells an update named or
+whose fingerprint differs from the one they passed with (cells.py); an
+engine's invariant check skips the unimax check of a piece whose points
+and colors passed it unchanged.  Every check still covers the whole
+state, so each verdict is the full check's.
 """
 
 from __future__ import annotations
@@ -452,6 +455,9 @@ def _rect_checker(points, colors):
     return check_unimax_rect_ranges([(points[o], colors[o]) for o in points])
 
 
+_first, _second, _color = itemgetter(0), itemgetter(1), itemgetter(4)
+
+
 class _GeometricAdapter:
     """The replay interface over one structure: insert a payload, delete an
     id, read colors and counters, and run its audits and oracle check."""
@@ -463,7 +469,7 @@ class _GeometricAdapter:
         self.to_object = to_object
         # check_cf looked up here on every call, as in STRUCTURES
         self.cf = IncrementalCF(lambda colored: check_cf(colored))
-        self._boxes = None   # colored_boxes() of the state as it is, once read
+        self._boxes = None   # the box view of the state as it is, once read
 
     def insert(self, oid, payload):
         self._boxes = None
@@ -477,21 +483,24 @@ class _GeometricAdapter:
         return len(self.structure)
 
     def _view(self):
-        """The structure's box view, read once per state: the colors check
-        and the oracle share it."""
+        """The structure's box view, read once per state: the one a passing
+        audit handed over, else colored_boxes().  The colors check and the
+        oracle share it."""
         boxes = self._boxes
         if boxes is None:
             boxes = self._boxes = self.structure.colored_boxes()
         return boxes
 
     def colors(self):
-        return {oid: box[4] for oid, box in self._view()}
+        boxes = self._view()
+        return dict(zip(map(_first, boxes), map(_color, map(_second, boxes))))
 
     def total_recolorings(self):
         return self.structure.total_recolorings
 
     def check_invariants(self):
-        return self.structure.audit()
+        report, self._boxes = self.structure.audited_view()
+        return report
 
     def check_oracle(self):
         return self.cf.check(self._view())

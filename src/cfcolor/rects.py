@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 
+from .augtree import AugTree
 from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tuple_new
 from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode
 
@@ -59,13 +60,26 @@ class CommonPointCF(DirectionalCell):
     """Pair coloring of rectangles sharing the point `pin`."""
 
     SELECTORS = ((NE, SE), (NW, SW))
+    __slots__ = ()
 
     def __init__(self, pin: Pt, tag: int = 0) -> None:
         super().__init__(pin, tag)
-        self.east, self.west = self.trees   # keyed by x2, by x1
         self.colors = {}   # (east, west) pairs joined from the two halves
         self.halves = ({}, {})
-        self.rects: dict[ObjectId, AxisRect] = self.objects
+
+    @property
+    def east(self) -> AugTree:
+        """The tree keyed by x2."""
+        return self.trees[0]
+
+    @property
+    def west(self) -> AugTree:
+        """The tree keyed by x1."""
+        return self.trees[1]
+
+    @property
+    def rects(self) -> dict[ObjectId, AxisRect]:
+        return self.objects
 
     def keys(self, r: AxisRect) -> tuple:
         oid = r.id

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .cells import NE, NW, SE, SW, DirectionalCell, Partition, tuple_new
-from .geom import KeyOrder, ObjectId, Pt, UnitSquare
+from .geom import KeyOrder, ObjectId, UnitSquare
 
 GRID_CLASS_MODULUS = 3
 
@@ -26,11 +26,11 @@ class PinnedSquareCF(DirectionalCell):
     """One cell: CF-coloring of unit squares that all contain `pin`."""
 
     SELECTORS = ((NE, SE, SW, NW),)
+    __slots__ = ()
 
-    def __init__(self, pin: Pt, tag: int = 0) -> None:
-        super().__init__(pin, tag)
-        (self.tree,) = self.trees
-        self.squares: dict[ObjectId, UnitSquare] = self.objects
+    @property
+    def squares(self) -> dict[ObjectId, UnitSquare]:
+        return self.objects
 
     def keys(self, sq: UnitSquare) -> tuple:
         oid = sq.id

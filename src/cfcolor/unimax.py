@@ -101,6 +101,12 @@ class IntervalPointColorer(_RunColorer):
     def __init__(self, points: dict[ObjectId, float]) -> None:
         super().__init__([sorted(points, key=lambda oid: (points[oid], oid))])
 
+    @staticmethod
+    def check_point(x: float) -> None:
+        """Raise ValueError for a point the x-order cannot place: NaN."""
+        if x != x:
+            raise ValueError(f"NaN coordinate: {x!r}")
+
 
 def _longest_monotone(keys: list[tuple], decreasing: bool) -> list[int]:
     """Indices of one longest strictly increasing (or decreasing) run."""
@@ -154,3 +160,10 @@ class RectPointColorer(_RunColorer):
         # each chain is x-ordered, so it behaves 1-D in its x-order
         self.chains = chain_decompose(points)
         super().__init__(self.chains)
+
+    @staticmethod
+    def check_point(p: Pt) -> None:
+        """Raise ValueError for a point the x- and y-orders cannot place: a
+        NaN coordinate."""
+        if p.x != p.x or p.y != p.y:
+            raise ValueError(f"NaN coordinate: {p!r}")

@@ -6,6 +6,7 @@ put back, so the memoized chain of calls goes on undisturbed."""
 
 import pytest
 
+from cfcolor import cells as cells_module
 from cfcolor.augtree import RED
 from cfcolor.geom import KeyOrder, Pt
 from cfcolor.harness import STRUCTURES, generate_workload, make_structure
@@ -16,7 +17,9 @@ PARTITIONS = sorted(PARAMS)
 
 
 def _memo_holders(s):
-    """(object, attribute) for every memo of s, its cells' and their trees'."""
+    """(object, attribute) for every memo of s, its cells' and their trees'.
+    A partition's passed holds its cell records: each cell's snapshot,
+    fingerprint and box list, and the fingerprints in one list."""
     cells = list(s.cells.values()) if hasattr(s, "cells") else [s]
     holders = [(s, "passed")] if hasattr(s, "cells") else []
     for cell in cells:
@@ -175,3 +178,133 @@ def test_swapped_colors_in_an_untouched_cell_show_in_the_next_view(name, seed):
     after = s.colored_boxes()
     assert after == fresh(s, s.colored_boxes) and after != before
     assert s.global_colors()[a] == s.cells[key].global_color(colors[a])
+
+
+# -- the view a passing partition audit hands over ------------------------------
+
+def _swapped_index_entries(s, key, spare):
+    index = s.cells[key].trees[0].leaf_by_payload
+    a, b = list(index)[:2]
+    index[a], index[b] = index[b], index[a]
+
+
+def _size_off_by_one(s, key, spare):
+    s.cells[key].trees[0].size += 1
+
+
+def _cell_swapped_for_an_empty_one(s, key, spare):
+    cell = s.cells[key]
+    s.cells[key] = type(cell)(cell.pin, cell.tag)
+
+
+SETTLED_FAULTS = dict(FAULTS, **{
+    "payload index out of sync": _swapped_index_entries,
+    "size": _size_off_by_one,
+    "empty cell": _cell_swapped_for_an_empty_one,
+})
+
+@pytest.fixture(params=["fingerprints", "comparisons"])
+def mode(request, monkeypatch):
+    """Both ways a partition tells unchanged cells: fingerprints, or, where
+    gc.get_referents lists less, today's comparisons and colored_boxes()."""
+    if request.param == "comparisons":
+        monkeypatch.setattr(cells_module, "FINGERPRINTS", False)
+    return request.param
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_the_handed_view_is_the_fresh_view(name, seed, stride, mode):
+    """After every update, or every fifth, as a sampled replay audits."""
+    adapter, events = _replay(name, 150, seed)
+    s = adapter.structure
+    assert sum(ev["op"] == "delete" for ev in events) > 30
+    for step, ev in enumerate(events):
+        _apply(adapter, ev)
+        if step % stride:
+            continue
+        report, view = s.audited_view()
+        assert report is None and view == fresh(s, s.colored_boxes)
+        assert fresh(s, s.audited_view) == (None, view)
+
+
+def _swap_colors(s, key):
+    colors = s.cells[key].colors
+    a = next(iter(colors))
+    b = next((o for o in colors if colors[o] != colors[a]), None)
+    if b is None:
+        return False
+    colors[a], colors[b] = colors[b], colors[a]
+    return True
+
+
+def _retag(s, key):
+    s.cells[key].tag += 1
+    return True
+
+
+def _move(shift):
+    def move(s, key):
+        objects = s.cells[key].objects
+        oid = next(iter(objects))
+        obj = objects[oid]
+        if hasattr(obj, "x"):
+            objects[oid] = obj._replace(x=obj.x + shift)
+        else:
+            objects[oid] = obj._replace(x1=obj.x1 + shift, x2=obj.x2 + shift)
+        return True
+    return move
+
+
+# fault -> whether the audit mostly reports it (else mostly only the view
+# shows it)
+VIEW_FAULTS = {"swapped colors": (_swap_colors, False), "changed tag": (_retag, False),
+               "object moved a little": (_move(1e-9), False),
+               "object moved far": (_move(5.0), True)}
+
+
+@pytest.mark.parametrize("fault", sorted(VIEW_FAULTS))
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_a_fault_in_an_untouched_cell_shows_in_the_handed_view(name, fault, mode):
+    """After each planted fault, the report and view audited_view() hands
+    over are the fresh ones; when the audit passes, the view differs from
+    the one before the fault."""
+    plant, reported = VIEW_FAULTS[fault]
+    changed_views = reports = 0
+    for seed in range(4):
+        s, touched = _passed_then_updated(name, seed)
+        before = s.audited_view()[1]
+        keys = [key for key in s.cells if key != touched]
+        for key in keys[:3]:
+            if not plant(s, key):
+                continue
+            want_report, want_view = fresh(s, s.audited_view)
+            got_report, got_view = s.audited_view()
+            assert (got_report is None) == (want_report is None)
+            if want_report is None:
+                assert got_view == want_view == fresh(s, s.colored_boxes)
+                changed_views += got_view != before
+                before = got_view
+            else:
+                assert got_report.reason == want_report.reason
+                assert got_report.node is want_report.node and got_view is None
+                reports += 1
+                break
+    assert (reports if reported else changed_views) > 0
+
+
+@pytest.mark.parametrize("fault", sorted(SETTLED_FAULTS))
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_a_fault_after_a_passing_audited_view_is_reported(name, fault, mode):
+    """A fault planted in an untouched cell once audited_view() has passed
+    twice, so every cell's snapshot is the one a passing audit took."""
+    s, touched = _passed_then_updated(name, 0)
+    assert s.audited_view()[0] is None and s.audited_view()[0] is None
+    key = _untouched(s, touched)
+    spare = next(k for k in s.cells if k not in (key, touched))
+    SETTLED_FAULTS[fault](s, key, spare)
+    want = fresh(s, s.audit)
+    assert want is not None and fault in want.reason
+    got, view = s.audited_view()
+    assert got.reason == want.reason and got.node is want.node and view is None

@@ -155,6 +155,22 @@ def test_delete_missing_key():
         tree.delete(xk(6.0, 2))
 
 
+def test_delete_from_a_held_leaf_skips_the_descent_only_when_the_leaf_is_there():
+    """delete(key, leaf) starts from the leaf when it holds key and the
+    index holds it; any other leaf is ignored and key is found from the
+    root, as delete(key) does."""
+    for hint in ("own", "other", "detached", "none"):
+        tree = AugTree()
+        for oid, (x, y) in enumerate([(1.0, 10.0), (2.0, 20.0), (3.0, 15.0), (4.0, 5.0)]):
+            insert_obj(tree, oid, x, y)
+        leaf = {"own": tree.leaf_by_payload[2], "other": tree.leaf_by_payload[0],
+                "detached": Node(xk(3.0, 2), 2, xk(3.0, 2), xk(3.0, 2), False),
+                "none": None}[hint]
+        tree.delete(xk(3.0, 2), leaf)
+        assert tree.audit() is None
+        assert sorted(tree.leaf_by_payload) == [0, 1, 3]
+
+
 def test_delete_from_three_leaf_tree_matches_recompute():
     tree = AugTree()
     insert_obj(tree, 1, 1.0, 10.0)

@@ -550,3 +550,30 @@ def test_insert_is_atomic_when_no_color_set_is_free():
     e.pool.release((2, 0))
     assert (len(e), e.set_states(), e.global_colors(), set(e.pool.in_use)) == before
     assert e.check_invariants() is None
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, points", [
+    (semi_1d, [0.5, NAN, 0.2, 0.9, 0.1, 0.7, 0.3]),
+    (full_1d, [0.5, NAN, 0.2, 0.9, 0.1, 0.7, 0.3]),
+    (full_2d, [Pt(0.5, 0.4), Pt(NAN, 0.1), Pt(0.2, 0.8), Pt(0.9, NAN), Pt(0.1, 0.6),
+               Pt(0.7, 0.3), Pt(NAN, NAN), Pt(0.3, 0.2)]),
+])
+def test_a_nan_point_is_refused_before_any_change(make, points):
+    """A NaN coordinate cannot be ordered: inserting it raises ValueError
+    and leaves the engine as it was, and the engine stays sound after."""
+    e = make()
+    taken = 0
+    for oid, p in enumerate(points):
+        before = (len(e), e.set_states(), e.global_colors())
+        if any(map(math.isnan, [p] if isinstance(p, float) else [p.x, p.y])):
+            with pytest.raises(ValueError, match="NaN"):
+                e.insert(oid, p)
+            assert (len(e), e.set_states(), e.global_colors()) == before
+        else:
+            e.insert(oid, p)
+            taken += 1
+        assert e.check_invariants() is None
+    assert len(e) == taken < len(points)

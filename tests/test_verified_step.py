@@ -1,8 +1,8 @@
 """What one verified step reads: a geometric structure's box view once,
-shared by the colors check and the oracle, an engine's locate/actual maps
-in one pass that words a fault as the object-by-object loop does, and the
-unimax range check only on pieces whose points or final colors changed
-since they last passed it."""
+handed over by its passing audit and shared by the colors check and the
+oracle, an engine's locate/actual maps in one pass that words a fault as
+the object-by-object loop does, and the unimax range check only on pieces
+whose points or final colors changed since they last passed it."""
 
 import random
 
@@ -20,11 +20,15 @@ from reference import locate_actual_report
 
 
 def _counting(cls):
-    """A structure class whose colored_boxes() records the live size at
-    each call."""
+    """A structure class whose two read paths, audited_view() and
+    colored_boxes(), record their name and the live size at each call."""
     class Counting(cls):
+        def audited_view(self):
+            self.calls.append(("audited_view", len(self)))
+            return super().audited_view()
+
         def colored_boxes(self):
-            self.calls.append(len(self))
+            self.calls.append(("colored_boxes", len(self)))
             return super().colored_boxes()
     return Counting
 
@@ -60,7 +64,8 @@ def test_a_verified_step_reads_the_box_view_once(name, verify, monkeypatch):
     else:
         assert len(verified) == len(events)
     (structure,) = made
-    assert structure.calls == [row["n"] for row in verified]
+    # a passing audit hands over the view: colored_boxes() is never read
+    assert structure.calls == [("audited_view", row["n"]) for row in verified]
 
 
 def _engines():
