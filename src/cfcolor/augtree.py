@@ -25,9 +25,7 @@ with `near` (the side of the child it starts from) and `far` swapped.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .geom import KeyOrder, ObjectId
 
@@ -45,6 +43,7 @@ class KeyNotFound(KeyError):
 
 
 class Node:
+    # slotted, so gc.get_referents(node) lists its fields (cells.py)
     __slots__ = ("key", "payload", "ymax", "ymin", "height", "color",
                  "left", "right", "parent")
 
@@ -63,27 +62,6 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return self.payload is not None
-
-
-def lists_every_slot(cls: type) -> bool:
-    """Whether gc.get_referents(obj) lists each slot's value of a cls
-    instance, as CPython's traversal of a slotted object does (it visits
-    each slot, then the type)."""
-    probe = cls.__new__(cls)
-    for name in cls.__slots__:
-        setattr(probe, name, object())
-    return {id(getattr(probe, name)) for name in cls.__slots__} <= set(map(id, gc.get_referents(probe)))
-
-
-if lists_every_slot(Node):
-    # Every field of the nodes, flat and in a fixed order, so equal lists
-    # mean equal fields; one C call.
-    slot_values = gc.get_referents
-else:
-    _fields = attrgetter(*Node.__slots__)
-
-    def slot_values(*nodes: Node) -> list:
-        return list(map(_fields, nodes))
 
 
 class DirtyLog:
@@ -119,10 +97,6 @@ class ViolationReport:
     reason: str
 
 
-# the first part of a tree's snapshot, read from the tree as it is
-tree_state = attrgetter("root", "size", "leaf_by_payload")
-
-
 class AugTree:
     """Ordered container of (key, payload, ymax, ymin) with dirty-node logs.
 
@@ -134,9 +108,8 @@ class AugTree:
         self.root: Node | None = None
         self.size = 0
         self.leaf_by_payload: dict[ObjectId, Node] = {}
-        # ((root, size, copy of leaf_by_payload), the nodes walked, their
-        # slot_values) of the last passing audit
-        self.passed: tuple | None = None
+        # the nodes the last passing audit walked
+        self.passed: list[Node] | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -323,29 +296,14 @@ class AugTree:
     # -- auditing -----------------------------------------------------------
 
     def audit(self) -> ViolationReport | None:
-        """Full check of every structural and augmentation invariant.
-
-        A passing audit keeps its snapshot in `passed`.  While the root is the
-        same object, size and leaf_by_payload are equal, and every node walked
-        has equal fields (links equal only by identity, and colors are the
-        bools RED and BLACK), the walk would visit the same nodes and find the
-        same, so the audit passes without it; any other call walks.
-        """
-        passed = self.passed
-        if passed is not None and self.unchanged_since(passed):
-            return None
+        """Full check of every structural and augmentation invariant.  A
+        passing audit keeps the nodes it walked in `passed`."""
         self.passed = None
         nodes: list[Node] = []
         report = self._walk(nodes)
         if report is None:
-            self.passed = ((self.root, self.size, dict(self.leaf_by_payload)),
-                           nodes, slot_values(*nodes))
+            self.passed = nodes
         return report
-
-    def unchanged_since(self, passed: tuple) -> bool:
-        """Whether the tree is as it was when it left the snapshot `passed`."""
-        state, nodes, values = passed
-        return tree_state(self) == state and slot_values(*nodes) == values
 
     def _walk(self, nodes: list[Node]) -> ViolationReport | None:
         """The audit's walk; on a pass `nodes` holds every node, preorder."""

@@ -24,30 +24,26 @@ y2, global color)) per stored object, cell by cell.
 
 Snapshots.  Verified replay audits and reads the view after every update,
 while an update changes one cell.  So each audit that passes keeps a
-snapshot of what it passed: a tree its root, size, a copy of
-leaf_by_payload, the nodes it walked and their slot values (augtree); a
-cell those of its trees plus its pin, a copy of objects and its trees.  A
-partition keeps a copy of location and, per cell, the cell's snapshot, its
-box list and its fingerprint: what gc.get_referents lists of the cell, its
-objects and colors, its trees and their leaf_by_payload, and the nodes its
-audit walked.  That is every field, dict key and value and node slot the
-audit and the view read (cells and trees are slotted for it).  The next
-partition audit audits the cells a changed location entry names, as every
-update's does, and lists the other cells' fingerprints anew in one call,
-compared with the kept ones in one list comparison; only where that
-differs does it compare them cell by cell.  An audited cell routes and
-tests against its pin only its objects that are new since.  A passing
-partition audit hands over its view, the kept box lists in cell order
-(audited_view), so a verified step reads each cell once and builds boxes
-only for the cells it audited.  Nothing is trusted: a fault planted
-anywhere, with or without an update since, differs from the snapshot, and
-a failing audit keeps none, so it is reported again.  Where get_referents
-does not list tuple items, dict values and non-str keys, and slots
-(probed at import: FINGERPRINTS), a partition compares each cell with
-unchanged_since instead and reads the view through colored_boxes(), where
-a cell reuses its box list while tag, objects and colors equal copies of
-those it was built from.  Snapshots sit in attributes that start as None;
-no update path reads or writes them.
+snapshot of what it passed: a tree the nodes it walked; a cell its pin, a
+copy of objects and the nodes its trees' audits walked.  A partition keeps
+a copy of location, per cell the cell's snapshot and box list, and one
+fingerprint of all its cells: what gc.get_referents lists of each cell,
+its objects and colors, its trees and their leaf_by_payload, and the nodes
+its audit walked.  That is every field, dict key and value and node slot
+the audit and the view read (nodes, trees and cells are slotted for it).
+The next partition audit audits the cells a changed location entry names,
+as every update's does, and lists the other cells' fingerprints anew in
+one call, compared with the kept ones in one list comparison.  Where that
+differs, or where get_referents does not list tuple items, dict values and
+non-str keys, and slots (probed at import: FINGERPRINTS), it audits every
+cell.  An audited cell routes and tests against its pin only its objects
+that are new since.  A passing partition audit hands over its view, the
+kept box lists in cell order (audited_view), so a verified step reads each
+cell once and builds boxes only for the cells it audited.  Nothing is
+trusted: a fault planted anywhere, with or without an update since,
+differs from the fingerprint, and a failing audit keeps no snapshot, so it
+is reported again.  Snapshots sit in attributes that start as None; no
+update path reads or writes them.
 
 The update path.  A cell's keys(obj) and its global colors are KeyOrder and
 GlobalColor values built as tuple_new(KeyOrder, (coordinate, id)): the same
@@ -67,14 +63,12 @@ import gc
 from itertools import chain, compress
 from operator import attrgetter, is_not, itemgetter
 
-from .augtree import (LEFT, RIGHT, AugTree, Node, ViolationReport, dirty_candidates,
-                      lists_every_slot, slot_values, tree_state)
+from .augtree import LEFT, RIGHT, AugTree, Node, ViolationReport, dirty_candidates
 from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId, tuple_new
 
 _objects = attrgetter("objects")
-_cell_state = attrgetter("pin", "objects", "trees")
 _index = attrgetter("leaf_by_payload")
-_boxes_of = itemgetter(4)   # of a partition snapshot's record of a cell
+_boxes_of = itemgetter(1)   # of a partition snapshot's record of a cell
 
 NE = (RIGHT, "ymax")
 SE = (RIGHT, "ymin")
@@ -138,7 +132,7 @@ class DirectionalCell:
     # slotted, so gc.get_referents(cell) lists its fields (Partition.audit);
     # a subclass adds none: __slots__ = ()
     __slots__ = ("pin", "tag", "trees", "objects", "colors", "halves", "total_recolorings",
-                 "passed", "_boxes")
+                 "passed")
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -153,12 +147,9 @@ class DirectionalCell:
         # per tree, each object's half of its color; one tree's half is the color
         self.halves: tuple[dict[ObjectId, int], ...] = (self.colors,)
         self.total_recolorings = 0
-        # ((pin, copy of objects, trees), each tree's state, the trees' nodes
-        # walked, their slot_values) of the last passing audit, from the
-        # trees' own snapshots
+        # (pin, copy of objects, the nodes its trees' audits walked) of the
+        # last passing audit
         self.passed: tuple | None = None
-        # (tag, copy of objects, copy of colors, the list) of the last box view built
-        self._boxes: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -248,28 +239,16 @@ class DirectionalCell:
         return {oid: box[4] for oid, box in self.colored_boxes()}
 
     def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
-        """The box view, copied from the last one built while tag, objects
-        and colors equal the copies it was built from."""
-        memo = self._boxes
-        if memo is None or memo[:3] != (self.tag, self.objects, self.colors):
-            memo = self._boxes = (self.tag, dict(self.objects), dict(self.colors),
-                                  self._build_boxes())
-        return list(memo[3])
-
-    def _build_boxes(self) -> list[tuple[ObjectId, tuple]]:
         g = self.global_color
         return [(oid, (r.x1, r.x2, r.y1, r.y2, g(self.colors[oid])))
                 for oid, r in self.objects.items()]
 
     def audit(self) -> ViolationReport | None:
         """Each tree's audit and leaves against objects, then each object
-        against the pin.  A passing audit keeps a snapshot in `passed`; while
-        unchanged_since(passed) the audit passes as it is, and otherwise only
-        objects not in the snapshot's copy are tested against the same pin
-        (objects are frozen and contains is pure)."""
+        against the pin.  A passing audit keeps a snapshot in `passed`; the
+        next tests against the same pin only objects not in the snapshot's
+        copy (objects are frozen and contains is pure)."""
         passed = self.passed
-        if passed is not None and self.unchanged_since(passed):
-            return None
         self.passed = None
         objects = self.objects
         for tree in self.trees:
@@ -279,18 +258,12 @@ class DirectionalCell:
             if tree.leaf_by_payload.keys() != objects.keys():
                 return ViolationReport(None, "tree leaves out of sync with the cell's objects")
         pin = self.pin
-        new = objects
-        if passed is not None:
-            old_pin, old_objects, _ = passed[0]
-            if old_pin is pin:
-                new = _not_in(objects, old_objects)
+        new = objects if passed is None or passed[0] is not pin else _not_in(objects, passed[1])
         for oid in new:
             if not objects[oid].contains(pin):
                 return ViolationReport(None, f"object {oid} does not contain its pin")
-        trees = self.trees
-        states, nodes, values = zip(*[tree.passed for tree in trees])
-        self.passed = ((pin, dict(objects), trees), states,
-                       list(chain.from_iterable(nodes)), list(chain.from_iterable(values)))
+        self.passed = (pin, dict(objects),
+                       list(chain.from_iterable(tree.passed for tree in self.trees)))
         return None
 
     def audited_view(self) -> tuple[ViolationReport | None, list | None]:
@@ -299,17 +272,20 @@ class DirectionalCell:
         report = self.audit()
         return report, (self.colored_boxes() if report is None else None)
 
-    def unchanged_since(self, passed: tuple) -> bool:
-        """Whether pin, objects, trees and every tree are as in the snapshot
-        (each tree's unchanged_since, for all of them at once)."""
-        state, tree_states, nodes, values = passed
-        return (_cell_state(self) == state and tuple(map(tree_state, self.trees)) == tree_states
-                and slot_values(*nodes) == values)
-
 
 def _not_in(objects: dict, known: dict):
     """The ids whose object is not the one `known` holds for them, in order."""
     return compress(objects, map(is_not, map(known.get, objects), objects.values()))
+
+
+def lists_every_slot(cls: type) -> bool:
+    """Whether gc.get_referents(obj) lists each slot's value of a cls
+    instance, as CPython's traversal of a slotted object does (it visits
+    each slot, then the type)."""
+    probe = cls.__new__(cls)
+    for name in cls.__slots__:
+        setattr(probe, name, object())
+    return {id(getattr(probe, name)) for name in cls.__slots__} <= set(map(id, gc.get_referents(probe)))
 
 
 def _referents_list_the_state() -> bool:
@@ -323,8 +299,7 @@ def _referents_list_the_state() -> bool:
             and all(map(lists_every_slot, (Node, AugTree, DirectionalCell))))
 
 
-# Where this is False, a partition compares each cell with unchanged_since
-# and reads the view through colored_boxes().
+# Where this is False, a partition audit audits every cell.
 FINGERPRINTS = _referents_list_the_state()
 
 
@@ -355,7 +330,10 @@ class _Fingerprints:
         self.lengths: list[int] = []
         self.prints: list = []
 
-    def add(self, key, cell: DirectionalCell, args: tuple, fingerprint: list) -> None:
+    def add(self, key, cell: DirectionalCell) -> None:
+        """Append the key's cell, listed as its passing audit left it."""
+        args = _fingerprint_args(cell, cell.passed[2])
+        fingerprint = gc.get_referents(*args)
         self.keys.append(key)
         self.cells.append(cell)
         self.counts.append(len(args))
@@ -391,10 +369,8 @@ class Partition:
 
     CELL: type[DirectionalCell]
     MISROUTED = "object {} not in the cell route() gives it"
-    # (copy of location, {cell key: record}, _Fingerprints) of the last
-    # passing audit; a record is (cell, its snapshot, _fingerprint_args, the
-    # fingerprint, its box list), or (cell, its snapshot) where FINGERPRINTS
-    # is False
+    # (copy of location, {cell key: (its cell's snapshot, its box list)},
+    # the cells' _Fingerprints) of the last passing audit
     passed: tuple | None = None
 
     def __init__(self) -> None:
@@ -458,8 +434,6 @@ class Partition:
         report = self.audit()
         if report is not None:
             return report, None
-        if not FINGERPRINTS:
-            return None, self.colored_boxes()
         records = self.passed[1]
         return None, list(chain.from_iterable(map(_boxes_of, map(records.__getitem__,
                                                                  self.cells))))
@@ -481,12 +455,7 @@ class Partition:
         self.passed = None
         # the keys a location entry changed from or to since
         touched = {key for _, key in location.items() ^ before.items()}
-        if FINGERPRINTS:
-            stale, prints = self._stale(records, prints, touched)
-        else:
-            stale = [key for key, cell in cells.items()
-                     if key in touched or (rec := records.get(key)) is None or rec[0] is not cell
-                     or not cell.unchanged_since(rec[1])]
+        stale, prints = self._stale(prints, touched)
         cell_key = self.cell_key
         located = True
         misrouted = None
@@ -503,7 +472,7 @@ class Partition:
             if misrouted is None:
                 rec = records.get(key)
                 # objects the snapshot holds at this key were routed to it
-                new = objects if rec is None else _not_in(objects, rec[1][0][1])
+                new = objects if rec is None else _not_in(objects, rec[0][1])
                 for oid in new:
                     if cell_key(objects[oid]) != key:
                         misrouted = oid
@@ -520,43 +489,25 @@ class Partition:
             records.pop(key, None)
         for key in stale:
             cell = cells[key]
-            passed = cell.passed
-            if FINGERPRINTS:
-                args = _fingerprint_args(cell, passed[2])
-                fingerprint = gc.get_referents(*args)
-                records[key] = (cell, passed, args, fingerprint, cell._build_boxes())
-                prints.add(key, cell, args, fingerprint)
-            else:
-                records[key] = (cell, passed)
+            records[key] = (cell.passed, cell.colored_boxes())
+            prints.add(key, cell)
         self.passed = (dict(location), records, prints)
         return None
 
-    def _stale(self, records: dict, prints: _Fingerprints,
-               touched: set) -> tuple[list, _Fingerprints]:
+    def _stale(self, prints: _Fingerprints, touched: set) -> tuple[list, _Fingerprints]:
         """The keys, in cell order, of the cells to audit, and the
         fingerprints of the others.
 
-        A cell is unchanged when its key still holds it and gc.get_referents
-        lists its fingerprint arguments as when it passed: every field, dict
-        entry and slot its audit and box view read.  The cells that a
-        changed location entry names, as every update's does, are audited;
-        the others are compared all at once, in one call and one list
-        comparison.  Where that differs, a cell was dropped, swapped or
-        changed in place, and they are compared one by one.
+        The cells that a changed location entry names, as every update's
+        does, are audited.  The others are unchanged when each key still
+        holds its cell and one gc.get_referents call lists their fingerprint
+        arguments as when they passed: every field, dict entry and slot
+        their audits and box views read.  Otherwise (a cell dropped, swapped
+        or changed in place, or FINGERPRINTS False) every cell is audited.
         """
         cells = self.cells
-        prints.drop([key for key in touched if key in records])
-        if prints.unchanged(cells):
-            stale = list(filter(touched.__contains__, cells))
-            if len(stale) + len(prints.keys) == len(cells):   # no untouched key is new
-                return stale, prints
-        stale = [key for key, cell in cells.items()
-                 if key in touched or (rec := records.get(key)) is None or rec[0] is not cell
-                 or gc.get_referents(*rec[2]) != rec[3]]
-        prints = _Fingerprints()
-        skip = set(stale)
-        for key in cells:
-            if key not in skip:
-                cell, _, args, fingerprint, _ = records[key]
-                prints.add(key, cell, args, fingerprint)
-        return stale, prints
+        prints.drop(touched.intersection(prints.keys))
+        stale = list(filter(touched.__contains__, cells))
+        if FINGERPRINTS and len(stale) + len(prints.keys) == len(cells) and prints.unchanged(cells):
+            return stale, prints
+        return list(cells), _Fingerprints()

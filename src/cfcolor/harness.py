@@ -89,10 +89,10 @@ update drops it.  After a passing check the next one sweeps only the box
 around the old and new rectangles of objects changed since
 (oracle.IncrementalCF): a point outside keeps the cover that passed, and
 a set whose colors are all distinct passes without a sweep.  A partition
-audit re-checks, and builds boxes for, only the cells an update named or
-whose fingerprint differs from the one they passed with (cells.py); an
-engine's invariant check skips the unimax check of a piece whose points
-and colors passed it unchanged.  Every check still covers the whole
+audit re-checks, and builds boxes for, only the cells an update named
+while the other cells' fingerprint is the one they passed with, and every
+cell once it is not (cells.py); an engine's invariant check skips the
+unimax check of a piece whose points and colors passed it unchanged.  Every check still covers the whole
 state, so each verdict is the full check's.
 """
 

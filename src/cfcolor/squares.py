@@ -37,7 +37,7 @@ class PinnedSquareCF(DirectionalCell):
         y = tuple_new(KeyOrder, (sq.y, oid))
         return ((tuple_new(KeyOrder, (sq.x, oid)), y, y),)
 
-    def _build_boxes(self) -> list[tuple[ObjectId, tuple]]:
+    def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
         g = self.global_color
         return [(oid, (sq.x, sq.x + 1.0, sq.y, sq.y + 1.0, g(self.colors[oid])))
                 for oid, sq in self.objects.items()]

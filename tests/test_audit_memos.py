@@ -1,15 +1,24 @@
-"""The audits and box views that keep a snapshot of what last passed, each
-against the full audit and a freshly built view: after every update of
-seeded streams, and after faults planted in a cell the last update did not
-touch.  A fresh result is the same call with every memo set aside, then
-put back, so the memoized chain of calls goes on undisturbed."""
+"""The audits that keep a snapshot of what last passed, and the view a
+passing partition audit hands over, each against the full audit and a
+freshly built view: after every update of seeded streams, and after faults
+planted in a cell the last update did not touch.  A fresh result is the
+same call with every memo set aside, then put back, so the memoized chain
+of calls goes on undisturbed."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cfcolor import cells as cells_module
+from cfcolor.anchored import AnchoredCF
 from cfcolor.augtree import RED
 from cfcolor.geom import KeyOrder, Pt
 from cfcolor.harness import STRUCTURES, generate_workload, make_structure
+from cfcolor.rects import CommonPointCF
+from cfcolor.squares import PinnedSquareCF
 from reference import nodes
 
 PARAMS = {"squares": {}, "bounded": {"c": 3.0}, "universe": {"universe": 32}}
@@ -18,12 +27,12 @@ PARTITIONS = sorted(PARAMS)
 
 def _memo_holders(s):
     """(object, attribute) for every memo of s, its cells' and their trees'.
-    A partition's passed holds its cell records: each cell's snapshot,
-    fingerprint and box list, and the fingerprints in one list."""
+    A partition's passed holds its cell records, each cell's snapshot and
+    box list, and the cells' fingerprints in one list."""
     cells = list(s.cells.values()) if hasattr(s, "cells") else [s]
     holders = [(s, "passed")] if hasattr(s, "cells") else []
     for cell in cells:
-        holders += [(cell, "passed"), (cell, "_boxes")]
+        holders += [(cell, "passed")]
         holders += [(tree, "passed") for tree in cell.trees]
     return holders
 
@@ -203,11 +212,12 @@ SETTLED_FAULTS = dict(FAULTS, **{
     "empty cell": _cell_swapped_for_an_empty_one,
 })
 
-@pytest.fixture(params=["fingerprints", "comparisons"])
+@pytest.fixture(params=["fingerprints", "full audits"])
 def mode(request, monkeypatch):
-    """Both ways a partition tells unchanged cells: fingerprints, or, where
-    gc.get_referents lists less, today's comparisons and colored_boxes()."""
-    if request.param == "comparisons":
+    """Both ways a partition audit goes: it skips the cells whose
+    fingerprint is unchanged, or, where gc.get_referents lists less, it
+    audits every cell."""
+    if request.param == "full audits":
         monkeypatch.setattr(cells_module, "FINGERPRINTS", False)
     return request.param
 
@@ -308,3 +318,93 @@ def test_a_fault_after_a_passing_audited_view_is_reported(name, fault, mode):
     assert want is not None and fault in want.reason
     got, view = s.audited_view()
     assert got.reason == want.reason and got.node is want.node and view is None
+
+
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_an_object_inserted_and_deleted_between_audits_makes_every_cell_audited(
+        name, mode, monkeypatch):
+    """An object inserted into an untouched cell and deleted again changes
+    no location entry, but the cell's trees and recoloring count changed:
+    its fingerprint differs, so the next audit audits every cell, and its
+    report and view are the fresh ones."""
+    s, touched = _passed_then_updated(name, 0)
+    assert s.audited_view()[0] is None
+    location = dict(s.location)
+    twin_id = max(location) + 1
+    before = sum(cell.total_recolorings for cell in s.cells.values())
+    for key, cell in list(s.cells.items()):
+        if key == touched:
+            continue
+        twin = next(iter(cell.objects.values()))._replace(id=twin_id)
+        s.insert(twin)
+        assert s.location[twin_id] == key
+        s.delete(twin_id)
+        if sum(cell.total_recolorings for cell in s.cells.values()) != before:
+            break
+    else:
+        pytest.fail("no insert and delete recolored an object")
+    assert s.location == location
+    audited = []
+    audit = s.CELL.audit
+
+    def counting(cell):
+        audited.append(cell)
+        return audit(cell)
+
+    monkeypatch.setattr(s.CELL, "audit", counting)
+    report, view = s.audited_view()
+    assert report is None
+    assert sorted(map(id, audited)) == sorted(map(id, s.cells.values()))
+    assert view == fresh(s, s.colored_boxes)
+    assert fresh(s, s.audited_view) == (None, view)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="a CPython traversal")
+def test_fingerprints_are_on_and_no_cell_has_an_instance_dict():
+    """Where the import probe fails, or a cell class forgot __slots__ = ()
+    and get_referents lists its __dict__ instead of its fields, every
+    verified step audits every cell; the verdicts stay right, so only this
+    test would see it."""
+    assert cells_module.FINGERPRINTS
+    for cell in (PinnedSquareCF(Pt(0.0, 0.0)), CommonPointCF(Pt(0.0, 0.0)), AnchoredCF()):
+        assert not hasattr(cell, "__dict__"), type(cell).__name__
+
+
+def test_a_stale_summary_in_an_untouched_cell_is_reported_under_python_O():
+    """A squares and a bounded stream with deletions pass audited_view()
+    after every step under -O; then a stale ymax planted in a cell the
+    last update did not touch is reported by the next audited_view()."""
+    script = (
+        "from cfcolor.geom import KeyOrder\n"
+        "from cfcolor.harness import STRUCTURES, generate_workload, make_structure\n"
+        "print('optimized', not __debug__)\n"
+        "for name, params in (('squares', {}), ('bounded', {'c': 3.0})):\n"
+        "    adapter = make_structure(name, **params)\n"
+        "    s = adapter.structure\n"
+        "    events = generate_workload(STRUCTURES[name].kind, 150, 0.3, 5, **params)\n"
+        "    passed = 0\n"
+        "    for ev in events:\n"
+        "        if ev['op'] == 'insert':\n"
+        "            adapter.insert(ev['id'], ev['object'])\n"
+        "        else:\n"
+        "            adapter.delete(ev['id'])\n"
+        "        report, view = s.audited_view()\n"
+        "        passed += report is None and len(view) == len(s)\n"
+        "    last = next(ev for ev in reversed(events) if ev['op'] == 'insert'\n"
+        "                and ev['id'] in s.location)\n"
+        "    touched = s.location[last['id']]\n"
+        "    adapter.delete(last['id'])\n"
+        "    adapter.insert(last['id'], last['object'])\n"
+        "    cell = next(c for key, c in s.cells.items() if key != touched and len(c) >= 2)\n"
+        "    cell.trees[0].root.ymax = KeyOrder(999.0, 999)\n"
+        "    report, view = s.audited_view()\n"
+        "    print(name, passed == len(events), report.reason, view)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["optimized True",
+                                        "squares True stale ymax summary None",
+                                        "bounded True stale ymax summary None"]
