@@ -33,7 +33,8 @@ class AnchoredCF(DirectionalCell):
         super().__init__(Pt(0.0, 0.0), ANCHORED_SCHEME_TAG)
 
     def check(self, r: AxisRect) -> None:
-        if r.x1 != 0.0 or r.y1 != 0.0:
+        # a top-right corner below the origin (or NaN) misses the pin too
+        if r.x1 != 0.0 or r.y1 != 0.0 or not (r.x2 >= 0.0 and r.y2 >= 0.0):
             raise NotAnchored(f"rectangle not anchored at the origin: {r}")
 
     def keys(self, r: AxisRect) -> tuple:

@@ -8,13 +8,18 @@ int.  Replay applies events in order against one of the named structures
 and writes the report as JSON plus a CSV mirror of the step table.
 
 Two tables drive it all.  KINDS maps an object kind to its coordinate
-fields, the generator's draw(rng, span, c), its validity rule, and the
-parameter it needs with that parameter's range rule (from rects.py, which
-the structure's constructor applies too); STRUCTURES maps a structure name
-to the kind it holds and build(c, universe) -> adapter.  Generation,
-validation, make_structure, run_workload, run_bench and the CLI's choices
-read only these.  Adding a structure is one STRUCTURES entry, plus a KINDS
-entry for a new kind.
+fields, the generator's draw(rng, span, c), to_object(id, coordinates),
+its validity rule, and the parameter it needs with that parameter's range
+rule (from rects.py, which the structure's constructor applies too).
+STRUCTURES maps a structure name to the kind it holds, build(c, universe)
+-> structure, insert(structure, id, object) -> RecolorDiff, view(structure)
+(unaudited, below), oracle(), which makes one replay's view -> Witness |
+None check, and levels(structure), an engine's (ell, set states).  One
+adapter replays every structure from its entry, and deletes where the
+structure has a delete method.  Generation, validation, make_structure,
+run_workload, run_bench and the CLI's choices read only these tables.
+Adding a structure is one STRUCTURES entry, plus a KINDS entry for a new
+kind.
 
 Report schema (run_workload):
 
@@ -35,7 +40,9 @@ Report schema (run_workload):
            "total_recolorings" (sum of the recolorings column),
            "structure_recoloring_counter" (the structure's own counter),
            "violations": [{"step", "check", "detail"}], where check is
-           "invariants", "colors" or "oracle"}
+           "invariants", "colors", "oracle" or "update": an update raised
+           after a violation, so replay ended before its row; detail
+           "<exception type>: <message>"}
 
 File contract: the report JSON is the bytes of json.dump(report, indent=2,
 sort_keys=True) plus a newline, and the CSV those of csv.DictWriter over
@@ -68,9 +75,9 @@ distinct_colors is counted from the RecolorDiff of each update, whose
 colors are those global_colors() reports: replay keeps an object -> color
 map and a color -> multiplicity map over it, so a step costs
 O(recolorings), not O(n).  At every step where invariants are checked,
-global_colors() must equal the object -> color map; any object whose
-color differs, an unreported recoloring or swap say, is a violation with
-check "colors".
+the colors of the structure's view (below) must equal the object -> color
+map; any object whose color differs, an unreported recoloring or swap
+say, is a violation with check "colors".
 
 Generation is deterministic for a fixed seed: the documented generator is
 Python's Mersenne Twister (random.Random(seed)), so workloads regenerate
@@ -79,21 +86,20 @@ identically across platforms.
 Verification modes: "none", "invariants" (structure audits and the color
 check every step), "oracle-sampled" (both, plus ground-truth conflict-free
 checks, every step while n <= 256, every 32nd step beyond, and always at
-the final state), and "oracle-every-step".  A verified step reads a
-geometric structure's view, (id, (x1, x2, y1, y2, color)) per object,
-once: the structure's audited_view() audits it and, when the audit
-passes, hands over the view of the state it passed, which is what
-colored_boxes() lists; after a failing audit the step reads
-colored_boxes().  The colors check and the oracle share the view, and an
-update drops it.  After a passing check the next one sweeps only the box
-around the old and new rectangles of objects changed since
-(oracle.IncrementalCF): a point outside keeps the cover that passed, and
-a set whose colors are all distinct passes without a sweep.  A partition
-audit re-checks, and builds boxes for, only the cells an update named
-while the other cells' fingerprint is the one they passed with, and every
-cell once it is not (cells.py); an engine's invariant check skips the
-unimax check of a piece whose points and colors passed it unchanged.  Every check still covers the whole
-state, so each verdict is the full check's.
+the final state), and "oracle-every-step".  A verified step reads the
+structure's view once: (id, (x1, x2, y1, y2, color)) per object of a
+geometric structure (colored_boxes()), (id, (point, color)) per point of
+an engine (colored_points()), the color last in both.  The structure's
+audited_view() audits it and hands over the view of the state it
+checked: always for an engine, and for a geometric structure when the
+audit passes; otherwise the step reads colored_boxes().  The colors
+check and the oracle share the view, and an update drops it.  After a
+passing check the next box check sweeps only the box around the old and
+new rectangles of objects changed since (oracle.IncrementalCF): a point
+outside keeps the cover that passed, and a set whose colors are all
+distinct passes without a sweep.  The audits re-check only what changed
+since they last passed (cells.py, framework.py), but every check still
+covers the whole state, so each verdict is the full check's.
 """
 
 from __future__ import annotations
@@ -150,6 +156,7 @@ class KindMismatch(ValueError):
 class Kind(NamedTuple):
     fields: tuple[str, ...]          # coordinate fields, all finite numbers
     draw: Callable                   # (rng, span, c) -> coordinates, for gen
+    to_object: Callable              # (id, coordinates) -> the object a structure holds
     needs: str | None = None         # "c" or "universe": a required parameter
     invalid: Callable | None = None  # coordinates -> why they are invalid, or None
     check: Callable | None = None    # the needed parameter's range rule, owned by rects
@@ -157,7 +164,11 @@ class Kind(NamedTuple):
 
 class Structure(NamedTuple):
     kind: str
-    build: Callable                  # (c, universe) -> adapter
+    build: Callable                  # (c, universe) -> the structure
+    insert: Callable                 # (structure, id, object) -> RecolorDiff
+    view: Callable                   # structure -> its view, unaudited
+    oracle: Callable                 # () -> a view's check -> Witness | None, one per replay
+    levels: Callable = lambda structure: None  # engine -> (ell, its set states)
 
 
 def _inverted_bounds(o: dict) -> str | None:
@@ -184,49 +195,64 @@ def _draw_universe(rng, span, c):
     return {"x1": x1, "x2": x2, "y1": y1, "y2": y2}
 
 
-KINDS = {
-    "anchored_rect": Kind(
-        ("x2", "y2"),
-        lambda rng, span, c: {"x2": rng.uniform(0.001, span), "y2": rng.uniform(0.001, span)},
-        invalid=lambda o: "corner below the origin" if o["x2"] < 0 or o["y2"] < 0 else None),
-    "unit_square": Kind(
-        ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)}),
-    "bounded_rect": Kind(("x1", "x2", "y1", "y2"), _draw_bounded, "c", _inverted_bounds,
-                         check_size_bound),
-    # integer coordinates in {0..universe-1}; span is the largest one drawn
-    "universe_rect": Kind(("x1", "x2", "y1", "y2"), _draw_universe, "universe",
-                          _inverted_bounds, check_universe_size),
-    "point_1d": Kind(("x",), lambda rng, span, c: {"x": rng.uniform(0, span)}),
-    "point_2d": Kind(
-        ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)}),
-}
-
-
 def _payload_to_rect(oid, payload):
     return AxisRect(payload["x1"], payload["x2"], payload["y1"], payload["y2"], oid)
 
 
-# Oracle checks are called by name inside lambdas, so they are looked up in
-# this module's namespace on every call.
+KINDS = {
+    "anchored_rect": Kind(
+        ("x2", "y2"),
+        lambda rng, span, c: {"x2": rng.uniform(0.001, span), "y2": rng.uniform(0.001, span)},
+        lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid),
+        invalid=lambda o: "corner below the origin" if o["x2"] < 0 or o["y2"] < 0 else None),
+    "unit_square": Kind(
+        ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)},
+        lambda oid, p: UnitSquare(p["x"], p["y"], oid)),
+    "bounded_rect": Kind(("x1", "x2", "y1", "y2"), _draw_bounded, _payload_to_rect, "c",
+                         _inverted_bounds, check_size_bound),
+    # integer coordinates in {0..universe-1}; span is the largest one drawn
+    "universe_rect": Kind(("x1", "x2", "y1", "y2"), _draw_universe, _payload_to_rect,
+                          "universe", _inverted_bounds, check_universe_size),
+    "point_1d": Kind(("x",), lambda rng, span, c: {"x": rng.uniform(0, span)},
+                     lambda oid, p: p["x"]),
+    "point_2d": Kind(
+        ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)},
+        lambda oid, p: Pt(p["x"], p["y"])),
+}
+
+
+# Entry parts.  Oracle checks are called by name inside lambdas, so they
+# are looked up in this module's namespace on every call.
+_second = itemgetter(1)
+_insert_object = lambda structure, oid, obj: structure.insert(obj)
+_boxes = lambda structure: structure.colored_boxes()
+_cf_boxes = lambda: IncrementalCF(lambda colored: check_cf(colored)).check
+_insert_keyed = lambda engine, oid, obj: engine.insert(oid, obj)
+_points = lambda engine: engine.colored_points()
+_levels = lambda engine: (engine.ell, ",".join(engine.set_states()))
+_cf_intervals = lambda: lambda view: check_cf_intervals(list(map(_second, view)))
+_cf_rects = lambda: lambda view: check_cf_rect_ranges(list(map(_second, view)), samples=20_000)
+_interval_checker = lambda points, colors: check_unimax_intervals(
+    [(points[o], colors[o]) for o in points])
+_rect_checker = lambda points, colors: check_unimax_rect_ranges(
+    [(points[o], colors[o]) for o in points])
+
+
 STRUCTURES = {
-    "anchored": Structure("anchored_rect", lambda c, universe: _GeometricAdapter(
-        AnchoredCF(), lambda oid, p: AxisRect(0.0, p["x2"], 0.0, p["y2"], oid))),
-    "squares": Structure("unit_square", lambda c, universe: _GeometricAdapter(
-        GridSquareCF(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))),
-    "bounded": Structure("bounded_rect", lambda c, universe: _GeometricAdapter(
-        BoundedRectCF(c), _payload_to_rect)),
-    "universe": Structure("universe_rect", lambda c, universe: _GeometricAdapter(
-        UniverseRectCF(universe), _payload_to_rect)),
-    "semi-1d": Structure("point_1d", lambda c, universe: _FrameworkAdapter(
-        SemiDynamicEngine(IntervalPointColorer, _interval_checker), lambda oid, p: p["x"],
-        lambda colored: check_cf_intervals(colored))),
-    "full-1d": Structure("point_1d", lambda c, universe: _FrameworkAdapter(
-        FullyDynamicEngine(IntervalPointColorer, _interval_checker), lambda oid, p: p["x"],
-        lambda colored: check_cf_intervals(colored))),
-    "full-2d": Structure("point_2d", lambda c, universe: _FrameworkAdapter(
-        FullyDynamicEngine(RectPointColorer, _rect_checker),
-        lambda oid, p: Pt(p["x"], p["y"]),
-        lambda colored: check_cf_rect_ranges(colored, samples=20_000))),
+    "anchored": Structure("anchored_rect", lambda c, universe: AnchoredCF(),
+                          _insert_object, _boxes, _cf_boxes),
+    "squares": Structure("unit_square", lambda c, universe: GridSquareCF(),
+                         _insert_object, _boxes, _cf_boxes),
+    "bounded": Structure("bounded_rect", lambda c, universe: BoundedRectCF(c),
+                         _insert_object, _boxes, _cf_boxes),
+    "universe": Structure("universe_rect", lambda c, universe: UniverseRectCF(universe),
+                          _insert_object, _boxes, _cf_boxes),
+    "semi-1d": Structure("point_1d", lambda c, universe: SemiDynamicEngine(
+        IntervalPointColorer, _interval_checker), _insert_keyed, _points, _cf_intervals, _levels),
+    "full-1d": Structure("point_1d", lambda c, universe: FullyDynamicEngine(
+        IntervalPointColorer, _interval_checker), _insert_keyed, _points, _cf_intervals, _levels),
+    "full-2d": Structure("point_2d", lambda c, universe: FullyDynamicEngine(
+        RectPointColorer, _rect_checker), _insert_keyed, _points, _cf_rects, _levels),
 }
 
 
@@ -444,100 +470,57 @@ def read_workload(path: str) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# structure adapters
+# the replay adapter
 # ---------------------------------------------------------------------------
 
-def _interval_checker(points, colors):
-    return check_unimax_intervals([(points[o], colors[o]) for o in points])
+class _Adapter:
+    """The replay interface over a structure and its STRUCTURES entry:
+    updates, counters, and audits and oracle over one view per state."""
 
-
-def _rect_checker(points, colors):
-    return check_unimax_rect_ranges([(points[o], colors[o]) for o in points])
-
-
-_first, _second, _color = itemgetter(0), itemgetter(1), itemgetter(4)
-
-
-class _GeometricAdapter:
-    """The replay interface over one structure: insert a payload, delete an
-    id, read colors and counters, and run its audits and oracle check."""
-
-    supports_delete = True
-
-    def __init__(self, structure, to_object):
+    def __init__(self, structure, spec: Structure):
         self.structure = structure
-        self.to_object = to_object
-        # check_cf looked up here on every call, as in STRUCTURES
-        self.cf = IncrementalCF(lambda colored: check_cf(colored))
-        self._boxes = None   # the box view of the state as it is, once read
+        self.to_object = KINDS[spec.kind].to_object
+        self._insert, self._unaudited, self._levels = spec.insert, spec.view, spec.levels
+        self.oracle = spec.oracle()
+        self.supports_delete = hasattr(structure, "delete")
+        self._view = None   # the view of the state as it is, once read
 
     def insert(self, oid, payload):
-        self._boxes = None
-        return self.structure.insert(self.to_object(oid, payload))
+        self._view = None
+        return self._insert(self.structure, oid, self.to_object(oid, payload))
 
     def delete(self, oid):
-        self._boxes = None
+        if not self.supports_delete:
+            raise KindMismatch("insert-only structure cannot replay deletions")
+        self._view = None
         return self.structure.delete(oid)
 
     def __len__(self):
         return len(self.structure)
 
-    def _view(self):
-        """The structure's box view, read once per state: the one a passing
-        audit handed over, else colored_boxes().  The colors check and the
-        oracle share it."""
-        boxes = self._boxes
-        if boxes is None:
-            boxes = self._boxes = self.structure.colored_boxes()
-        return boxes
+    def _read(self):
+        """The view of the state, read once: the one the last audit handed
+        over, else the unaudited one."""
+        view = self._view
+        if view is None:
+            view = self._view = self._unaudited(self.structure)
+        return view
 
     def colors(self):
-        boxes = self._view()
-        return dict(zip(map(_first, boxes), map(_color, map(_second, boxes))))
+        return {oid: entry[-1] for oid, entry in self._read()}
 
     def total_recolorings(self):
         return self.structure.total_recolorings
 
     def check_invariants(self):
-        report, self._boxes = self.structure.audited_view()
+        report, self._view = self.structure.audited_view()
         return report
 
     def check_oracle(self):
-        return self.cf.check(self._view())
+        return self.oracle(self._read())
 
     def framework_info(self):
-        return None
-
-
-class _FrameworkAdapter(_GeometricAdapter):
-    """A dynamization engine; range_check(colored points) stands in for
-    check_cf."""
-
-    def __init__(self, engine, to_object, range_check):
-        super().__init__(engine, to_object)
-        self.range_check = range_check
-        self.supports_delete = hasattr(engine, "delete")
-
-    def insert(self, oid, payload):
-        return self.structure.insert(oid, self.to_object(oid, payload))
-
-    def delete(self, oid):
-        if not self.supports_delete:
-            raise KindMismatch("insert-only structure cannot replay deletions")
-        return self.structure.delete(oid)
-
-    def colors(self):
-        return self.structure.global_colors()
-
-    def check_invariants(self):
-        return self.structure.check_invariants()
-
-    def check_oracle(self):
-        engine = self.structure
-        return self.range_check([(engine.objects[o], c) for o, c in engine.actual.items()])
-
-    def framework_info(self):
-        return self.structure.ell, ",".join(self.structure.set_states())
+        return self._levels(self.structure)
 
 
 def make_structure(name: str, c: float | None = None, universe: int | None = None):
@@ -545,7 +528,7 @@ def make_structure(name: str, c: float | None = None, universe: int | None = Non
     if spec is None:
         raise InvalidParams(f"unknown structure {name!r}")
     _needed_param(f"{name} structure", KINDS[spec.kind].needs, c, universe)
-    return spec.build(c, universe)
+    return _Adapter(spec.build(c, universe), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +600,21 @@ def run_workload(structure_name: str, events: list[dict], verify: str = "none",
                     f"step {step}: structure {structure_name} cannot hold {obj.get('kind')!r}")
             if oid in live_ids:
                 raise ParseError(f"step {step}: duplicate insert id {oid}")
-            diff = insert(oid, obj)
             live_ids.add(oid)
         elif op == "delete":
             if oid not in live_ids:
                 raise ParseError(f"step {step}: delete of non-live id {oid}")
-            diff = delete(oid)
             live_ids.discard(oid)
         else:
             raise ParseError(f"step {step}: unknown op {op!r}")
+        try:
+            diff = insert(oid, obj) if op == "insert" else delete(oid)
+        except Exception as exc:
+            if not violations:   # else a broken structure's report is kept
+                raise
+            violations.append({"step": step, "check": "update",
+                               "detail": f"{type(exc).__name__}: {exc}"})
+            break
         _apply_diff(worn, color_counts, diff)
 
         n = len(adapter)

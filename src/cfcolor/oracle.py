@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import AxisRect, Pt
+from .geom import Pt
 
 EXHAUSTIVE_2D_LIMIT = 40      # exhaustive canonical rectangles up to this many points
 EXHAUSTIVE_1D_LIMIT = 640     # exhaustive canonical intervals up to this many points
@@ -85,8 +85,9 @@ def _dense_codes(colors: list, ordered: bool = False) -> tuple[np.ndarray, int]:
     return dense, len(code)
 
 
-def check_cf(colored: list[tuple[AxisRect, object]]) -> Witness | None:
-    """Exact conflict-free check over the whole probe grid.
+def check_cf(colored: list[tuple[tuple, object]]) -> Witness | None:
+    """Exact conflict-free check over the whole probe grid; a rectangle is
+    read by index, (x1, x2, y1, y2, ...), so a view's box serves as it is.
 
     Probes cross the coordinates and the gaps between them in both axes,
     so every face of the arrangement holds one.  Rows are probe rows
@@ -101,18 +102,18 @@ def check_cf(colored: list[tuple[AxisRect, object]]) -> Witness | None:
     """
     if not colored:
         return None
-    xs = sorted({v for r, _ in colored for v in (r.x1, r.x2)})
-    ys = sorted({v for r, _ in colored for v in (r.y1, r.y2)})
+    xs = sorted({v for r, _ in colored for v in (r[0], r[1])})
+    ys = sorted({v for r, _ in colored for v in (r[2], r[3])})
     xi = {v: i for i, v in enumerate(xs)}
     yi = {v: i for i, v in enumerate(ys)}
     codes, k = _dense_codes([c for _, c in colored])
 
     # probe indices: even = coordinate, odd = gap.  A rect covers columns
     # [x_on, x_off) and rows [y_on, y_off].
-    x_on = np.array([2 * xi[r.x1] for r, _ in colored], dtype=np.int64)
-    x_off = np.array([2 * xi[r.x2] + 1 for r, _ in colored], dtype=np.int64)
-    y_on = [2 * yi[r.y1] for r, _ in colored]
-    y_off = [2 * yi[r.y2] for r, _ in colored]
+    x_on = np.array([2 * xi[r[0]] for r, _ in colored], dtype=np.int64)
+    x_off = np.array([2 * xi[r[1]] + 1 for r, _ in colored], dtype=np.int64)
+    y_on = [2 * yi[r[2]] for r, _ in colored]
+    y_off = [2 * yi[r[3]] for r, _ in colored]
     # the row after the top coordinate's is past the grid
     rows = np.array(sorted({0, *y_on, *(y + 1 for y in y_off)} - {2 * len(ys) - 1}))
     # each rect spans checked rows [first, stop)
@@ -214,9 +215,9 @@ def _probe_value(coords: list[float], probe_index: int) -> float:
 
 
 def _make_witness(colored, xs, ys, col_index: int, row: int) -> Witness:
-    p = Pt(_probe_value(xs, col_index), _probe_value(ys, row))
-    cover = sorted(c for r, c in colored if r.contains(p))
-    return Witness(p, cover)
+    x, y = _probe_value(xs, col_index), _probe_value(ys, row)
+    cover = sorted(c for r, c in colored if r[0] <= x <= r[1] and r[2] <= y <= r[3])
+    return Witness(Pt(x, y), cover)
 
 
 class IncrementalCF:
@@ -234,7 +235,7 @@ class IncrementalCF:
     call after a failing one and a call whose input repeats an id sweep
     everything, and so does one whose clipped sweep fails: the witness is
     check_cf's.  A set to sweep whose colors are all distinct passes
-    without one, and only the rectangles swept are built as AxisRects.
+    without one, and a swept box goes to the sweep as it is.
     """
 
     def __init__(self, sweep=check_cf):
@@ -253,12 +254,11 @@ class IncrementalCF:
         return witness
 
     def _sweep(self, boxes: list[tuple[int, tuple]]) -> Witness | None:
-        """self.sweep over the boxes as AxisRects.  Distinct colors pass
+        """self.sweep over the (box, color) pairs.  Distinct colors pass
         unswept: a violating probe wears each of its colors twice or more."""
         if len({box[4] for _, box in boxes}) == len(boxes):
             return None
-        return self.sweep([(AxisRect(x1, x2, y1, y2, oid), color)
-                           for oid, (x1, x2, y1, y2, color) in boxes])
+        return self.sweep([(box, box[4]) for _, box in boxes])
 
 
 def _clipped(boxes, changed) -> list[tuple[int, tuple]]:

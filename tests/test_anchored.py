@@ -36,6 +36,16 @@ def test_rejects_unanchored_and_duplicate():
         s.insert(anchored(4, 5, 0))
 
 
+@pytest.mark.parametrize("x2, y2", [(-1.0, -1.0), (2.0, -0.5), (-0.5, 2.0), (math.nan, 1.0)])
+def test_rejects_corner_below_origin_before_any_change(x2, y2):
+    # built around the AxisRect constructor, which would refuse most of these
+    s = AnchoredCF()
+    s.insert(anchored(2, 3, 0))
+    with pytest.raises(NotAnchored, match="not anchored at the origin"):
+        s.insert(tuple.__new__(AxisRect, (0.0, x2, 0.0, y2, 1)))
+    assert len(s) == 1 and s.audit() is None
+
+
 def test_three_inserts_conflict_free_at_probes():
     s = AnchoredCF()
     for oid, (x, y) in enumerate([(2, 5), (4, 3), (6, 8)]):

@@ -125,7 +125,7 @@ def test_semi_structure_rejects_deletions():
 def test_broken_structure_produces_witness():
     events = generate_workload("unit_square", 30, 0.0, seed=9)
 
-    class Sabotaged(harness._GeometricAdapter):
+    class Sabotaged(harness._Adapter):
         def colors(self):
             return {oid: GlobalColor(0, 0) for oid in super().colors()}
 
@@ -138,7 +138,7 @@ def test_broken_structure_produces_witness():
     import cfcolor.squares as squares
     from cfcolor.geom import UnitSquare
     adapter = Sabotaged(squares.GridSquareCF(),
-                        lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+                        harness.STRUCTURES["squares"])
 
     violations = []
     live = set()
@@ -338,7 +338,7 @@ def test_cli_verification_failure_exit_code(tmp_path, monkeypatch):
     from cfcolor.geom import UnitSquare
     import cfcolor.squares as squares
 
-    class Broken(harness._GeometricAdapter):
+    class Broken(harness._Adapter):
         def check_oracle(self):
             from cfcolor.oracle import check_cf
             colored = [(r, GlobalColor(0, 0))
@@ -347,7 +347,7 @@ def test_cli_verification_failure_exit_code(tmp_path, monkeypatch):
 
     def broken_structure(name, c=None, universe=None):
         return Broken(squares.GridSquareCF(),
-                      lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+                      harness.STRUCTURES["squares"])
 
     monkeypatch.setattr(harness, "make_structure", broken_structure)
     wl = tmp_path / "w.jsonl"
@@ -458,8 +458,8 @@ def _leaky_squares(name, c=None, universe=None):
                 cell.colors[victim] += 1000
             return diff
 
-    return harness._GeometricAdapter(
-        LeakySquares(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+    return harness._Adapter(
+        LeakySquares(), harness.STRUCTURES["squares"])
 
 
 def test_unreported_recoloring_is_a_colors_violation(tmp_path, monkeypatch):
@@ -500,8 +500,8 @@ def test_unreported_recoloring_to_a_fresh_color_is_flagged_at_its_step(monkeypat
             return diff
 
     def make(name, c=None, universe=None):
-        return harness._GeometricAdapter(
-            RewritingSquares(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+        return harness._Adapter(
+            RewritingSquares(), harness.STRUCTURES["squares"])
 
     monkeypatch.setattr(harness, "make_structure", make)
     events = generate_workload("unit_square", 30, 0.0, seed=3, span=3.0)
@@ -533,8 +533,8 @@ def test_unreported_swap_is_a_colors_violation(verify, monkeypatch):
             return diff
 
     def make(name, c=None, universe=None):
-        return harness._GeometricAdapter(
-            SwappingSquares(), lambda oid, p: UnitSquare(p["x"], p["y"], oid))
+        return harness._Adapter(
+            SwappingSquares(), harness.STRUCTURES["squares"])
 
     monkeypatch.setattr(harness, "make_structure", make)
     events = generate_workload("unit_square", 12, 0.0, seed=3, span=1.0)

@@ -51,7 +51,7 @@ def test_a_verified_step_reads_the_box_view_once(name, verify, monkeypatch):
         structure = build(c)
         structure.calls = []
         made.append(structure)
-        return harness._GeometricAdapter(structure, to_object)
+        return harness._Adapter(structure, harness.STRUCTURES[structure_name])
 
     monkeypatch.setattr(harness, "make_structure", make)
     # past ORACLE_EVERY_STEP_LIMIT live objects, so oracle-sampled skips steps
