@@ -5,14 +5,17 @@ Both engines partition the live set into level sets S_0..S_l of capacity
 color set C(i, t) plus the machinery to migrate objects toward it a few
 recolorings at a time.
 
-The coloring state of one level is a Piece: the final colorer over all
-members, the subset `star` already wearing final colors, an optional
-pinned object (the insertion that created the migration, always worn
-final), and child Pieces carrying the temporary colorings the remaining
-members still wear.  A settled set is a Piece with star == members and no
-children.  Upward migrations absorb settled pieces as children; the
-downward migration of the last set may absorb pieces frozen mid-upward-
-migration, which keeps the recursion depth bounded.
+An engine keeps the sets as a list, `levels`: levels[i] is S_i's Piece, or
+None while S_i is empty.  A Piece is the final colorer over all members,
+the subset `star` already wearing final colors, an optional pinned object
+(the insertion that created the migration, always worn final), and child
+Pieces carrying the temporary colorings the remaining members still wear.
+A settled set is a Piece with star == members and no children.  Upward
+migrations absorb settled pieces as children; the downward migration of
+the last set may absorb pieces frozen mid-upward-migration, which keeps
+the recursion depth bounded.  No set state is stored: set_states() reads
+EMPTY for None, SETTLED for a piece without an order, and otherwise the
+piece's migration direction, UP or DOWN.
 
 Apart from the pinned object, the star is always a prefix of the members
 in (-final color, id) order.  A migrating or frozen Piece keeps that order
@@ -54,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .augtree import ViolationReport
-from .geom import GlobalColor, ObjectId, RecolorDiff, UnknownId, pair_encode, tuple_new
+from .geom import DuplicateId, GlobalColor, ObjectId, RecolorDiff, UnknownId, pair_encode, tuple_new
 
 PaletteKey = tuple[int, int]  # (level, t)
 
@@ -118,20 +121,24 @@ class PalettePool:
         self.load[key[0]] -= 1
 
 
-@dataclass
+@dataclass(eq=False)
 class Piece:
     """One set's coloring: final colorer, worn subset, temporary children.
+    An engine's levels[i] is S_i's piece; a child holds the temporary
+    coloring of members that have not migrated yet.
 
     `colors` is the colorer's own colors dict, bound once: the colorer
     updates it in place, and the hot paths read it directly.
 
     While the piece migrates or is frozen, `order` lists the members by
     rank(colors) and star == set(order[:cut]) | {pinned}; a settled piece
-    has order None.
+    has order None.  `direction`, UP or DOWN, is the migration that opened
+    the piece, and means something only while the order is kept: S_i's
+    state is SETTLED when its piece has no order, and its direction otherwise.
 
     `checked` holds copies of the (points, colors) pair that last passed the
     engine's range_checker, a pure function of it, which the invariant check
-    then skips on an equal pair; it is not part of equality or repr."""
+    then skips on an equal pair.  Pieces compare by identity."""
 
     palette: PaletteKey
     colorer: object
@@ -139,11 +146,12 @@ class Piece:
     members: set[ObjectId]
     star: set[ObjectId]
     pinned: ObjectId | None
+    direction: str
     children: list["Piece"] = field(default_factory=list)
     order: list[ObjectId] | None = None
     cut: int = 0
-    checked: tuple | None = field(default=None, compare=False, repr=False)
-    tag: int = field(init=False, compare=False, repr=False)  # pair_encode(*palette)
+    checked: tuple | None = field(default=None, repr=False)
+    tag: int = field(init=False, repr=False)  # pair_encode(*palette)
 
     def __post_init__(self) -> None:
         self.tag = pair_encode(*self.palette)
@@ -151,20 +159,6 @@ class Piece:
     @property
     def level(self) -> int:
         return self.palette[0]
-
-    @property
-    def settled(self) -> bool:
-        return not self.children and self.star == self.members
-
-
-@dataclass
-class Level:
-    index: int
-    state: str = EMPTY
-    piece: Piece | None = None
-
-    def size(self) -> int:
-        return len(self.piece.members) if self.piece is not None else 0
 
 
 class _EngineBase:
@@ -181,7 +175,7 @@ class _EngineBase:
         self.colorer_cls = colorer_cls
         self.range_checker = range_checker  # (points, colors) -> Witness | None
         self.pool = PalettePool()
-        self.levels: list[Level] = [Level(0)]
+        self.levels: list[Piece | None] = [None]
         self.objects: dict[ObjectId, object] = {}
         self.locate: dict[ObjectId, int] = {}
         self.actual: dict[ObjectId, GlobalColor] = {}
@@ -197,7 +191,8 @@ class _EngineBase:
         return len(self.levels) - 1
 
     def set_states(self) -> list[str]:
-        return [lv.state for lv in self.levels]
+        return [EMPTY if piece is None else SETTLED if piece.order is None else piece.direction
+                for piece in self.levels]
 
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
         return dict(self.actual)
@@ -228,37 +223,34 @@ class _EngineBase:
         for ch in piece.children:
             self._release_piece(ch)
 
-    def _settle_if_done(self, level: Level) -> None:
-        piece = level.piece
+    def _settle_if_done(self, piece: Piece) -> None:
         # the star is a subset of the members
-        if piece is not None and len(piece.star) == len(piece.members):
+        if len(piece.star) == len(piece.members):
             for ch in piece.children:
                 self._release_piece(ch)
             piece.children = []
             piece.pinned = None
             piece.order = None
-            level.state = SETTLED
 
-    def _progress_one(self, level: Level) -> set[ObjectId]:
+    def _progress_one(self, piece: Piece) -> set[ObjectId]:
         """Recolor the pending object with maximal final color (ties: lowest
         id): the entry at the cut, or past it when that one is pinned."""
-        piece = level.piece
         order, cut = piece.order, piece.cut
         if order[cut] == piece.pinned:
             cut += 1
         chosen = order[cut]
         piece.cut = cut + 1
         piece.star.add(chosen)
-        self._settle_if_done(level)
+        self._settle_if_done(piece)
         return {chosen}
 
-    def _advance(self, level: Level, steps: int) -> set[ObjectId]:
-        """Up to `steps` migration steps at a level, stopping once it settles."""
+    def _advance(self, piece: Piece, steps: int) -> set[ObjectId]:
+        """Up to `steps` migration steps at a set's piece, stopping once it settles."""
         cands: set[ObjectId] = set()
         for _ in range(steps):
-            if level.state not in (UP, DOWN):
+            if piece.order is None:
                 break
-            cands |= self._progress_one(level)
+            cands |= self._progress_one(piece)
         return cands
 
     def _repair_cut(self, piece: Piece, changed: dict[ObjectId, int]) -> set[ObjectId]:
@@ -333,7 +325,7 @@ class _EngineBase:
         for oid in sorted(cands):
             if oid not in objects:
                 continue
-            new = resolve(levels[locate[oid]].piece, oid)
+            new = resolve(levels[locate[oid]], oid)
             if oid == assigned:
                 actual[oid] = new
                 diff.assigned = (oid, new)
@@ -349,33 +341,30 @@ class _EngineBase:
         first, and the union of their members."""
         pieces: list[Piece] = []
         members: set[ObjectId] = set()
-        for lv in self.levels[lo:hi]:
-            if lv.piece is not None:
-                if lv.piece.members:
-                    pieces.append(lv.piece)
-                    members |= lv.piece.members
+        for piece in self.levels[lo:hi]:
+            if piece is not None:
+                if piece.members:
+                    pieces.append(piece)
+                    members |= piece.members
                 else:
-                    self._release_piece(lv.piece)
-            lv.piece = None
-            lv.state = EMPTY
+                    self._release_piece(piece)
+        self.levels[lo:hi] = [None] * (hi - lo)
         return pieces, members
 
-    def _open(self, level: Level, state: str, palette: PaletteKey, colorer,
+    def _open(self, index: int, direction: str, palette: PaletteKey, colorer,
               members: set[ObjectId], children: list[Piece],
               pinned: ObjectId | None = None) -> None:
-        """Start a migration of `members` at a level toward the colorer's coloring."""
+        """Start a migration of `members` at levels[index] toward the colorer's coloring."""
         colors = colorer.colors
         # by id, then stably by falling color: the order rank(colors) gives
         order = sorted(members)
         order.sort(key=colors.__getitem__, reverse=True)
-        level.piece = Piece(palette, colorer, colors, members,
-                            star=set() if pinned is None else {pinned},
-                            pinned=pinned, children=children, order=order)
-        level.state = state
-        index = level.index
+        piece = self.levels[index] = Piece(
+            palette, colorer, colors, members, star=set() if pinned is None else {pinned},
+            pinned=pinned, direction=direction, children=children, order=order)
         for o in members:
             self.locate[o] = index
-        self._settle_if_done(level)
+        self._settle_if_done(piece)
 
     # -- updates ------------------------------------------------------------------
 
@@ -383,38 +372,38 @@ class _EngineBase:
         """Merge the sets below the first empty one, plus oid, into S_j with
         j = ceil(log2(merged size)), then advance every migrating set."""
         if oid in self.objects:
-            raise ValueError(f"duplicate object id {oid}")
+            raise DuplicateId(oid)
         self.colorer_cls.check_point(obj)
         levels = self.levels
-        i = next((lv.index for lv in levels if lv.state == EMPTY), len(levels))
+        i = next((i for i, piece in enumerate(levels) if piece is None), len(levels))
         below = levels[:i]
-        for lv in below:
-            if lv.state != SETTLED:
+        for piece in below:
+            if piece.order is not None:
                 raise InvariantBroken("sets below the first empty one must be non-empty and settled")
-        points = {o: self.objects[o] for lv in below for o in lv.piece.members}
+        points = {o: self.objects[o] for piece in below for o in piece.members}
         points[oid] = obj
         j = ceil_log2(len(points))
         colorer = self.colorer_cls(points)
         palette = self.pool.allocate(j, self._palette_limit(max(self.ell, i), j))
 
         if i == len(levels):
-            levels.append(Level(i))
+            levels.append(None)
         # members by union, not set(points): at a merge of 2**k points, about
         # half the table size
         children, members = self._take_levels(0, i)
         members.add(oid)
         self.objects[oid] = obj
-        self._open(levels[j], UP, palette, colorer, members, children, pinned=oid)
+        self._open(j, UP, palette, colorer, members, children, pinned=oid)
         # when the merge consumed every set, the merged one is the new last set
-        while len(levels) > j + 1 and levels[-1].state == EMPTY:
+        while len(levels) > j + 1 and levels[-1] is None:
             levels.pop()
 
         ell = self.ell
         cands = {oid}
-        for lv in levels:
-            if lv.state in (UP, DOWN):
-                cands |= (self._advance(lv, self.LAST_STEPS) if lv.index == ell
-                          else self._progress_one(lv))
+        for index, piece in enumerate(levels):
+            if piece is not None and piece.order is not None:
+                cands |= (self._advance(piece, self.LAST_STEPS) if index == ell
+                          else self._progress_one(piece))
         diff = RecolorDiff()
         self._reconcile(cands, diff, assigned=oid)
         if diff.recolorings > self._insert_bound():
@@ -455,17 +444,11 @@ class _EngineBase:
             if piece.children and not extra <= allowed_extra:
                 return ViolationReport(
                     None, "Inv-C-Mig-2: member without a temporary color is not the pinned one")
-            if piece.children:
-                out = piece.members - piece.star
-                if out:
-                    z = max(colors[o] for o in out)
-                    violators = [o for o in piece.star if colors[o] < z]
-                    if len(violators) > 1:
-                        return ViolationReport(
-                            None, f"Inv-C-Mig-2: star cut broken below z={z}")
+            order = piece.order
+            if piece.children and order is None:
+                return ViolationReport(None, "piece with children keeps no migration order")
             if not piece.children and piece.star != piece.members:
                 return ViolationReport(None, "settled piece with unworn members")
-            order = piece.order
             if order is not None:
                 if len(order) != len(piece.members) or set(order) != piece.members:
                     return ViolationReport(
@@ -475,8 +458,8 @@ class _EngineBase:
                 if any(map(tuple.__gt__, keys, keys[1:])):
                     return ViolationReport(None, "migration order not sorted by final color")
                 if set(order[:piece.cut]) | allowed_extra != piece.star:
-                    return ViolationReport(
-                        None, "star is not the migration order's prefix plus the pinned object")
+                    return ViolationReport(None, "Inv-C-Mig-2: star is not the migration "
+                                           "order's prefix plus the pinned object")
             if (self.range_checker is not None
                     and len(piece.members) <= unimax_limit and piece.members):
                 pair = ({o: self.objects[o] for o in piece.members}, dict(colors))
@@ -488,19 +471,16 @@ class _EngineBase:
                     piece.checked = pair
             return None
 
-        for lv in self.levels:
-            if (lv.piece is None) != (lv.state == EMPTY):
-                return ViolationReport(None, f"level {lv.index} state/piece mismatch")
-            if lv.piece is not None:
-                bad = walk(lv.piece)
+        for i, piece in enumerate(self.levels):
+            if piece is not None:
+                bad = walk(piece)
                 if bad is not None:
                     return bad
-                if not lv.piece.members:
-                    return ViolationReport(None, f"level {lv.index} empty but marked {lv.state}")
-                if lv.state == SETTLED and not lv.piece.settled:
-                    return ViolationReport(None, f"level {lv.index} marked settled mid-migration")
-                if lv.state in (UP, DOWN) and lv.piece.settled:
-                    return ViolationReport(None, f"level {lv.index} migration already complete")
+                if not piece.members:
+                    return ViolationReport(None, f"level {i} holds an empty piece")
+                # walk passed, so a piece without children has star == members
+                if piece.order is not None and not piece.children:
+                    return ViolationReport(None, f"level {i} migration already complete")
         if seen_palettes != self.pool.in_use:
             return ViolationReport(None, "palette pool out of sync with live colorings")
         # Counter equality treats a level whose load fell to 0 as absent
@@ -515,16 +495,15 @@ class _EngineBase:
         locate: dict[ObjectId, int] = {}
         actual: dict[ObjectId, tuple[int, int]] = {}
         resolved = True
-        for lv in self.levels:
-            piece = lv.piece
+        for i, piece in enumerate(self.levels):
             if piece is not None:
-                locate.update(dict.fromkeys(piece.members, lv.index))
+                locate.update(dict.fromkeys(piece.members, i))
                 resolved = resolved and _resolve_all(piece, piece.members, actual)
         # a plain (tag, color) tuple equals the GlobalColor of the same values
         if resolved and locate == self.locate and actual == self.actual:
             return None
         for oid, i in self.locate.items():
-            piece = self.levels[i].piece if 0 <= i < len(self.levels) else None
+            piece = self.levels[i] if 0 <= i < len(self.levels) else None
             if piece is None or oid not in piece.members:
                 return ViolationReport(
                     None, f"locate puts {oid} at level {i}, which does not hold it")
@@ -537,7 +516,7 @@ def _resolve_all(piece: Piece, todo, out: dict) -> bool:
     """Put in out the color _EngineBase._resolve(piece, o) gives each o of
     todo, as a (tag, color) tuple; False if one has no hosting child."""
     star = piece.star
-    tag = pair_encode(*piece.palette)
+    tag = piece.tag
     colors = piece.colors
     rest = []
     for o in todo:
@@ -567,12 +546,12 @@ class SemiDynamicEngine(_EngineBase):
         return ceil_log2(len(self.objects))
 
     def check_invariants(self, unimax_limit: int = 32) -> ViolationReport | None:
-        for lv in self.levels:
-            if lv.state not in (EMPTY, SETTLED, UP):
-                return ViolationReport(None, f"level {lv.index} in state {lv.state}")
-            if lv.piece is not None and lv.size() != 2 ** lv.index:
+        for i, (piece, state) in enumerate(zip(self.levels, self.set_states())):
+            if state not in (EMPTY, SETTLED, UP):
+                return ViolationReport(None, f"level {i} in state {state}")
+            if piece is not None and len(piece.members) != 2 ** i:
                 return ViolationReport(
-                    None, f"level {lv.index} holds {lv.size()} != 2^{lv.index} objects")
+                    None, f"level {i} holds {len(piece.members)} != 2^{i} objects")
         return self._check_pieces(unimax_limit)
 
 
@@ -591,19 +570,19 @@ class FullyDynamicEngine(_EngineBase):
         if oid not in self.objects:
             raise UnknownId(oid)
         i = self.locate[oid]
-        level = self.levels[i]
+        piece = self.levels[i]
         last = self.ell
-        at_minimum = (i == last and level.size() == 2 ** (last - 2)
+        at_minimum = (i == last and len(piece.members) == 2 ** (last - 2)
                       and last >= 2)
         old_color = self.actual[oid]
         cands: set[ObjectId] = set()
 
         if not at_minimum:
-            cands |= self._piece_delete(level.piece, oid)
-            if not level.piece.members:
+            cands |= self._piece_delete(piece, oid)
+            if not piece.members:
                 self._take_levels(i, i + 1)
             else:
-                self._settle_if_done(level)
+                self._settle_if_done(piece)
         else:
             cands |= self._merge_last_three(oid)
 
@@ -612,9 +591,9 @@ class FullyDynamicEngine(_EngineBase):
         del self.actual[oid]
 
         # two recolorings in the last set when the deletion touched it
-        last_level = self.levels[self.ell]
-        if i >= self.ell and last_level.state in (UP, DOWN):
-            cands |= self._advance(last_level, self.LAST_STEPS)
+        last_piece = self.levels[-1]
+        if i >= self.ell and last_piece is not None and last_piece.order is not None:
+            cands |= self._advance(last_piece, self.LAST_STEPS)
 
         diff = RecolorDiff()
         self._reconcile(cands - {oid}, diff)
@@ -628,35 +607,35 @@ class FullyDynamicEngine(_EngineBase):
         """Downward migration: the last set hit quarter capacity."""
         ell_prime = self.ell
         last = self.levels[ell_prime]
-        if last.state != SETTLED:
+        if last.order is not None:
             raise InvariantBroken(
                 "last set must not be in migration when a downward migration starts")
-        cands = self._piece_delete(last.piece, oid)
+        cands = self._piece_delete(last, oid)
         parts, members = self._take_levels(ell_prime - 2, ell_prime + 1)
         if not members:
             # the engine emptied out entirely
             if self.objects.keys() != {oid}:
                 raise InvariantBroken("no set holds a member, but other objects are live")
-            self.levels = [Level(0)]
+            self.levels = [None]
             return cands
 
         fits = len(members) <= 2 ** (ell_prime - 1)
         if fits:
             self.levels.pop()
-        target = self.levels[ell_prime - 1 if fits else ell_prime]
+        target = self.ell
         colorer = self.colorer_cls({o: self.objects[o] for o in members})
-        palette = self.pool.allocate(target.index, self.ell + 1)
+        palette = self.pool.allocate(target, target + 1)
         self._open(target, DOWN, palette, colorer, members, parts)
         return cands
 
     def check_invariants(self, unimax_limit: int = 32) -> ViolationReport | None:
         last = self.ell
-        for lv in self.levels:
-            if lv.state == DOWN and lv.index != last:
+        for i, (piece, state) in enumerate(zip(self.levels, self.set_states())):
+            if state == DOWN and i != last:
                 return ViolationReport(None, "downward migration below the last set")
-            if lv.index < last and lv.size() > 2 ** lv.index:
-                return ViolationReport(None, f"Inv-S: level {lv.index} over capacity")
-        last_size = self.levels[last].size()
+            if i < last and piece is not None and len(piece.members) > 2 ** i:
+                return ViolationReport(None, f"Inv-S: level {i} over capacity")
+        last_size = len(self.levels[-1].members) if self.levels[-1] is not None else 0
         if last_size > 2 ** last:
             return ViolationReport(None, "Inv-S: last set over capacity")
         if len(self.objects) > 1 and last_size < 2 ** (last - 2):

@@ -35,6 +35,7 @@ Report schema (run_workload):
              verified         true / false, or "skipped" when no check ran
              level            framework structures only: the last level l
              set_states       framework structures only: each level's state,
+                              empty, full, up-migration or down-migration,
                               comma-separated
   summary  {"events", "final_n", "max_recolorings", "max_distinct_colors",
            "total_recolorings" (sum of the recolorings column),

@@ -322,7 +322,7 @@ def locate_actual_report(engine) -> ViolationReport | None:
     if engine.actual.keys() != engine.objects.keys():
         return ViolationReport(None, "actual colors out of sync with the live objects")
     for oid, i in engine.locate.items():
-        piece = engine.levels[i].piece if 0 <= i < len(engine.levels) else None
+        piece = engine.levels[i] if 0 <= i < len(engine.levels) else None
         if piece is None or oid not in piece.members:
             return ViolationReport(
                 None, f"locate puts {oid} at level {i}, which does not hold it")

@@ -113,7 +113,7 @@ def test_criterion_3_fully_dynamic_invariants():
                 nid += 1
                 assert diff.recolorings <= 2 * (engine.ell + 1)
             updates += 1
-            is_down = engine.levels[engine.ell].state == DOWN
+            is_down = engine.set_states()[engine.ell] == DOWN
             if is_down and not was_down:
                 down_onsets += 1
             was_down = is_down

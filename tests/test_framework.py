@@ -13,7 +13,7 @@ from cfcolor.framework import (
     SemiDynamicEngine,
     ceil_log2,
 )
-from cfcolor.geom import Pt
+from cfcolor.geom import DuplicateId, Pt
 from cfcolor.harness import generate_workload, make_structure
 from cfcolor.oracle import (
     check_cf_intervals,
@@ -83,7 +83,7 @@ def test_semi_third_insert_fills_level_zero():
     diff = e.insert(2, 3.0)
     assert diff.recolorings == 0
     assert e.set_states() == [SETTLED, SETTLED]
-    assert len(e.levels[1].piece.members) == 2
+    assert len(e.levels[1].members) == 2
     assert e.check_invariants() is None
 
 
@@ -127,6 +127,16 @@ def test_semi_rejects_duplicate_id():
         e.insert(0, 2.0)
 
 
+@pytest.mark.parametrize("make, point", [(semi_1d, 2.0), (full_1d, 2.0), (full_2d, Pt(2.0, 2.0))])
+def test_engines_refuse_a_repeated_id_as_the_geometric_structures_do(make, point):
+    e = make()
+    e.insert(0, point)
+    before = (len(e), e.set_states(), e.global_colors())
+    with pytest.raises(DuplicateId):
+        e.insert(0, point)
+    assert (len(e), e.set_states(), e.global_colors()) == before
+
+
 # -- fully dynamic: insertions ---------------------------------------------------
 
 def test_full_first_insert():
@@ -146,9 +156,9 @@ def test_full_merge_into_sublast_level_one_recoloring_there():
     assert e.set_states() == [SETTLED, SETTLED, EMPTY, SETTLED]
     diff = e.insert(11, rng.uniform(0, 100))
     lvl2 = e.levels[2]
-    assert lvl2.state == UP
-    assert {ch.level for ch in lvl2.piece.children} == {0, 1}
-    assert len(lvl2.piece.members) == 4
+    assert e.set_states()[2] == UP
+    assert {ch.level for ch in lvl2.children} == {0, 1}
+    assert len(lvl2.members) == 4
     assert diff.recolorings <= 1  # S_2 is below the last set: one recoloring
     assert e.check_invariants() is None
 
@@ -179,11 +189,12 @@ def test_delete_from_settled_sublast_set_weak_deletion_only():
     for oid in range(13):
         e.insert(oid, rng.uniform(0, 100))
     # pick a set below the last one and delete an object from it
-    target = next(lv for lv in e.levels
-                  if lv.state == SETTLED and lv.index < e.ell and lv.size() > 0)
-    victim = sorted(target.piece.members)[0]
+    states = e.set_states()
+    target = next(piece for i, piece in enumerate(e.levels)
+                  if states[i] == SETTLED and i < e.ell and len(piece.members) > 0)
+    victim = sorted(target.members)[0]
     diff = e.delete(victim)
-    assert diff.recolorings <= IntervalPointColorer.max_recolorings(target.size() + 1)
+    assert diff.recolorings <= IntervalPointColorer.max_recolorings(len(target.members) + 1)
     assert e.check_invariants() is None
 
 
@@ -198,14 +209,15 @@ def test_forced_downward_migration_state_machine():
     nid = 32
     for _ in range(200):
         last = e.levels[e.ell]
-        if last.size() == 2 ** (e.ell - 2) and last.state == SETTLED and e.ell >= 2:
-            victim = sorted(last.piece.members)[0]
+        size = len(last.members) if last is not None else 0
+        if size == 2 ** (e.ell - 2) and e.set_states()[e.ell] == SETTLED and e.ell >= 2:
+            victim = sorted(last.members)[0]
             e.delete(victim)
-            assert e.levels[e.ell].state in (DOWN, SETTLED)
+            assert e.set_states()[e.ell] in (DOWN, SETTLED)
             downs += 1
             assert e.check_invariants() is None
             break
-        pool = sorted(last.piece.members) if last.size() else sorted(e.objects)
+        pool = sorted(last.members) if size else sorted(e.objects)
         e.delete(pool[0])
         assert e.check_invariants() is None
     assert downs == 1
@@ -278,10 +290,9 @@ def test_invariant_checker_catches_star_corruption():
     chosen = None
     for oid in range(200):
         e.insert(oid, rng.uniform(0, 100))
-        for lv in e.levels:
-            if lv.state not in (UP, DOWN):
+        for piece, state in zip(e.levels, e.set_states()):
+            if state not in (UP, DOWN):
                 continue
-            piece = lv.piece
             star = sorted((o for o in piece.star if o != piece.pinned),
                           key=lambda o: (-piece.colorer.colors[o], o))
             if len(star) >= 3 and piece.members - piece.star:
@@ -308,12 +319,32 @@ def _migrating_piece_with_pending(seed):
     rng = random.Random(seed)
     for oid in range(200):
         e.insert(oid, rng.uniform(0, 100))
-        for lv in e.levels:
-            piece = lv.piece
-            if (lv.state in (UP, DOWN) and len(piece.order) - piece.cut >= 2
+        for piece, state in zip(e.levels, e.set_states()):
+            if (state in (UP, DOWN) and len(piece.order) - piece.cut >= 2
                     and piece.order[piece.cut] != piece.pinned):
                 return e, piece
     raise AssertionError("expected a migration with two pending members")
+
+
+def test_invariant_checker_catches_children_without_an_order():
+    e, piece = _migrating_piece_with_pending(14)
+    assert e.check_invariants() is None
+    piece.order = None
+    report = e.check_invariants()
+    assert report is not None and "keeps no migration order" in report.reason
+
+
+def test_invariant_checker_catches_a_level_holding_an_empty_piece():
+    e = full_1d()
+    for oid in range(3):
+        e.insert(oid, float(oid))
+    assert e.set_states() == [SETTLED, SETTLED]
+    # an emptied piece left in place of None: its palette stays in use
+    e.levels[0].members.clear()
+    e.levels[0].star.clear()
+    e.levels[0].colors.clear()
+    report = e.check_invariants()
+    assert report is not None and "level 0 holds an empty piece" in report.reason
 
 
 def test_invariant_checker_catches_unsorted_order():
@@ -356,7 +387,7 @@ def test_invariant_checker_reports_corrupt_index(fault):
 
 def _migrating_or_frozen(engine):
     """Every piece that still carries temporary colorings, at any depth."""
-    stack = [lv.piece for lv in engine.levels if lv.piece is not None]
+    stack = [piece for piece in engine.levels if piece is not None]
     while stack:
         piece = stack.pop()
         if piece.children:
@@ -382,8 +413,9 @@ def test_migration_matches_the_definitional_rules(structure):
     checked = 0
     for ev in generate_workload(kind, n, delete_ratio, seed):
         if ev["op"] == "insert":
-            before = {lv.index: (lv.piece, set(lv.piece.star))
-                      for lv in e.levels if lv.state in (UP, DOWN)}
+            before = {index: (piece, set(piece.star))
+                      for index, (piece, state) in enumerate(zip(e.levels, e.set_states()))
+                      if state in (UP, DOWN)}
             adapter.insert(ev["id"], ev["object"])
             for index, (piece, star) in before.items():
                 for _ in range(e.LAST_STEPS if index == e.ell else 1):
@@ -404,7 +436,7 @@ def test_palette_exclusivity_checked():
     for oid in range(8):
         e.insert(oid, float(oid))
     # grab two live pieces and alias their palettes
-    pieces = [lv.piece for lv in e.levels if lv.piece is not None]
+    pieces = [piece for piece in e.levels if piece is not None]
     if len(pieces) >= 2:
         pieces[0].palette = pieces[1].palette
         report = e.check_invariants()
@@ -464,7 +496,7 @@ def test_precondition_checks_survive_python_O():
     from pathlib import Path
 
     script = (
-        "from cfcolor.framework import UP, FullyDynamicEngine, InvariantBroken\n"
+        "from cfcolor.framework import FullyDynamicEngine, InvariantBroken\n"
         "from cfcolor.harness import generate_workload, make_structure\n"
         "from cfcolor.unimax import IntervalPointColorer\n"
         "adapter = make_structure('full-1d')\n"
@@ -478,13 +510,13 @@ def test_precondition_checks_survive_python_O():
         "print('optimized', not __debug__, 'deletions',\n"
         "      sum(ev['op'] == 'delete' for ev in events), 'clean', e.check_invariants() is None)\n"
         "live = sorted(e.objects)\n"
-        "e.levels[0].state = UP\n"
+        "e.levels[0].order = sorted(e.levels[0].members)\n"
         "try:\n"
         "    adapter.insert(10_000, {'kind': 'point_1d', 'x': 0.5})\n"
         "except InvariantBroken as exc:\n"
         "    print('insert:', exc, sorted(e.objects) == live)\n"
-        "e.levels[0].state = 'full'\n"
-        "e.levels[e.ell].state = UP\n"
+        "e.levels[0].order = None\n"
+        "e.levels[e.ell].order = sorted(e.levels[e.ell].members)\n"
         "try:\n"
         "    e._merge_last_three(live[0])\n"
         "except InvariantBroken as exc:\n"
@@ -494,6 +526,12 @@ def test_precondition_checks_survive_python_O():
         "    last.insert(oid, float(oid))\n"
         "for oid in range(3):\n"
         "    last.delete(oid)\n"
+        "last.levels[-1].order = [3]\n"
+        "try:\n"
+        "    last.delete(3)\n"
+        "except InvariantBroken as exc:\n"
+        "    print('settled last:', exc, len(last) == 1)\n"
+        "last.levels[-1].order = None\n"
         "last.objects[99] = 9.0\n"
         "try:\n"
         "    last.delete(3)\n"
@@ -509,8 +547,42 @@ def test_precondition_checks_survive_python_O():
         "optimized True deletions 90 clean True",
         "insert: sets below the first empty one must be non-empty and settled True",
         "merge: last set must not be in migration when a downward migration starts True",
+        "settled last: last set must not be in migration when a downward migration starts True",
         "emptied: no set holds a member, but other objects are live",
     ]
+
+
+class _Overpromising(IntervalPointColorer):
+    @staticmethod
+    def max_recolorings(n0):
+        return -1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the deletion bound is checked after the engine has changed")
+def test_delete_refused_by_its_bound_leaves_the_engine_unchanged():
+    e = FullyDynamicEngine(_Overpromising)
+    e.insert(0, 0.0)
+    e.insert(1, 1.0)
+    before = (len(e), e.set_states(), dict(e.actual))
+    with pytest.raises(BoundExceeded, match="per deletion"):
+        e.delete(0)
+    assert (len(e), e.set_states(), dict(e.actual)) == before
+
+
+class _InsertOverpromising(FullyDynamicEngine):
+    def _insert_bound(self):
+        return -1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the insertion bound is checked after the engine has changed")
+def test_insert_refused_by_its_bound_leaves_the_engine_unchanged():
+    e = _InsertOverpromising(IntervalPointColorer)
+    before = (len(e), e.set_states(), dict(e.actual))
+    with pytest.raises(BoundExceeded, match="per insertion"):
+        e.insert(0, 0.0)
+    assert (len(e), e.set_states(), dict(e.actual)) == before
 
 
 @pytest.mark.parametrize("engine_cls", [SemiDynamicEngine, FullyDynamicEngine])

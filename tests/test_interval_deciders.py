@@ -120,7 +120,7 @@ def test_unimax_pass_agrees_with_per_window_reference(points):
 
 
 def _pieces(engine):
-    todo = [lv.piece for lv in engine.levels if lv.piece is not None]
+    todo = [piece for piece in engine.levels if piece is not None]
     while todo:
         piece = todo.pop()
         yield piece

@@ -100,7 +100,7 @@ def _two_wrong_actuals(engine, rng):
 
 def _wrong_level(engine, rng):
     oid = rng.choice(sorted(engine.locate))
-    others = [lv.index for lv in engine.levels if lv.index != engine.locate[oid]]
+    others = [i for i in range(len(engine.levels)) if i != engine.locate[oid]]
     engine.locate[oid] = rng.choice(others + [-1, len(engine.levels)])
 
 
@@ -165,7 +165,7 @@ def _pair(points, colors):
 
 def _pieces(engine):
     """Every piece of the engine, children included."""
-    todo = [lv.piece for lv in engine.levels if lv.piece is not None]
+    todo = [piece for piece in engine.levels if piece is not None]
     while todo:
         piece = todo.pop()
         yield piece
@@ -174,7 +174,8 @@ def _pieces(engine):
 
 def _settled_piece(engine):
     """The largest settled piece below the last level."""
-    return max((lv.piece for lv in engine.levels[:-1] if lv.state == SETTLED),
+    return max((piece for piece, state in zip(engine.levels[:-1], engine.set_states())
+                if state == SETTLED),
                key=lambda piece: len(piece.members))
 
 
@@ -246,7 +247,8 @@ def test_an_unchanged_piece_is_checked_once():
             engine.delete(ev["id"])
         if step % 5 == 0:
             # a sound engine whose piece changed in place
-            settled = [lv.piece for lv in engine.levels if lv.state == SETTLED]
+            settled = [piece for piece, state in zip(engine.levels, engine.set_states())
+                       if state == SETTLED]
             swap = _swap_colors(engine, settled, breaks=False)
             if swap is not None:
                 a, b = swap
