@@ -4,7 +4,11 @@
 
 Kept out of the tier-1 testpaths; needs pytest-benchmark.  Each state is
 the final coloring of one seeded workload replayed through its structure,
-and every check must find it conflict-free.  The per-step cases time the
+and each check of a state must find it conflict-free.  The failing-set
+cases instead time the wording of a witness: a ruler coloring of 100, 640
+or 2,000 points on a line whose last point repeats its neighbour's color,
+worded first by start up to EXHAUSTIVE_1D_LIMIT points and by the
+decider beyond; each must name the last pair.  The per-step cases time the
 oracle calls of a whole replay, through IncrementalCF and through check_cf,
 and everything a verified step runs: the audit, the colors and the oracle,
 the last two from one box view.  The clipped-sweep cases replay the
@@ -78,6 +82,15 @@ def test_check_cf(benchmark, name):
 def test_check_cf_intervals(benchmark, name):
     colored = _final_state(name)
     assert benchmark(check_cf_intervals, colored) is None
+
+
+@pytest.mark.parametrize("n", [100, 640, 2000])
+def test_check_cf_intervals_failing(benchmark, n):
+    # point i wears the trailing zeros of i + 1; n - 2 wears 0, and so now n - 1
+    colored = [(float(i), ((i + 1) & -(i + 1)).bit_length() - 1) for i in range(n)]
+    colored[-1] = (colored[-1][0], 0)
+    w = benchmark(check_cf_intervals, colored)
+    assert (w.probe, w.colors) == ((n - 2.0, n - 1.0), [0, 0])
 
 
 def test_check_cf_rect_ranges(benchmark):

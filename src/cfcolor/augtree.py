@@ -59,10 +59,6 @@ class Node:
         self.right: Node | None = None
         self.parent: Node | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.payload is not None
-
 
 class DirtyLog:
     """Superset of the nodes whose (height, ymax, ymin) changed in one update.

@@ -23,27 +23,27 @@ Two families of checks:
   ranges span all coordinate pairs.  On a line, two exact deciders judge
   every canonical interval at once: `_cf_pass` splits the points at each
   point whose color occurs once, recursively, and `_unimax_pass` is one
-  stack pass over the coordinate groups' maxima.  Only when a decider
-  reports a bad window does a per-window kernel run, to word the witness:
-  `check_cf_intervals` vectorized over dense color codes in bounded blocks
-  of windows, `_first_bad_window` for unimax.  The exhaustive rectangle
-  ranges, up to a size cutoff, put the same deciders in front of
-  `_first_bad_window` on each x-strip; beyond the cutoff, deterministic
-  random ranges are checked in vectorized batches.
+  stack pass over the coordinate groups' maxima.  A set a decider fails
+  names as its witness the first bad window by start, then end
+  (`_first_bad_window`), up to EXHAUSTIVE_1D_LIMIT points, and the
+  decider's own window beyond that.  The exhaustive rectangle ranges, up
+  to a size cutoff, judge and word each x-strip by the same rule; beyond
+  the cutoff, deterministic random ranges are checked in vectorized
+  batches.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .geom import Pt
 
 EXHAUSTIVE_2D_LIMIT = 40      # exhaustive canonical rectangles up to this many points
-EXHAUSTIVE_1D_LIMIT = 640     # exhaustive canonical intervals up to this many points
+EXHAUSTIVE_1D_LIMIT = 640     # 1-D witnesses are the first bad window up to this many points
 SAMPLED_RANGES = 100_000      # ranges drawn beyond the exhaustive cutoffs
 CF_BLOCK_PAIRS = 4096         # (rect, probe row) pairs per check_cf block
 BLOCK_CELLS = 1 << 15         # (window, point) cells per block of range checks
@@ -285,82 +285,32 @@ def _group_bounds(values: list[float]) -> tuple[list[bool], list[bool]]:
     return is_start, is_end
 
 
-def check_cf_intervals(points: list[tuple[float, object]],
-                       max_starts: int | None = None,
-                       seed: int = 0) -> Witness | None:
-    """Conflict-freeness of colored 1-D points w.r.t. every canonical interval.
-
-    Canonical windows start and end at point coordinates (duplicate
-    coordinates are covered together).  `_cf_pass` decides every window
-    first, and a passing set returns None at once.  Otherwise the window
-    kernel words the witness: the first bad window by start, then end.  It
-    tries every start, or, given `max_starts`, a seeded sample of that
-    many starts, each extended to every end; a bad window outside the
-    sample then goes unreported.  Without `max_starts`, beyond
-    EXHAUSTIVE_1D_LIMIT points the kernel samples that many starts, and
-    where it finds nothing the decider's bad window is the witness, so
-    the check stays exact at every size.
-    """
-    pts = sorted(points, key=lambda pc: pc[0])
-    n = len(pts)
-    window = _cf_pass(pts)
-    if window is None:
-        return None
-    is_start, is_end = _group_bounds([x for x, _ in pts])
-    start_idxs = [i for i in range(n) if is_start[i]]
-    fallback = max_starts is None and n > EXHAUSTIVE_1D_LIMIT
-    if fallback:
-        max_starts = EXHAUSTIVE_1D_LIMIT
-    if max_starts is not None and len(start_idxs) > max_starts:
-        rng = random.Random(seed)
-        start_idxs = sorted(rng.sample(start_idxs, max_starts))
-    codes, _ = _dense_codes([c for _, c in pts])
-    # prev[j]: the previous index with j's color (-1 if none), prev2 the one
-    # before that.  In a window starting at i, j is its color's first
-    # occurrence iff prev[j] < i, and its second iff prev[j] >= i > prev2[j].
-    by_code = np.argsort(codes, kind="stable")
-    prev = np.full(n, -1, dtype=np.int64)
-    repeat = codes[by_code[1:]] == codes[by_code[:-1]]
-    prev[by_code[1:][repeat]] = by_code[:-1][repeat]
-    prev2 = np.where(prev >= 0, prev[np.maximum(prev, 0)], -1)
-    ends = np.array(is_end)
-    starts = np.array(start_idxs, dtype=np.int64)
-    a = 0
-    while a < len(starts):
-        i0 = int(starts[a])
-        block = starts[a:a + max(1, BLOCK_CELLS // (n - i0))]
-        a += len(block)
-        i = block[:, None]
-        # +1 where a color's count becomes 1, -1 where it becomes 2; each
-        # j < i counts +1 too, so singles over [i, j] is the sum less i - i0
-        first_seen = prev[i0:] < i
-        trans = first_seen.astype(np.int8)
-        trans -= ~first_seen & (prev2[i0:] < i)
-        del first_seen
-        bad = np.cumsum(trans, axis=1, dtype=np.int32) == i - i0
-        del trans
-        bad &= np.arange(i0, n) >= i
-        bad &= ends[i0:]
-        rows = np.flatnonzero(bad.any(axis=1))
-        if len(rows):
-            r = rows[0]
-            si, sj = int(block[r]), i0 + int(np.argmax(bad[r]))
-            return _window_witness(pts, si, sj)
-    return _window_witness(pts, *window) if fallback else None
+def check_cf_intervals(points: list[tuple[float, object]]) -> Witness | None:
+    """Conflict-freeness of colored 1-D points w.r.t. every canonical
+    interval: windows that start and end at point coordinates, duplicate
+    coordinates covered together.  Exact at every size; see
+    `_interval_witness` for the witness."""
+    return _interval_witness(points, unimax=False)
 
 
 def check_unimax_intervals(points: list[tuple[float, object]]) -> Witness | None:
-    """Unique-maximum over every canonical interval; exhaustive.
-    `_unimax_pass` decides every window, and only a failing set goes on to
-    `_first_bad_window`, which words the first bad window by start, then
-    end."""
-    pts = sorted(points, key=lambda pc: pc[0])
-    if _unimax_pass(pts) is None:
+    """Unique-maximum over every canonical interval; exact at every size."""
+    return _interval_witness(points, unimax=True)
+
+
+def _interval_witness(points: list[tuple[float, object]], unimax: bool) -> Witness | None:
+    """None when the exact decider (`_unimax_pass` or `_cf_pass`) passes
+    every canonical window of points; otherwise the witness window, as
+    ((lo, hi), sorted colors).  Up to EXHAUSTIVE_1D_LIMIT points that is
+    the first bad window by start, then end (`_first_bad_window`); beyond
+    it, the decider's own window."""
+    pts = sorted(points, key=itemgetter(0))
+    window = (_unimax_pass if unimax else _cf_pass)(pts)
+    if window is None:
         return None
-    return _window_witness(pts, *_first_bad_window(pts, unimax=True))
-
-
-def _window_witness(pts: list[tuple[float, object]], i: int, j: int) -> Witness:
+    if len(pts) <= EXHAUSTIVE_1D_LIMIT:
+        window = _first_bad_window(pts, unimax)
+    i, j = window
     return Witness((pts[i][0], pts[j][0]), sorted(v for _, v in pts[i:j + 1]))
 
 
@@ -507,21 +457,15 @@ def check_unimax_rect_ranges(points: list[tuple[Pt, object]],
 
 def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Witness | None:
     """Every canonical rectangle: x-windows, then the y-windows of the
-    points each x-window holds.  A strip that its 1-D decider passes needs
-    no window scan; `_first_bad_window` words the witness of one that
-    fails."""
+    points each x-window holds, judged and worded by `_interval_witness`."""
     xs = sorted({p.x for p, _ in points})
     by_x = sorted(points, key=lambda pc: (pc[0].x, pc[0].y))
-    decide = _unimax_pass if unimax else _cf_pass
     for a in range(len(xs)):
         for b in range(a, len(xs)):
             xlo, xhi = xs[a], xs[b]
-            strip = [(p.y, c) for p, c in by_x if xlo <= p.x <= xhi]
-            strip.sort(key=lambda t: t[0])
-            if decide(strip) is not None:
-                i, j = _first_bad_window(strip, unimax)
-                return Witness((xlo, xhi, strip[i][0], strip[j][0]),
-                               sorted(v for _, v in strip[i:j + 1]))
+            w = _interval_witness([(p.y, c) for p, c in by_x if xlo <= p.x <= xhi], unimax)
+            if w is not None:
+                return Witness((xlo, xhi) + w.probe, w.colors)
     return None
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -30,7 +29,7 @@ def nodes(tree: AugTree) -> Iterator[Node]:
     """Every node of the tree, preorder."""
     def walk(v: Node) -> Iterator[Node]:
         yield v
-        if not v.is_leaf:
+        if v.payload is None:
             yield from walk(v.left)
             yield from walk(v.right)
     if tree.root is not None:
@@ -39,7 +38,7 @@ def nodes(tree: AugTree) -> Iterator[Node]:
 
 def leaves(tree: AugTree) -> Iterator[Node]:
     """The tree's leaves in key order."""
-    return (v for v in nodes(tree) if v.is_leaf)
+    return (v for v in nodes(tree) if v.payload is not None)
 
 
 def audit(tree: AugTree) -> ViolationReport | None:
@@ -54,7 +53,7 @@ def audit(tree: AugTree) -> ViolationReport | None:
 
     def check(v: Node) -> tuple[int, object, object] | ViolationReport:
         """Returns (black-height, min key, max key) or the first violation."""
-        if v.is_leaf:
+        if v.payload is not None:
             leaves_seen.append(v)
             if v.height != 0:
                 return ViolationReport(v, f"leaf height {v.height} != 0")
@@ -128,7 +127,7 @@ def reference_dirty_candidates(log) -> set[int]:
     for e in dirty_entries(log):
         out.update(old.tiebreak for old in (e.old_ymax, e.old_ymin) if old is not None)
         node = e.node
-        if node.is_leaf:
+        if node.payload is not None:
             out.add(node.payload)
         elif not e.removed:
             out.update(s.tiebreak for v in (node, node.left, node.right)
@@ -255,16 +254,12 @@ def _window_violates(colors: list, unimax: bool) -> bool:
     return not _has_singleton(colors)
 
 
-def intervals_reference(points, max_starts=None, seed=0):
+def intervals_reference(points):
     """Every canonical window checked on its own, by coordinate value: the
     first without a color that occurs once, as ((lo, hi), sorted colors),
-    or None.  With max_starts, only the windows starting at the same seeded
-    sample of start coordinates that check_cf_intervals draws."""
+    or None."""
     xs = sorted({x for x, _ in points})
-    starts = xs
-    if max_starts is not None and len(xs) > max_starts:
-        starts = sorted(random.Random(seed).sample(xs, max_starts))
-    for lo in starts:
+    for lo in xs:
         for hi in xs:
             window = [c for x, c in points if lo <= x <= hi]
             if hi >= lo and 1 not in Counter(window).values():
@@ -384,7 +379,7 @@ def _recompute(tree: AugTree, selectors: tuple) -> dict[int, int]:
     best: dict[int, tuple[int, int]] = {}
 
     def go(v: Node) -> tuple:
-        if v.is_leaf:
+        if v.payload is not None:
             best[v.payload] = (0, 0)
             return 0, v.ymax, v.ymin
         left, right = go(v.left), go(v.right)

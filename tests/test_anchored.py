@@ -151,7 +151,7 @@ def test_n_sets_partition_nodes_by_referenced_object():
     # global walk: each internal node contributes to exactly one N(r)
     refs = {}
     for v in tree_nodes(s.tree):
-        if v.is_leaf:
+        if v.payload is not None:
             refs.setdefault(v.payload, set()).add(id(v))
         else:
             refs.setdefault(v.right.ymax.tiebreak, set()).add(id(v))

@@ -109,7 +109,7 @@ def _untouched(s, touched):
 
 
 def _internal(cell, ok):
-    return next(v for v in nodes(cell.trees[0]) if not v.is_leaf and ok(v))
+    return next(v for v in nodes(cell.trees[0]) if v.payload is None and ok(v))
 
 
 def _stale_ymax(s, key, spare):

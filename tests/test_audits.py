@@ -35,7 +35,7 @@ def _tree(seed, n=40):
 
 def _internal(tree, ok=lambda v: True):
     """The first internal node, preorder, that satisfies ok."""
-    return next(v for v in nodes(tree) if not v.is_leaf and ok(v))
+    return next(v for v in nodes(tree) if v.payload is None and ok(v))
 
 
 class _Anywhere:
@@ -69,8 +69,8 @@ def _broken_parent_link(tree):
 
 
 def _red_red(tree):
-    v = _internal(tree, lambda v: v.color is RED and not (v.left.is_leaf and v.right.is_leaf))
-    (v.right if v.left.is_leaf else v.left).color = RED
+    v = _internal(tree, lambda v: v.color is RED and (v.left.payload is None or v.right.payload is None))
+    (v.right if v.left.payload is not None else v.left).color = RED
 
 
 def _black_height(tree):
@@ -139,7 +139,7 @@ def test_audit_matches_the_reference_on_planted_faults(fault, seed):
 def _lone_leaf():
     tree = AugTree()
     tree.insert(KeyOrder(3.0, 7), 7, KeyOrder(1.0, 7), KeyOrder(1.0, 7))
-    assert tree.root.is_leaf and tree.audit() is None
+    assert tree.root.payload is not None and tree.audit() is None
     return tree
 
 

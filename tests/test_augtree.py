@@ -45,7 +45,7 @@ def test_insert_into_empty_tree():
     tree = AugTree()
     log = insert_obj(tree, 1, 5.0, 7.0)
     assert tree.size == 1
-    assert tree.root.is_leaf
+    assert tree.root.payload is not None
     assert tree.root.height == 0
     assert tree.root.ymax.tiebreak == 1
     assert tree.root.ymin.tiebreak == 1
@@ -234,7 +234,7 @@ def test_audit_detects_corrupted_height():
     tree = AugTree()
     for oid in range(10):
         insert_obj(tree, oid, float(oid), float(oid))
-    victim = next(v for v in nodes(tree) if not v.is_leaf)
+    victim = next(v for v in nodes(tree) if v.payload is None)
     victim.height += 5
     report = tree.audit()
     assert report is not None
@@ -245,7 +245,7 @@ def test_audit_detects_corrupted_summary():
     tree = AugTree()
     for oid in range(10):
         insert_obj(tree, oid, float(oid), float(oid))
-    victim = next(v for v in nodes(tree) if not v.is_leaf)
+    victim = next(v for v in nodes(tree) if v.payload is None)
     victim.ymax = KeyOrder(999.0, 999)
     report = tree.audit()
     assert report is not None

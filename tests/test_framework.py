@@ -570,6 +570,28 @@ def test_delete_refused_by_its_bound_leaves_the_engine_unchanged():
     assert (len(e), e.set_states(), dict(e.actual)) == before
 
 
+class _NoRecolorings(IntervalPointColorer):
+    @staticmethod
+    def max_recolorings(n0):
+        return 0
+
+
+def test_a_deletion_may_make_exactly_its_bound_of_recolorings():
+    """With r = 0 the deletion bound 6r + 2 is 2.  Step 11 of this stream is
+    a deletion making exactly 2 recolorings, and no earlier one makes more:
+    a deletion at the bound is accepted."""
+    e = FullyDynamicEngine(_NoRecolorings)
+    events = generate_workload("point_1d", 60, 0.5, seed=0)[:12]
+    assert events[11]["op"] == "delete"
+    for ev in events:
+        if ev["op"] == "insert":
+            diff = e.insert(ev["id"], ev["object"]["x"])
+        else:
+            diff = e.delete(ev["id"])
+            assert diff.recolorings <= 2
+    assert diff.recolorings == 2
+
+
 class _InsertOverpromising(FullyDynamicEngine):
     def _insert_bound(self):
         return -1

@@ -1,11 +1,12 @@
-"""The exact 1-D pass deciders in cfcolor.oracle against the window kernels.
+"""The exact 1-D pass deciders in cfcolor.oracle against the window kernel.
 
 `_cf_pass` and `_unimax_pass` judge every canonical interval at once; the
-kernels (`check_cf_intervals`' numpy window table, `_first_bad_window`)
-now run only to word the witness of a set a decider fails.  These tests
-check the deciders' verdicts against per-window references, on
-hypothesis inputs, on every step of seeded semi-1d and full-1d streams
-and under planted recolorings, and that witnesses are the kernels' own.
+per-window kernel `_first_bad_window` runs only to word the witness of a
+set a decider fails, up to EXHAUSTIVE_1D_LIMIT points, and beyond that the
+decider's own window is the witness.  These tests check the deciders'
+verdicts against per-window references, on hypothesis inputs, on every
+step of seeded semi-1d and full-1d streams and under planted recolorings,
+and that witnesses are the kernel's own.
 """
 
 import random
@@ -30,17 +31,11 @@ def _sorted(points):
     return sorted(points, key=lambda pc: pc[0])
 
 
-def _kernel_cf(points, **kwargs):
-    """check_cf_intervals with the window kernel alone, as it was before
-    the decider (exact below EXHAUSTIVE_1D_LIMIT points)."""
-    with mock.patch.object(oracle, "_cf_pass", lambda pts: (0, len(pts) - 1)):
-        return check_cf_intervals(points, **kwargs)
-
-
-def _kernel_unimax(points):
-    """check_unimax_intervals with `_first_bad_window` alone."""
+def _kernel(points, unimax):
+    """The interval check with `_first_bad_window` alone, as it was before
+    the deciders."""
     pts = _sorted(points)
-    bad = oracle._first_bad_window(pts, unimax=True)
+    bad = oracle._first_bad_window(pts, unimax)
     if bad is None:
         return None
     i, j = bad
@@ -153,13 +148,13 @@ def test_stream_verdicts_equal_the_kernels():
         for engine in _stream_states(structure, n, delete_ratio, seed):
             steps += 1
             colored = [(engine.objects[o], c) for o, c in engine.actual.items()]
-            assert check_cf_intervals(colored) == _kernel_cf(colored) is None
+            assert check_cf_intervals(colored) == _kernel(colored, unimax=False) is None
             assert (oracle._cf_pass(_sorted(colored)) is None) == (
                 oracle._first_bad_window(_sorted(colored), unimax=False) is None)
             for piece in _pieces(engine):
                 pieces += 1
                 points = _piece_points(engine, piece)
-                assert check_unimax_intervals(points) == _kernel_unimax(points)
+                assert check_unimax_intervals(points) == _kernel(points, unimax=True)
     assert steps > 400 and pieces > steps
 
 
@@ -176,7 +171,7 @@ def test_planted_recolorings_keep_the_kernels_witnesses():
             a, b = rng.sample(range(len(colored)), 2)
             colored[a] = (colored[a][0], colored[b][1])
             w = check_cf_intervals(colored)
-            assert w == _kernel_cf(colored)
+            assert w == _kernel(colored, unimax=False)
             planted += 1
             found += w is not None
             for piece in _pieces(engine):
@@ -186,7 +181,7 @@ def test_planted_recolorings_keep_the_kernels_witnesses():
                 top = max(c for _, c in points)
                 k = rng.randrange(len(points))
                 points[k] = (points[k][0], top)
-                assert check_unimax_intervals(points) == _kernel_unimax(points)
+                assert check_unimax_intervals(points) == _kernel(points, unimax=True)
     assert planted > 100 and 0 < found < planted
 
 
@@ -212,8 +207,7 @@ def test_ruler_coloring_passes_without_the_kernels():
     assert oracle._cf_pass(_sorted(points)) is None
     assert oracle._unimax_pass(_sorted(points)) is None
     kernel = mock.Mock(side_effect=AssertionError("window kernel ran on a passing set"))
-    with mock.patch.object(oracle, "_dense_codes", kernel), \
-            mock.patch.object(oracle, "_first_bad_window", kernel):
+    with mock.patch.object(oracle, "_first_bad_window", kernel):
         assert check_cf_intervals(points) is None
         assert check_unimax_intervals(points) is None
     assert not kernel.called
@@ -232,24 +226,16 @@ def test_split_deeper_than_the_recursion_limit():
 
 
 def test_default_check_is_exact_past_the_sampling_limit():
-    """A violation that the kernel's 640 sampled starts miss at 2,000
-    points is still reported by a call without max_starts."""
+    """A violation at 2,000 points, past EXHAUSTIVE_1D_LIMIT, is reported."""
     n = 2000
     assert n > EXHAUSTIVE_1D_LIMIT
     base = _ruler(n)
     assert check_cf_intervals(base) is None
-    for k in range(0, n - 1, 2):
-        points = list(base)
-        # k has color 0; giving k + 1 color 0 too makes the pair [k, k + 1] bad
-        points[k + 1] = (points[k + 1][0], 0)
-        if check_cf_intervals(points, max_starts=EXHAUSTIVE_1D_LIMIT) is None:
-            break
-    else:
-        raise AssertionError("every planted pair sits at a sampled start")
+    points = list(base)
+    # n - 2 has color 0; giving n - 1 color 0 too makes the last pair bad
+    points[n - 1] = (points[n - 1][0], 0)
     w = check_cf_intervals(points)
     assert w is not None
     lo, hi = w.probe
     window = [c for x, c in points if lo <= x <= hi]
     assert 1 not in Counter(window).values() and w.colors == sorted(window)
-    # an explicit max_starts keeps its sampled contract
-    assert check_cf_intervals(points, max_starts=EXHAUSTIVE_1D_LIMIT) is None

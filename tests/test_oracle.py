@@ -196,12 +196,11 @@ def test_intervals_trivial_and_violation():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=25),
-       st.sampled_from([None, 1, 2, 5]), st.integers(0, 3))
-def test_intervals_agree_with_per_window_reference(raw, max_starts, seed):
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=25))
+def test_intervals_agree_with_per_window_reference(raw):
     points = [(float(x), c) for x, c in raw]
-    w = check_cf_intervals(points, max_starts=max_starts, seed=seed)
-    want = intervals_reference(points, max_starts, seed)
+    w = check_cf_intervals(points)
+    want = intervals_reference(points)
     assert (None if w is None else (w.probe, w.colors)) == want
 
 
@@ -302,12 +301,12 @@ def _naive_colors(tree, selectors):
     brute subtree scans, and each leaf's color from the highest node naming
     it, the first selector there breaking ties."""
     def height(v):
-        if v.is_leaf:
+        if v.payload is not None:
             return 0
         return max(height(v.left), height(v.right)) + 1
 
     def named(v, summary):
-        if v.is_leaf:
+        if v.payload is not None:
             return v
         l, r = named(v.left, summary), named(v.right, summary)
         if summary == "ymax":
@@ -317,7 +316,7 @@ def _naive_colors(tree, selectors):
     k = len(selectors)
     colors = {}
     for leaf in leaves(tree):
-        hits = [(height(v), -j) for v in nodes(tree) if not v.is_leaf
+        hits = [(height(v), -j) for v in nodes(tree) if v.payload is None
                 for j, (side, summary) in enumerate(selectors)
                 if named(getattr(v, side), summary).payload == leaf.payload]
         h, neg_j = max(hits, default=(0, 0))
@@ -368,7 +367,7 @@ def test_definitional_ignores_corrupted_summaries():
             tree.insert(KeyOrder(float(oid), oid), oid,
                         KeyOrder(float(oid), oid), KeyOrder(float(oid), oid))
         want = recompute(tree)
-        victim = next(v for v in nodes(tree) if not v.is_leaf)
+        victim = next(v for v in nodes(tree) if v.payload is None)
         victim.height += 7
         victim.ymax = KeyOrder(1e9, 999)
         victim.ymin = KeyOrder(-1e9, 999)
