@@ -13,7 +13,7 @@ tree layer apart from the cells; the walk benchmark colors every square of
 one large pinned cell.  The verified-read benchmarks time what a verified
 step reads of a 2,000-rectangle bounded partition right after one update
 (untimed): its audit, which re-checks only the cell the update changed,
-and its box view, built anew.  The verified-step benchmark times what a
+and its view, built anew.  The verified-step benchmark times what a
 verified step costs the adapter at the sizes verified replay runs: one
 update, the audit that hands over the view, and the colors read from it,
 on a seeded state of about 140 objects: of the squares and bounded
@@ -26,9 +26,9 @@ import pytest
 
 from cfcolor.augtree import AugTree, dirty_candidates
 from cfcolor.cells import tree_color
-from cfcolor.geom import KeyOrder, Pt, UnitSquare
+from cfcolor.geom import KeyOrder, Pt
 from cfcolor.harness import generate_workload, make_structure
-from cfcolor.squares import PinnedSquareCF
+from cfcolor.squares import PinnedSquareCF, unit_square
 
 # name: (object kind, inserts, delete ratio, structure params)
 STREAMS = {
@@ -106,8 +106,8 @@ def test_tree_color_large_square_cell(benchmark):
     rng = random.Random(SEED)
     cell = PinnedSquareCF(Pt(1.0, 1.0))
     for oid in range(20_000):
-        cell.insert(UnitSquare(rng.random(), rng.random(), oid))
-    leaves = list(cell.tree.leaf_by_payload.values())
+        cell.insert(unit_square(rng.random(), rng.random(), oid))
+    leaves = list(cell.trees[0].leaf_by_payload.values())
     rule = cell.RULES[0]
 
     def color_all():
@@ -116,7 +116,7 @@ def test_tree_color_large_square_cell(benchmark):
     assert benchmark(color_all) == [cell.colors[leaf.payload] for leaf in leaves]
 
 
-@pytest.mark.parametrize("read", ["audit", "colored_boxes"])
+@pytest.mark.parametrize("read", ["audit", "colored_objects"])
 def test_verified_read_after_one_update(benchmark, read):
     params = {"c": 3.0}
     adapter = make_structure("bounded", **params)
@@ -124,7 +124,7 @@ def test_verified_read_after_one_update(benchmark, read):
     events = generate_workload("bounded_rect", 2000, 0.0, SEED, **params)
     for ev in events:
         adapter.insert(ev["id"], ev["object"])
-    assert s.audit() is None and len(s.colored_boxes()) == len(s) == 2000
+    assert s.audit() is None and len(s.colored_objects()) == len(s) == 2000
     last = events[-1]
 
     def one_update():

@@ -11,7 +11,7 @@ worded first by start up to EXHAUSTIVE_1D_LIMIT points and by the
 decider beyond; each must name the last pair.  The per-step cases time the
 oracle calls of a whole replay, through IncrementalCF and through check_cf,
 and everything a verified step runs: the audit, the colors and the oracle,
-the last two from one box view.  The clipped-sweep cases replay the
+the last two from one view.  The clipped-sweep cases replay the
 clipped sets of an oracle-sampled replay through IncrementalCF's sweep,
 which passes a set of distinct colors unswept, and through check_cf.
 The piece cases time the unimax range checks an engine runs on one
@@ -25,7 +25,7 @@ import random
 import pytest
 
 from cfcolor import oracle
-from cfcolor.geom import AxisRect, Pt
+from cfcolor.geom import Pt
 from cfcolor.harness import generate_workload, make_structure, run_workload
 from cfcolor.oracle import (
     IncrementalCF,
@@ -61,14 +61,14 @@ def _replayed(name):
         yield adapter
 
 
-def _rects(boxes):
-    return [(AxisRect(x1, x2, y1, y2, oid), c) for oid, (x1, x2, y1, y2, c) in boxes]
+def _pairs(view):
+    return [pair for _, pair in view]
 
 
 def _final_state(name):
     *_, adapter = _replayed(name)
     if adapter.framework_info() is None:
-        return _rects(adapter.structure.colored_boxes())
+        return _pairs(adapter.structure.colored_objects())
     return [(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
 
 
@@ -101,9 +101,9 @@ def test_check_cf_rect_ranges(benchmark):
 @pytest.mark.parametrize("checker", ["incremental", "check_cf"])
 @pytest.mark.parametrize("name", ["squares-200", "bounded-200"])
 def test_per_step_check_cf(benchmark, name, checker):
-    steps = [adapter.structure.colored_boxes() for adapter in _replayed(name)]
+    steps = [adapter.structure.colored_objects() for adapter in _replayed(name)]
     if checker == "check_cf":
-        steps = [_rects(boxes) for boxes in steps]
+        steps = [_pairs(view) for view in steps]
 
     def replay():
         check = IncrementalCF().check if checker == "incremental" else check_cf
@@ -155,7 +155,7 @@ def test_clipped_sweeps(benchmark, monkeypatch, name, kernel):
     recorded = []
     clip = oracle._clipped
     monkeypatch.setattr(oracle, "_clipped",
-                        lambda boxes, changed: recorded.append(clip(boxes, changed))
+                        lambda view, changed: recorded.append(clip(view, changed))
                         or recorded[-1])
     events = generate_workload(kind, n, delete_ratio, SEED, **params)
     assert run_workload(structure, events, verify="oracle-sampled", **params)["summary"][
@@ -165,9 +165,9 @@ def test_clipped_sweeps(benchmark, monkeypatch, name, kernel):
         sweep = IncrementalCF()._sweep
 
         def replay():
-            return [sweep(boxes) for boxes in recorded]
+            return [sweep(view) for view in recorded]
     else:
-        sweeps = [_rects(boxes) for boxes in recorded]
+        sweeps = [_pairs(view) for view in recorded]
 
         def replay():
             return [check_cf(colored) for colored in sweeps]
@@ -179,7 +179,7 @@ def test_clipped_sweeps(benchmark, monkeypatch, name, kernel):
 def test_per_step_verification(benchmark, name):
     """Everything a verified step runs, over copies of the structure taken
     after each event: the audit (check_invariants on an engine), the colors
-    and the oracle check.  A geometric step reads one box view for both of
+    and the oracle check.  A geometric step reads one view for both of
     the last two, as the harness does."""
     states = [copy.deepcopy(adapter.structure) for adapter in _replayed(name)]
 
@@ -191,8 +191,8 @@ def test_per_step_verification(benchmark, name):
         cf = IncrementalCF()
         out = []
         for s in states:
-            boxes = s.colored_boxes()
-            out.append((s.audit(), len({oid: box[4] for oid, box in boxes}), cf.check(boxes)))
+            view = s.colored_objects()
+            out.append((s.audit(), len({oid: c for oid, (_, c) in view}), cf.check(view)))
         return out
 
     assert benchmark(replay) == [(None, len(s), None) for s in states]

@@ -12,7 +12,6 @@ from .geom import (
     ObjectId,
     Pt,
     RecolorDiff,
-    UnitSquare,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "ObjectId",
     "Pt",
     "RecolorDiff",
-    "UnitSquare",
 ]

@@ -18,15 +18,15 @@ SW, NW) the unit-square rule, and k = 2 per tree the two halves of the
 common-point rule ((NE, SE) in the x2-ordered east tree, (NW, SW) in the
 x1-ordered west tree).
 
-colored_boxes(), the one view global_colors() and the oracle read (the
-latter as a passing audited_view() hands it over), lists (id, (x1, x2, y1,
-y2, global color)) per stored object, cell by cell.
+colored_objects(), the one view global_colors() and the oracle read (the
+latter as a passing audited_view() hands it over), lists (id, (object,
+global color)) per stored object, cell by cell: the stored AxisRect itself.
 
 Snapshots.  Verified replay audits and reads the view after every update,
 while an update changes one cell.  So each audit that passes keeps a
 snapshot of what it passed: a tree the nodes it walked; a cell its pin, a
 copy of objects and the nodes its trees' audits walked.  A partition keeps
-a copy of location, per cell the cell's snapshot and box list, and one
+a copy of location, per cell the cell's snapshot and view, and one
 fingerprint of all its cells: what gc.get_referents lists of each cell,
 its objects and colors, its trees and their leaf_by_payload, and the nodes
 its audit walked.  That is every field, dict key and value and node slot
@@ -38,9 +38,9 @@ differs, or where get_referents does not list tuple items, dict values and
 non-str keys, and slots (probed at import: FINGERPRINTS), it audits every
 cell.  An audited cell routes and tests against its pin only its objects
 that are new since.  A passing partition audit hands over its view, the
-kept box lists in cell order (audited_view), so a verified step reads each
-cell once and builds boxes only for the cells it audited.  Nothing is
-trusted: a fault planted anywhere, with or without an update since,
+kept views in cell order (audited_view), so a verified step reads each
+cell once and pairs objects with colors only for the cells it audited.
+Nothing is trusted: a fault planted anywhere, with or without an update since,
 differs from the fingerprint, and a failing audit keeps no snapshot, so it
 is reported again.  Snapshots sit in attributes that start as None; no
 update path reads or writes them.
@@ -68,7 +68,7 @@ from .geom import DuplicateId, GlobalColor, ObjectId, Pt, RecolorDiff, UnknownId
 
 _objects = attrgetter("objects")
 _index = attrgetter("leaf_by_payload")
-_boxes_of = itemgetter(1)   # of a partition snapshot's record of a cell
+_view_of = itemgetter(1)   # of a partition snapshot's record of a cell
 
 NE = (RIGHT, "ymax")
 SE = (RIGHT, "ymin")
@@ -124,8 +124,8 @@ class DirectionalCell:
     which gives (key, ymax, ymin) per tree, each tie-broken by the object's
     id.  A one-tree cell's colors are ints; CommonPointCF, the two-tree
     cell, colors by (east, west) pairs of halves.  The tag names the cell's
-    palette.  colors and color_of hold these local colors; diffs and
-    colored_boxes() carry global_color(local color).
+    palette.  colors holds these local colors; diffs and colored_objects()
+    carry global_color(local color).
     """
 
     SELECTORS: tuple[tuple[tuple[str, str], ...], ...] = ()
@@ -153,11 +153,6 @@ class DirectionalCell:
 
     def __len__(self) -> int:
         return len(self.objects)
-
-    @property
-    def tree(self) -> AugTree:
-        """A one-tree cell's tree."""
-        return self.trees[0]
 
     def check(self, obj) -> None:
         """Raise if obj may not join this cell."""
@@ -189,12 +184,6 @@ class DirectionalCell:
         for half in self.halves:
             half.pop(oid, None)  # None: a one-tree cell's half was its color
         return diff
-
-    def color_of(self, oid: ObjectId):
-        """The stored color of a live object."""
-        if oid not in self.objects:
-            raise UnknownId(oid)
-        return self.colors[oid]
 
     def _recolor(self, dirty: list[set[ObjectId]]) -> RecolorDiff:
         """Recompute tree i's half of the color of each id dirty[i] names;
@@ -236,12 +225,11 @@ class DirectionalCell:
         return tuple_new(GlobalColor, (self.tag, c))
 
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        return {oid: box[4] for oid, box in self.colored_boxes()}
+        return {oid: color for oid, (_, color) in self.colored_objects()}
 
-    def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
-        g = self.global_color
-        return [(oid, (r.x1, r.x2, r.y1, r.y2, g(self.colors[oid])))
-                for oid, r in self.objects.items()]
+    def colored_objects(self) -> list[tuple[ObjectId, tuple]]:
+        g, colors = self.global_color, self.colors
+        return [(oid, (obj, g(colors[oid]))) for oid, obj in self.objects.items()]
 
     def audit(self) -> ViolationReport | None:
         """Each tree's audit and leaves against objects, then each object
@@ -267,10 +255,10 @@ class DirectionalCell:
         return None
 
     def audited_view(self) -> tuple[ViolationReport | None, list | None]:
-        """audit() and, when it passes, colored_boxes(): a verified step's
+        """audit() and, when it passes, colored_objects(): a verified step's
         one read of the structure."""
         report = self.audit()
-        return report, (self.colored_boxes() if report is None else None)
+        return report, (self.colored_objects() if report is None else None)
 
 
 def _not_in(objects: dict, known: dict):
@@ -369,7 +357,7 @@ class Partition:
 
     CELL: type[DirectionalCell]
     MISROUTED = "object {} not in the cell route() gives it"
-    # (copy of location, {cell key: (its cell's snapshot, its box list)},
+    # (copy of location, {cell key: (its cell's snapshot, its view)},
     # the cells' _Fingerprints) of the last passing audit
     passed: tuple | None = None
 
@@ -419,24 +407,24 @@ class Partition:
     # -- verification views -------------------------------------------------
 
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        return {oid: box[4] for oid, box in self.colored_boxes()}
+        return {oid: color for oid, (_, color) in self.colored_objects()}
 
-    def colored_boxes(self) -> list[tuple[ObjectId, tuple]]:
+    def colored_objects(self) -> list[tuple[ObjectId, tuple]]:
         out = []
         for cell in self.cells.values():
-            out += cell.colored_boxes()
+            out += cell.colored_objects()
         return out
 
     def audited_view(self) -> tuple[ViolationReport | None, list | None]:
         """audit() and, when it passes, the view of the state it passed:
-        colored_boxes() as a fresh build lists it, joined from the box lists
+        colored_objects() as a fresh build lists it, joined from the views
         the snapshot keeps per cell, in cell order."""
         report = self.audit()
         if report is not None:
             return report, None
         records = self.passed[1]
-        return None, list(chain.from_iterable(map(_boxes_of, map(records.__getitem__,
-                                                                 self.cells))))
+        return None, list(chain.from_iterable(map(_view_of, map(records.__getitem__,
+                                                                self.cells))))
 
     def audit(self) -> ViolationReport | None:
         """Every cell's audit, non-empty, its objects located at its key and
@@ -489,7 +477,7 @@ class Partition:
             records.pop(key, None)
         for key in stale:
             cell = cells[key]
-            records[key] = (cell.passed, cell.colored_boxes())
+            records[key] = (cell.passed, cell.colored_objects())
             prints.add(key, cell)
         self.passed = (dict(location), records, prints)
         return None
@@ -502,7 +490,7 @@ class Partition:
         does, are audited.  The others are unchanged when each key still
         holds its cell and one gc.get_referents call lists their fingerprint
         arguments as when they passed: every field, dict entry and slot
-        their audits and box views read.  Otherwise (a cell dropped, swapped
+        their audits and views read.  Otherwise (a cell dropped, swapped
         or changed in place, or FINGERPRINTS False) every cell is audited.
         """
         cells = self.cells

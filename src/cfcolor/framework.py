@@ -197,14 +197,14 @@ class _EngineBase:
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
         return dict(self.actual)
 
-    def colored_points(self) -> list[tuple[ObjectId, tuple]]:
-        """(id, (point, color)) per live object, in actual's order."""
+    def colored_objects(self) -> list[tuple[ObjectId, tuple]]:
+        """(id, (object, color)) per live object, in actual's order."""
         actual = self.actual
         return list(zip(actual, zip(map(self.objects.__getitem__, actual), actual.values())))
 
     def audited_view(self) -> tuple[ViolationReport | None, list]:
-        """check_invariants() and colored_points(), whatever the verdict."""
-        return self.check_invariants(), self.colored_points()
+        """check_invariants() and colored_objects(), whatever the verdict."""
+        return self.check_invariants(), self.colored_objects()
 
     # -- piece helpers ---------------------------------------------------------
 

@@ -3,9 +3,11 @@
 Object identifiers, closed geometric primitives, tie-broken key ordering,
 and the structured global color encoding.  All objects here are immutable
 values; mutation and bookkeeping live in the structures that use them.
-Rectangles, squares, keys and global colors are NamedTuples, built once per
-update or more; a point stays a frozen dataclass, whose field reads are
-cheaper and far more frequent than its construction.
+AxisRect is the one rectangle form: a unit square is the AxisRect
+squares.unit_square builds.  Rectangles, keys and global colors are
+NamedTuples, built once per update or more; a point stays a frozen
+dataclass, whose field reads are cheaper and far more frequent than its
+construction.
 """
 
 from __future__ import annotations
@@ -53,17 +55,6 @@ class AxisRect(NamedTuple("AxisRect", [("x1", float), ("x2", float), ("y1", floa
 
     def contains(self, p: Pt) -> bool:
         return self.x1 <= p.x <= self.x2 and self.y1 <= p.y <= self.y2
-
-
-class UnitSquare(NamedTuple):
-    """Closed unit square [x,x+1] x [y,y+1]; (x, y) is the bottom-left corner."""
-
-    x: float
-    y: float
-    id: ObjectId
-
-    def contains(self, p: Pt) -> bool:
-        return self.x <= p.x <= self.x + 1.0 and self.y <= p.y <= self.y + 1.0
 
 
 class KeyOrder(NamedTuple):

@@ -12,11 +12,12 @@ fields, the generator's draw(rng, span, c), to_object(id, coordinates),
 its validity rule, and the parameter it needs with that parameter's range
 rule (from rects.py, which the structure's constructor applies too).
 STRUCTURES maps a structure name to the kind it holds, build(c, universe)
--> structure, insert(structure, id, object) -> RecolorDiff, view(structure)
-(unaudited, below), oracle(), which makes one replay's view -> Witness |
-None check, and levels(structure), an engine's (ell, set states).  One
-adapter replays every structure from its entry, and deletes where the
-structure has a delete method.  Generation, validation, make_structure,
+-> structure, insert(structure, id, object) -> RecolorDiff, oracle(),
+which makes one replay's view -> Witness | None check, and
+levels(structure), an engine's (ell, set states).  Every structure
+answers colored_objects() and audited_view() (below), so one adapter
+replays every structure from its entry, and deletes where the structure
+has a delete method.  Generation, validation, make_structure,
 run_workload, run_bench and the CLI's choices read only these tables.
 Adding a structure is one STRUCTURES entry, plus a KINDS entry for a new
 kind.
@@ -88,19 +89,19 @@ Verification modes: "none", "invariants" (structure audits and the color
 check every step), "oracle-sampled" (both, plus ground-truth conflict-free
 checks, every step while n <= 256, every 32nd step beyond, and always at
 the final state), and "oracle-every-step".  A verified step reads the
-structure's view once: (id, (x1, x2, y1, y2, color)) per object of a
-geometric structure (colored_boxes()), (id, (point, color)) per point of
-an engine (colored_points()), the color last in both.  The structure's
-audited_view() audits it and hands over the view of the state it
-checked: always for an engine, and for a geometric structure when the
-audit passes; otherwise the step reads colored_boxes().  The colors
-check and the oracle share the view, and an update drops it.  After a
-passing check the next box check sweeps only the box around the old and
-new rectangles of objects changed since (oracle.IncrementalCF): a point
-outside keeps the cover that passed, and a set whose colors are all
-distinct passes without a sweep.  The audits re-check only what changed
-since they last passed (cells.py, framework.py), but every check still
-covers the whole state, so each verdict is the full check's.
+structure's view once: colored_objects(), (id, (object, color)) per
+stored object, the object being the one the kind's to_object built (an
+AxisRect or a point).  The structure's audited_view() audits it and
+hands over the view of the state it checked: always for an engine, and
+for a geometric structure when the audit passes; otherwise the step
+reads colored_objects().  The colors check and the oracle share the
+view, and an update drops it.  After a passing check the next rectangle
+check sweeps only the box around the old and new rectangles of objects
+changed since (oracle.IncrementalCF): a point outside keeps the cover
+that passed, and a set whose colors are all distinct passes without a
+sweep.  The audits re-check only what changed since they last passed
+(cells.py, framework.py), but every check still covers the whole state,
+so each verdict is the full check's.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ from typing import Callable, NamedTuple
 
 from .anchored import AnchoredCF
 from .framework import FullyDynamicEngine, SemiDynamicEngine
-from .geom import AxisRect, Pt, UnitSquare
+from .geom import AxisRect, Pt
 from .oracle import (
     IncrementalCF,
     check_cf,
@@ -125,7 +126,7 @@ from .oracle import (
 )
 from .rects import (BoundedRectCF, SizeOutOfRange, UniverseRectCF, check_sides,
                     check_size_bound, check_universe_size)
-from .squares import GridSquareCF
+from .squares import GridSquareCF, unit_square
 from .unimax import IntervalPointColorer, RectPointColorer
 
 ORACLE_EVERY_STEP_LIMIT = 256
@@ -167,7 +168,6 @@ class Structure(NamedTuple):
     kind: str
     build: Callable                  # (c, universe) -> the structure
     insert: Callable                 # (structure, id, object) -> RecolorDiff
-    view: Callable                   # structure -> its view, unaudited
     oracle: Callable                 # () -> a view's check -> Witness | None, one per replay
     levels: Callable = lambda structure: None  # engine -> (ell, its set states)
 
@@ -208,7 +208,7 @@ KINDS = {
         invalid=lambda o: "corner below the origin" if o["x2"] < 0 or o["y2"] < 0 else None),
     "unit_square": Kind(
         ("x", "y"), lambda rng, span, c: {"x": rng.uniform(0, span), "y": rng.uniform(0, span)},
-        lambda oid, p: UnitSquare(p["x"], p["y"], oid)),
+        lambda oid, p: unit_square(p["x"], p["y"], oid)),
     "bounded_rect": Kind(("x1", "x2", "y1", "y2"), _draw_bounded, _payload_to_rect, "c",
                          _inverted_bounds, check_size_bound),
     # integer coordinates in {0..universe-1}; span is the largest one drawn
@@ -226,10 +226,8 @@ KINDS = {
 # are looked up in this module's namespace on every call.
 _second = itemgetter(1)
 _insert_object = lambda structure, oid, obj: structure.insert(obj)
-_boxes = lambda structure: structure.colored_boxes()
 _cf_boxes = lambda: IncrementalCF(lambda colored: check_cf(colored)).check
 _insert_keyed = lambda engine, oid, obj: engine.insert(oid, obj)
-_points = lambda engine: engine.colored_points()
 _levels = lambda engine: (engine.ell, ",".join(engine.set_states()))
 _cf_intervals = lambda: lambda view: check_cf_intervals(list(map(_second, view)))
 _cf_rects = lambda: lambda view: check_cf_rect_ranges(list(map(_second, view)), samples=20_000)
@@ -241,19 +239,19 @@ _rect_checker = lambda points, colors: check_unimax_rect_ranges(
 
 STRUCTURES = {
     "anchored": Structure("anchored_rect", lambda c, universe: AnchoredCF(),
-                          _insert_object, _boxes, _cf_boxes),
+                          _insert_object, _cf_boxes),
     "squares": Structure("unit_square", lambda c, universe: GridSquareCF(),
-                         _insert_object, _boxes, _cf_boxes),
+                         _insert_object, _cf_boxes),
     "bounded": Structure("bounded_rect", lambda c, universe: BoundedRectCF(c),
-                         _insert_object, _boxes, _cf_boxes),
+                         _insert_object, _cf_boxes),
     "universe": Structure("universe_rect", lambda c, universe: UniverseRectCF(universe),
-                          _insert_object, _boxes, _cf_boxes),
+                          _insert_object, _cf_boxes),
     "semi-1d": Structure("point_1d", lambda c, universe: SemiDynamicEngine(
-        IntervalPointColorer, _interval_checker), _insert_keyed, _points, _cf_intervals, _levels),
+        IntervalPointColorer, _interval_checker), _insert_keyed, _cf_intervals, _levels),
     "full-1d": Structure("point_1d", lambda c, universe: FullyDynamicEngine(
-        IntervalPointColorer, _interval_checker), _insert_keyed, _points, _cf_intervals, _levels),
+        IntervalPointColorer, _interval_checker), _insert_keyed, _cf_intervals, _levels),
     "full-2d": Structure("point_2d", lambda c, universe: FullyDynamicEngine(
-        RectPointColorer, _rect_checker), _insert_keyed, _points, _cf_rects, _levels),
+        RectPointColorer, _rect_checker), _insert_keyed, _cf_rects, _levels),
 }
 
 
@@ -481,7 +479,7 @@ class _Adapter:
     def __init__(self, structure, spec: Structure):
         self.structure = structure
         self.to_object = KINDS[spec.kind].to_object
-        self._insert, self._unaudited, self._levels = spec.insert, spec.view, spec.levels
+        self._insert, self._levels = spec.insert, spec.levels
         self.oracle = spec.oracle()
         self.supports_delete = hasattr(structure, "delete")
         self._view = None   # the view of the state as it is, once read
@@ -501,10 +499,10 @@ class _Adapter:
 
     def _read(self):
         """The view of the state, read once: the one the last audit handed
-        over, else the unaudited one."""
+        over, else colored_objects()."""
         view = self._view
         if view is None:
-            view = self._view = self._unaudited(self.structure)
+            view = self._view = self.structure.colored_objects()
         return view
 
     def colors(self):
@@ -560,7 +558,7 @@ def _apply_diff(worn: dict, counts: dict, diff) -> None:
 def _colors_mismatch(reported: dict, worn: dict) -> str:
     """The first five objects whose colors differ, by id."""
     differ = sorted(o for o in reported.keys() | worn.keys() if reported.get(o) != worn.get(o))
-    return "; ".join(f"object {o}: {reported.get(o)} in global_colors(), "
+    return "; ".join(f"object {o}: {reported.get(o)} in the view, "
                      f"{worn.get(o)} from the diffs" for o in differ[:5])
 
 

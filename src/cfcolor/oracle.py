@@ -13,11 +13,12 @@ Two families of checks:
   gives each color's count, and a second, in (row, column) order, the
   number of colors seen exactly once at every probe.  Blocks hold about
   CF_BLOCK_PAIRS pairs, so a call's working memory does not grow with the
-  number of rows.  `IncrementalCF` reads (id, box) pairs and, after a
-  passing call, sweeps only the box around the changed objects' old and
-  new rectangles: exact, since a point outside them keeps the colored
-  cover that passed.  A set whose colors are all distinct passes without
-  a sweep, which skips check_cf's fixed numpy cost per call.
+  number of rows.  `IncrementalCF` reads (id, (rectangle, color)) pairs
+  and, after a passing call, sweeps only the box around the changed
+  objects' old and new rectangles: exact, since a point outside them
+  keeps the colored cover that passed.  A set whose colors are all
+  distinct passes without a sweep, which skips check_cf's fixed numpy
+  cost per call.
 
 * point colorings (points vs. interval or rectangle ranges): canonical
   ranges span all coordinate pairs.  On a line, two exact deciders judge
@@ -87,7 +88,7 @@ def _dense_codes(colors: list, ordered: bool = False) -> tuple[np.ndarray, int]:
 
 def check_cf(colored: list[tuple[tuple, object]]) -> Witness | None:
     """Exact conflict-free check over the whole probe grid; a rectangle is
-    read by index, (x1, x2, y1, y2, ...), so a view's box serves as it is.
+    read by index, (x1, x2, y1, y2, ...), as a view's AxisRect serves.
 
     Probes cross the coordinates and the gaps between them in both axes,
     so every face of the arrangement holds one.  Rows are probe rows
@@ -224,10 +225,10 @@ class IncrementalCF:
     """check_cf over a coloring that changes between calls, sweeping after
     a passing call only the box around what changed since.
 
-    The input is one (id, (x1, x2, y1, y2, color)) pair per rectangle, and
-    the snapshot is the last passing input as a dict.  Let D be the old and
-    new entries of the ids whose entry changed, appeared or disappeared
-    since.  A point outside every rectangle of D has the colored cover it
+    The input is one (id, (rectangle, color)) pair per rectangle, read as
+    check_cf reads it, and the snapshot is the last passing input as a
+    dict.  Let D be the old and new entries of the ids whose entry
+    changed, appeared or disappeared since.  A point outside every rectangle of D has the colored cover it
     had then, so it is still fine, and any violation lies in B, the
     bounding box of D.  Clipped to B, the rectangles that meet it cover
     each point of B as before and nothing else, so sweeping them finds a
@@ -235,42 +236,43 @@ class IncrementalCF:
     call after a failing one and a call whose input repeats an id sweep
     everything, and so does one whose clipped sweep fails: the witness is
     check_cf's.  A set to sweep whose colors are all distinct passes
-    without one, and a swept box goes to the sweep as it is.
+    without one, and a swept pair goes to the sweep as it is.
     """
 
     def __init__(self, sweep=check_cf):
         self.sweep = sweep
         self.passed: dict | None = None
 
-    def check(self, boxes: list[tuple[int, tuple]]) -> Witness | None:
-        now = dict(boxes)
+    def check(self, view: list[tuple[int, tuple]]) -> Witness | None:
+        now = dict(view)
         before, self.passed = self.passed, None
-        whole = before is None or len(now) != len(boxes)
-        witness = None if whole else self._sweep(_clipped(boxes, before.items() ^ now.items()))
+        whole = before is None or len(now) != len(view)
+        witness = None if whole else self._sweep(_clipped(view, before.items() ^ now.items()))
         if whole or witness is not None:
-            witness = self._sweep(boxes) or witness
-        if witness is None and len(now) == len(boxes):
+            witness = self._sweep(view) or witness
+        if witness is None and len(now) == len(view):
             self.passed = now
         return witness
 
-    def _sweep(self, boxes: list[tuple[int, tuple]]) -> Witness | None:
-        """self.sweep over the (box, color) pairs.  Distinct colors pass
+    def _sweep(self, view: list[tuple[int, tuple]]) -> Witness | None:
+        """self.sweep over the (rectangle, color) pairs.  Distinct colors pass
         unswept: a violating probe wears each of its colors twice or more."""
-        if len({box[4] for _, box in boxes}) == len(boxes):
+        pairs = [pair for _, pair in view]
+        if len({color for _, color in pairs}) == len(pairs):
             return None
-        return self.sweep([(box, box[4]) for _, box in boxes])
+        return self.sweep(pairs)
 
 
-def _clipped(boxes, changed) -> list[tuple[int, tuple]]:
-    """The boxes meeting the bounding box of the changed entries, clipped
-    to it; none if nothing changed."""
+def _clipped(view, changed) -> list[tuple[int, tuple]]:
+    """The entries whose rectangle meets the bounding box of the changed
+    entries' rectangles, clipped to it; none if nothing changed."""
     if not changed:
         return []
-    x1s, x2s, y1s, y2s, _ = zip(*(entry for _, entry in changed))
+    x1s, x2s, y1s, y2s = zip(*(r[:4] for _, (r, _) in changed))
     x1, x2, y1, y2 = min(x1s), max(x2s), min(y1s), max(y2s)
-    return [(oid, (max(a, x1), min(b, x2), max(c, y1), min(d, y2), color))
-            for oid, (a, b, c, d, color) in boxes
-            if a <= x2 and x1 <= b and c <= y2 and y1 <= d]
+    return [(oid, ((max(r[0], x1), min(r[1], x2), max(r[2], y1), min(r[3], y2)), color))
+            for oid, (r, color) in view
+            if r[0] <= x2 and x1 <= r[1] and r[2] <= y2 and y1 <= r[3]]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 
-from .augtree import AugTree
 from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tuple_new
 from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode
 
@@ -57,7 +56,7 @@ def check_universe_size(universe: int) -> None:
 
 
 class CommonPointCF(DirectionalCell):
-    """Pair coloring of rectangles sharing the point `pin`."""
+    """Pair coloring of rectangles sharing the point `pin`, in trees (east, west)."""
 
     SELECTORS = ((NE, SE), (NW, SW))
     __slots__ = ()
@@ -66,20 +65,6 @@ class CommonPointCF(DirectionalCell):
         super().__init__(pin, tag)
         self.colors = {}   # (east, west) pairs joined from the two halves
         self.halves = ({}, {})
-
-    @property
-    def east(self) -> AugTree:
-        """The tree keyed by x2."""
-        return self.trees[0]
-
-    @property
-    def west(self) -> AugTree:
-        """The tree keyed by x1."""
-        return self.trees[1]
-
-    @property
-    def rects(self) -> dict[ObjectId, AxisRect]:
-        return self.objects
 
     def keys(self, r: AxisRect) -> tuple:
         oid = r.id

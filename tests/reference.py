@@ -137,13 +137,12 @@ def reference_dirty_candidates(log) -> set[int]:
 
 def colored_rects(structure) -> list[tuple[AxisRect, object]]:
     """Each stored object's rectangle and global color from the structure's
-    box view, by cell key, then id."""
+    view, by cell key, then id."""
     if hasattr(structure, "cells"):
         cells = [structure.cells[key] for key in sorted(structure.cells)]
     else:
         cells = [structure]
-    return [(AxisRect(x1, x2, y1, y2, oid), color) for cell in cells
-            for oid, (x1, x2, y1, y2, color) in sorted(cell.colored_boxes())]
+    return [pair for cell in cells for _, pair in sorted(cell.colored_objects())]
 
 
 def skeleton_path_values(n_slots: int, lo_val: int, hi_val: int) -> list[int]:
@@ -166,7 +165,7 @@ def category_heights(cell, oid: int) -> dict[str, int]:
     """Max node height per direction whose summary selects the square, over
     every ancestor of its leaf in a PinnedSquareCF cell."""
     cat = dict.fromkeys(("ne", "se", "sw", "nw"), 0)
-    v = cell.tree.leaf_by_payload[oid].parent
+    v = cell.trees[0].leaf_by_payload[oid].parent
     while v is not None:
         for name, (side, summary) in zip(cat, cell.SELECTORS[0]):
             if getattr(getattr(v, side), summary).tiebreak == oid:
@@ -178,7 +177,7 @@ def category_heights(cell, oid: int) -> dict[str, int]:
 def pinned_color(cell, oid: int) -> tuple[int, int | None]:
     """(h, j) of a PinnedSquareCF color 4*h + j; j is None for the pure-leaf
     color 0."""
-    c = cell.color_of(oid)
+    c = cell.colors[oid]
     return (0, None) if c == 0 else divmod(c, 4)
 
 

@@ -167,7 +167,7 @@ def test_criterion_4_color_budget_anchored():
 
 
 def test_criterion_4_color_budget_squares():
-    from cfcolor.geom import UnitSquare
+    from cfcolor.squares import unit_square
     rng = random.Random(3)
     s = GridSquareCF()
     nid = 0
@@ -176,7 +176,7 @@ def test_criterion_4_color_budget_squares():
         if live and rng.random() < 0.35:
             s.delete(live.pop(rng.randrange(len(live))))
         else:
-            s.insert(UnitSquare(rng.uniform(0, 12), rng.uniform(0, 12), nid))
+            s.insert(unit_square(rng.uniform(0, 12), rng.uniform(0, 12), nid))
             live.append(nid)
             nid += 1
         n = len(s)
@@ -294,13 +294,13 @@ def test_criterion_6_definitional_equivalence_anchored():
             s.insert(AxisRect(0.0, rng.uniform(0.1, 1e4), 0.0, rng.uniform(0.1, 1e4), nid))
             live.append(nid)
             nid += 1
-        assert s.colors == recompute_anchored_colors(s.tree), f"step {step}"
+        assert s.colors == recompute_anchored_colors(s.trees[0]), f"step {step}"
     print("\nACCEPTANCE 6 [anchored]: PASS - incremental colors equal the "
           "definitional recomputation after every one of 10^4 updates")
 
 
 def test_criterion_6_definitional_equivalence_squares():
-    from cfcolor.geom import UnitSquare
+    from cfcolor.squares import unit_square
     rng = random.Random(6)
     s = GridSquareCF()
     nid = 0
@@ -309,11 +309,11 @@ def test_criterion_6_definitional_equivalence_squares():
         if live and (rng.random() < 0.48 or len(live) > 900):
             s.delete(live.pop(rng.randrange(len(live))))
         else:
-            s.insert(UnitSquare(rng.uniform(0, 6), rng.uniform(0, 6), nid))
+            s.insert(unit_square(rng.uniform(0, 6), rng.uniform(0, 6), nid))
             live.append(nid)
             nid += 1
         for cell in s.cells.values():
-            assert cell.colors == recompute_pinned_square_colors(cell.tree), f"step {step}"
+            assert cell.colors == recompute_pinned_square_colors(cell.trees[0]), f"step {step}"
     print("\nACCEPTANCE 6 [squares]: PASS - every cell equals the definitional "
           "recomputation after every one of 10^4 updates")
 
@@ -331,7 +331,7 @@ def test_criterion_6_definitional_equivalence_common_point():
                                -rng.uniform(0.1, 1e3), rng.uniform(0.1, 1e3), nid))
             live.append(nid)
             nid += 1
-        assert cp.colors == recompute_common_point_colors(cp.east, cp.west), f"step {step}"
+        assert cp.colors == recompute_common_point_colors(cp.trees[0], cp.trees[1]), f"step {step}"
     print("\nACCEPTANCE 6 [common point]: PASS - pair colors equal the definitional "
           "recomputation after every one of 10^4 updates")
 

@@ -24,7 +24,7 @@ def test_insert_into_empty_structure():
     diff = s.insert(anchored(2, 3, 0))
     assert diff.assigned == (0, GlobalColor(0, 0))
     assert diff.recolorings == 0
-    assert s.color_of(0) == 0
+    assert s.colors[0] == 0
 
 
 def test_rejects_unanchored_and_duplicate():
@@ -51,7 +51,7 @@ def test_three_inserts_conflict_free_at_probes():
     for oid, (x, y) in enumerate([(2, 5), (4, 3), (6, 8)]):
         s.insert(anchored(x, y, oid))
     assert check_cf_probes(colored_rects(s)) is None
-    assert s.colors == recompute_anchored_colors(s.tree)
+    assert s.colors == recompute_anchored_colors(s.trees[0])
 
 
 def test_delete_only_rectangle():
@@ -70,19 +70,19 @@ def test_delete_from_three_matches_recompute():
     for oid, (x, y) in enumerate([(2, 5), (4, 3), (6, 8)]):
         s.insert(anchored(x, y, oid))
     s.delete(1)
-    assert s.colors == recompute_anchored_colors(s.tree)
+    assert s.colors == recompute_anchored_colors(s.trees[0])
 
 
 def test_color_of_summary_max_of_roots_right_child():
     s = AnchoredCF()
     rng = random.Random(1)
     oid = 0
-    while s.tree.root is None or s.tree.root.height < 3:
+    while s.trees[0].root is None or s.trees[0].root.height < 3:
         s.insert(anchored(rng.uniform(1, 100), rng.uniform(1, 100), oid))
         oid += 1
-    root = s.tree.root
+    root = s.trees[0].root
     target = root.right.ymax.tiebreak
-    assert s.color_of(target) == root.height
+    assert s.colors[target] == root.height
     assert root.height >= 3
 
 
@@ -98,7 +98,7 @@ def test_mixed_updates_cf_and_definitional_equality():
             s.insert(anchored(rng.uniform(0.1, 50), rng.uniform(0.1, 50), nid))
             live.append(nid)
             nid += 1
-        assert s.colors == recompute_anchored_colors(s.tree)
+        assert s.colors == recompute_anchored_colors(s.trees[0])
         if step % 20 == 0 or step > 960:
             assert check_cf(colored_rects(s)) is None
     assert s.audit() is None
@@ -139,7 +139,7 @@ def test_color_range_bounded_by_tree_height():
     for k in range(500):
         s.insert(anchored(rng.uniform(0.1, 100), rng.uniform(0.1, 100), k))
     n = len(s)
-    assert max(s.colors.values()) <= s.tree.root.height <= 2 * math.log2(n + 1)
+    assert max(s.colors.values()) <= s.trees[0].root.height <= 2 * math.log2(n + 1)
     assert len(set(s.colors.values())) <= 2 * math.log2(n + 1) + 1
 
 
@@ -150,7 +150,7 @@ def test_n_sets_partition_nodes_by_referenced_object():
         s.insert(anchored(rng.uniform(0.1, 100), rng.uniform(0.1, 100), k))
     # global walk: each internal node contributes to exactly one N(r)
     refs = {}
-    for v in tree_nodes(s.tree):
+    for v in tree_nodes(s.trees[0]):
         if v.payload is not None:
             refs.setdefault(v.payload, set()).add(id(v))
         else:
@@ -161,7 +161,7 @@ def test_n_sets_partition_nodes_by_referenced_object():
         seen |= nodes
     # and the per-object ancestor walk finds the same node sets
     for oid, nodes in refs.items():
-        leaf = s.tree.leaf_by_payload[oid]
+        leaf = s.trees[0].leaf_by_payload[oid]
         walked = {id(leaf)}
         v = leaf.parent
         while v is not None:

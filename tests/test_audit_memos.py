@@ -28,7 +28,7 @@ PARTITIONS = sorted(PARAMS)
 def _memo_holders(s):
     """(object, attribute) for every memo of s, its cells' and their trees'.
     A partition's passed holds its cell records, each cell's snapshot and
-    box list, and the cells' fingerprints in one list."""
+    view, and the cells' fingerprints in one list."""
     cells = list(s.cells.values()) if hasattr(s, "cells") else [s]
     holders = [(s, "passed")] if hasattr(s, "cells") else []
     for cell in cells:
@@ -84,8 +84,8 @@ def test_memoized_audit_and_view_equal_fresh_ones_after_every_update(name, seed)
         assert fresh(s, s.audit) is None
         # a second call finds everything unchanged
         assert s.audit() is None
-        assert s.colored_boxes() == fresh(s, s.colored_boxes)
-        assert s.colored_boxes() == fresh(s, s.colored_boxes)
+        assert s.colored_objects() == fresh(s, s.colored_objects)
+        assert s.colored_objects() == fresh(s, s.colored_objects)
 
 
 def _passed_then_updated(name, seed):
@@ -96,7 +96,7 @@ def _passed_then_updated(name, seed):
     for ev in events[:-1]:
         _apply(adapter, ev)
     assert s.audit() is None
-    s.colored_boxes()
+    s.colored_objects()
     last = events[-1]
     _apply(adapter, last)
     return s, s.location[last["id"]]
@@ -170,22 +170,22 @@ def test_a_fault_in_an_untouched_cell_is_reported_at_the_next_call(name, fault, 
     again = s.audit()
     assert again is not None and again.reason == want.reason and again.node is want.node
     # an object moved between cells has no color in its new cell: both raise
-    assert _outcome(s.colored_boxes) == fresh(s, lambda: _outcome(s.colored_boxes))
+    assert _outcome(s.colored_objects) == fresh(s, lambda: _outcome(s.colored_objects))
 
 
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("name", PARTITIONS)
 def test_swapped_colors_in_an_untouched_cell_show_in_the_next_view(name, seed):
     s, touched = _passed_then_updated(name, seed)
-    before = s.colored_boxes()
+    before = s.colored_objects()
     key = next(key for key, cell in s.cells.items()
                if key != touched and len(set(cell.colors.values())) >= 2)
     colors = s.cells[key].colors
     a = next(iter(colors))
     b = next(o for o in colors if colors[o] != colors[a])
     colors[a], colors[b] = colors[b], colors[a]
-    after = s.colored_boxes()
-    assert after == fresh(s, s.colored_boxes) and after != before
+    after = s.colored_objects()
+    assert after == fresh(s, s.colored_objects) and after != before
     assert s.global_colors()[a] == s.cells[key].global_color(colors[a])
 
 
@@ -235,7 +235,7 @@ def test_the_handed_view_is_the_fresh_view(name, seed, stride, mode):
         if step % stride:
             continue
         report, view = s.audited_view()
-        assert report is None and view == fresh(s, s.colored_boxes)
+        assert report is None and view == fresh(s, s.colored_objects)
         assert fresh(s, s.audited_view) == (None, view)
 
 
@@ -259,10 +259,7 @@ def _move(shift):
         objects = s.cells[key].objects
         oid = next(iter(objects))
         obj = objects[oid]
-        if hasattr(obj, "x"):
-            objects[oid] = obj._replace(x=obj.x + shift)
-        else:
-            objects[oid] = obj._replace(x1=obj.x1 + shift, x2=obj.x2 + shift)
+        objects[oid] = obj._replace(x1=obj.x1 + shift, x2=obj.x2 + shift)
         return True
     return move
 
@@ -293,7 +290,7 @@ def test_a_fault_in_an_untouched_cell_shows_in_the_handed_view(name, fault, mode
             got_report, got_view = s.audited_view()
             assert (got_report is None) == (want_report is None)
             if want_report is None:
-                assert got_view == want_view == fresh(s, s.colored_boxes)
+                assert got_view == want_view == fresh(s, s.colored_objects)
                 changed_views += got_view != before
                 before = got_view
             else:
@@ -355,7 +352,7 @@ def test_an_object_inserted_and_deleted_between_audits_makes_every_cell_audited(
     report, view = s.audited_view()
     assert report is None
     assert sorted(map(id, audited)) == sorted(map(id, s.cells.values()))
-    assert view == fresh(s, s.colored_boxes)
+    assert view == fresh(s, s.colored_objects)
     assert fresh(s, s.audited_view) == (None, view)
 
 

@@ -9,9 +9,9 @@ import random
 import pytest
 
 from cfcolor.augtree import BLACK, RED, AugTree, Node
-from cfcolor.geom import AxisRect, KeyOrder, Pt, UnitSquare
+from cfcolor.geom import AxisRect, KeyOrder, Pt
 from cfcolor.rects import BoundedRectCF, CommonPointCF, UniverseRectCF
-from cfcolor.squares import GridSquareCF
+from cfcolor.squares import GridSquareCF, unit_square
 import reference
 from reference import leaves, nodes
 
@@ -211,7 +211,7 @@ def _squares():
     rng = random.Random(5)
     s = GridSquareCF()
     for oid in range(60):
-        s.insert(UnitSquare(rng.uniform(0, 6), rng.uniform(0, 6), oid))
+        s.insert(unit_square(rng.uniform(0, 6), rng.uniform(0, 6), oid))
     assert s.audit() is None
     return s
 
@@ -226,7 +226,7 @@ def _orphan_location(s):
 
 def _held_twice(s):
     sq = s.cells[s.location[7]].objects[7]
-    second = s.CELL(Pt(sq.x, sq.y), 0)
+    second = s.CELL(Pt(sq.x1, sq.y1), 0)
     second.insert(sq)
     s.cells[(-50, -50)] = second
 
@@ -277,9 +277,9 @@ def test_bounded_audit_sees_a_rect_outside_its_routed_cell():
 
 def test_squares_audit_sees_a_square_outside_its_routed_cell():
     s = GridSquareCF()
-    moved = UnitSquare(1.0, 0.5, 0)   # holds grid points (1, 1) and (2, 1)
+    moved = unit_square(1.0, 0.5, 0)   # holds grid points (1, 1) and (2, 1)
     s.insert(moved)
-    s.insert(UnitSquare(1.5, 0.7, 1))
+    s.insert(unit_square(1.5, 0.7, 1))
     assert s.location == {0: (1, 1), 1: (2, 1)} and s.audit() is None
     s.cells[(1, 1)].delete(0)
     del s.cells[(1, 1)]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfcolor.anchored import AnchoredCF, NotAnchored
 from cfcolor.cells import NE, NW, SE, SW, compile_selectors, tree_color
-from cfcolor.geom import AxisRect, DuplicateId, Pt, UnitSquare, UnknownId
+from cfcolor.geom import AxisRect, DuplicateId, Pt, UnknownId
 from cfcolor.rects import (
     BoundedRectCF,
     CommonPointCF,
@@ -14,7 +14,7 @@ from cfcolor.rects import (
     SizeOutOfRange,
     UniverseRectCF,
 )
-from cfcolor.squares import GridSquareCF, PinnedSquareCF
+from cfcolor.squares import GridSquareCF, NotUnitSquare, PinnedSquareCF, unit_square
 from reference import (
     colored_rects,
     leaves,
@@ -33,18 +33,18 @@ def test_compiled_picks_follow_selector_order():
 
 def test_tree_color_of_a_lone_leaf_is_zero():
     cell = PinnedSquareCF(Pt(1.0, 1.0))
-    cell.insert(UnitSquare(0.5, 0.5, 0))
-    assert tree_color(cell.tree.leaf_by_payload[0], *cell.RULES[0]) == 0
+    cell.insert(unit_square(0.5, 0.5, 0))
+    assert tree_color(cell.trees[0].leaf_by_payload[0], *cell.RULES[0]) == 0
 
 
 def test_audit_sees_a_stray_leaf():
     cell = PinnedSquareCF(Pt(1.0, 1.0))
     for oid in range(5):
-        cell.insert(UnitSquare(0.1 * oid, 0.2 * oid, oid))
+        cell.insert(unit_square(0.1 * oid, 0.2 * oid, oid))
     assert cell.audit() is None
     # a leaf the cell does not account for: no object 99 was ever inserted
-    (key, ymax, ymin), = cell.keys(UnitSquare(0.45, 0.45, 99))
-    cell.tree.insert(key, 99, ymax, ymin)
+    (key, ymax, ymin), = cell.keys(unit_square(0.45, 0.45, 99))
+    cell.trees[0].insert(key, 99, ymax, ymin)
     report = cell.audit()
     assert report is not None and "tree leaves" in report.reason
 
@@ -62,7 +62,7 @@ def _anchored(oid, a, b, c, d):
 
 
 def _pinned(oid, a, b, c, d):
-    return UnitSquare(0.5 * a, 0.5 * b, oid)  # pin (1, 1) in every square
+    return unit_square(0.5 * a, 0.5 * b, oid)  # pin (1, 1) in every square
 
 
 def _common(oid, a, b, c, d):
@@ -70,11 +70,11 @@ def _common(oid, a, b, c, d):
 
 
 CASES = {
-    "anchored": (AnchoredCF, _anchored, lambda s: recompute_anchored_colors(s.tree)),
+    "anchored": (AnchoredCF, _anchored, lambda s: recompute_anchored_colors(s.trees[0])),
     "pinned-square": (lambda: PinnedSquareCF(Pt(1.0, 1.0)), _pinned,
-                      lambda s: recompute_pinned_square_colors(s.tree)),
+                      lambda s: recompute_pinned_square_colors(s.trees[0])),
     "common-point": (lambda: CommonPointCF(Pt(0.0, 0.0)), _common,
-                     lambda s: recompute_common_point_colors(s.east, s.west)),
+                     lambda s: recompute_common_point_colors(*s.trees)),
 }
 
 
@@ -140,8 +140,10 @@ REJECTIONS = {
          (AxisRect(0.0, 2.0, 0.0, 3.0, 1), DuplicateId)]),
     "squares": (
         GridSquareCF,
-        lambda oid, rng: UnitSquare(rng.uniform(0, 4), rng.uniform(0, 4), oid),
-        [(UnitSquare(50.5, 50.5, 1), DuplicateId)]),  # would open a new cell
+        lambda oid, rng: unit_square(rng.uniform(0, 4), rng.uniform(0, 4), oid),
+        # each would open a new cell
+        [(AxisRect(60.5, 61.5, 60.5, 62.0, 100), NotUnitSquare),
+         (unit_square(50.5, 50.5, 1), DuplicateId)]),
     "bounded": (
         lambda: BoundedRectCF(c=2), _bounded_rect,
         [(AxisRect(0.0, 0.5, 0.0, 1.5, 100), SizeOutOfRange),
@@ -159,9 +161,9 @@ REJECTIONS = {
          (AxisRect(-1.0, 1.0, -1.0, 1.0, 1), DuplicateId)]),
     "pinned-square": (
         lambda: PinnedSquareCF(Pt(1.0, 1.0)),
-        lambda oid, rng: UnitSquare(rng.uniform(0, 1), rng.uniform(0, 1), oid),
-        [(UnitSquare(1.5, 0.5, 100), PinNotContained),
-         (UnitSquare(0.5, 0.5, 1), DuplicateId)]),
+        lambda oid, rng: unit_square(rng.uniform(0, 1), rng.uniform(0, 1), oid),
+        [(unit_square(1.5, 0.5, 100), PinNotContained),
+         (unit_square(0.5, 0.5, 1), DuplicateId)]),
 }
 
 

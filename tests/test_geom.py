@@ -7,10 +7,10 @@ from cfcolor.geom import (
     AxisRect,
     KeyOrder,
     Pt,
-    UnitSquare,
     pair_encode,
 )
 from cfcolor.harness import make_structure
+from cfcolor.squares import unit_square
 from reference import pair_decode
 
 
@@ -70,36 +70,27 @@ def test_rect_refusal_names_the_rectangle(bounds):
         AxisRect(0.0, 5.0, 0.0, 5.0, 7)._replace(x1=x1, x2=x2, y1=y1, y2=y2)
 
 
-def test_rect_and_square_fields_and_construction():
+def test_rect_fields_and_construction():
     r = AxisRect(0.0, 2.0, -1.0, 3.0, 5)
     assert r == AxisRect(x1=0.0, x2=2.0, y1=-1.0, y2=3.0, id=5) == AxisRect(0.0, 2.0, -1.0, 3.0, id=5)
     assert list(inspect.signature(AxisRect).parameters) == ["x1", "x2", "y1", "y2", "id"]
     assert (r.x1, r.x2, r.y1, r.y2, r.id) == (0.0, 2.0, -1.0, 3.0, 5)
     assert repr(r) == "AxisRect(x1=0.0, x2=2.0, y1=-1.0, y2=3.0, id=5)"
-    sq = UnitSquare(0.5, 1.5, 4)
-    assert sq == UnitSquare(x=0.5, y=1.5, id=4) == UnitSquare(0.5, y=1.5, id=4)
-    assert list(inspect.signature(UnitSquare).parameters) == ["x", "y", "id"]
-    assert (sq.x, sq.y, sq.id) == (0.5, 1.5, 4)
-    assert repr(sq) == "UnitSquare(x=0.5, y=1.5, id=4)"
     with pytest.raises(AttributeError):
         r.x1 = 1.0
-    with pytest.raises(AttributeError):
-        sq.x = 1.0
     with pytest.raises(AttributeError):
         r.extra = 1   # no per-object __dict__
 
 
-def test_rect_and_square_equality_and_hash_by_fields():
-    r, sq = AxisRect(0.0, 2.0, -1.0, 3.0, 5), UnitSquare(0.5, 1.5, 4)
+def test_rect_equality_and_hash_by_fields():
+    r = AxisRect(0.0, 2.0, -1.0, 3.0, 5)
     assert r != AxisRect(0.0, 2.0, -1.0, 3.0, 6) and r != AxisRect(0.0, 2.5, -1.0, 3.0, 5)
-    assert sq != UnitSquare(0.5, 1.5, 3) and sq != UnitSquare(0.5, 2.0, 4)
     assert hash(r) == hash(AxisRect(0.0, 2.0, -1.0, 3.0, 5)) == hash((0.0, 2.0, -1.0, 3.0, 5))
-    assert hash(sq) == hash(UnitSquare(0.5, 1.5, 4)) == hash((0.5, 1.5, 4))
-    assert len({r, AxisRect(0.0, 2.0, -1.0, 3.0, 5), sq, UnitSquare(0.5, 1.5, 4)}) == 2
+    assert len({r, AxisRect(0.0, 2.0, -1.0, 3.0, 5)}) == 1
 
 
 def test_contains_is_closed():
-    r, sq = AxisRect(0.0, 2.0, -1.0, 3.0, 5), UnitSquare(0.5, 1.5, 4)
+    r, sq = AxisRect(0.0, 2.0, -1.0, 3.0, 5), unit_square(0.5, 1.5, 4)
     for p in (Pt(0.0, -1.0), Pt(2.0, 3.0), Pt(1.0, 0.0)):
         assert r.contains(p)
     for p in (Pt(-0.1, 0.0), Pt(1.0, 3.5), Pt(2.01, 3.0)):

@@ -136,7 +136,6 @@ def test_broken_structure_produces_witness():
             return check_cf(colored)
 
     import cfcolor.squares as squares
-    from cfcolor.geom import UnitSquare
     adapter = Sabotaged(squares.GridSquareCF(),
                         harness.STRUCTURES["squares"])
 
@@ -335,7 +334,6 @@ def test_cli_input_error_exit_code(tmp_path):
 
 def test_cli_verification_failure_exit_code(tmp_path, monkeypatch):
     # a deliberately broken structure build: every square wears one color
-    from cfcolor.geom import UnitSquare
     import cfcolor.squares as squares
 
     class Broken(harness._Adapter):
@@ -447,7 +445,6 @@ def _leaky_squares(name, c=None, universe=None):
     """Squares whose every insert also rewrites one other square's stored
     color without reporting it in the diff."""
     import cfcolor.squares as squares
-    from cfcolor.geom import UnitSquare
 
     class LeakySquares(squares.GridSquareCF):
         def insert(self, sq):
@@ -470,6 +467,9 @@ def test_unreported_recoloring_is_a_colors_violation(tmp_path, monkeypatch):
     bad = report["summary"]["violations"]
     assert bad and {v["check"] for v in bad} == {"colors"}
     assert all(report["steps"][v["step"]]["verified"] is False for v in bad)
+    assert bad[0] == {"step": 2, "check": "colors", "detail":
+                      "object 1: GlobalColor(scheme_tag=6, local=1006) in the view, "
+                      "GlobalColor(scheme_tag=6, local=6) from the diffs"}
 
     wl = tmp_path / "w.jsonl"
     write_workload(events, str(wl))
@@ -483,7 +483,6 @@ def test_unreported_recoloring_to_a_fresh_color_is_flagged_at_its_step(monkeypat
     wears keeps every multiplicity; only a keyed count can see it."""
     import cfcolor.squares as squares
     from collections import Counter
-    from cfcolor.geom import UnitSquare
 
     planted = []
 
@@ -517,7 +516,6 @@ def test_unreported_swap_is_a_colors_violation(verify, monkeypatch):
     """Two objects of one cell trade stored colors, unreported: every color
     count stays the same, so only the object -> color map can see it."""
     import cfcolor.squares as squares
-    from cfcolor.geom import UnitSquare
 
     planted = []
 

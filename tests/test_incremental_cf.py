@@ -45,7 +45,7 @@ def _planted(colored, victim):
 
 
 def _same(tracker, colored):
-    got = tracker.check([(r.id, (r.x1, r.x2, r.y1, r.y2, c)) for r, c in colored])
+    got = tracker.check([(r.id, (r, c)) for r, c in colored])
     want = check_cf(colored)
     assert str(got) == str(want)
     return want
@@ -91,9 +91,9 @@ def test_replayed_streams_pass_distinct_colored_sets_unswept(structure, monkeypa
     sets = []
     real = IncrementalCF._sweep
     monkeypatch.setattr(IncrementalCF, "_sweep",
-                        lambda self, boxes: sets.append(boxes) or real(self, boxes))
+                        lambda self, view: sets.append(view) or real(self, view))
     test_agrees_with_check_cf_on_replayed_streams_with_planted_faults(structure)
-    distinct = sum(len({box[4] for _, box in boxes}) == len(boxes) for boxes in sets)
+    distinct = sum(len({c for _, (_, c) in view}) == len(view) for view in sets)
     assert distinct > 10 and distinct < len(sets)
 
 

@@ -24,7 +24,7 @@ def recomputed(partition) -> dict[int, tuple[int, int]]:
     cell's stored colors."""
     out = {}
     for cell in partition.cells.values():
-        pairs = recompute_common_point_colors(cell.east, cell.west)
+        pairs = recompute_common_point_colors(cell.trees[0], cell.trees[1])
         assert cell.colors == pairs
         out.update(pairs)
     return out

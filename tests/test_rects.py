@@ -28,7 +28,7 @@ def test_single_rect_gets_pair_zero_zero():
     cp = CommonPointCF(Pt(0.0, 0.0))
     diff = cp.insert(rect(-1, 1, -1, 1, 0))
     assert diff.assigned == (0, (0, 0))
-    assert cp.color_of(0) == (0, 0)
+    assert cp.colors[0] == (0, 0)
 
 
 def test_pin_must_be_contained():
@@ -41,8 +41,8 @@ def test_nested_rects_distinct_pairs_probe_unique():
     cp = CommonPointCF(Pt(0.0, 0.0))
     cp.insert(rect(-3, 3, -3, 3, 0))
     cp.insert(rect(-1, 1, -1, 1, 1))
-    assert cp.color_of(0) != cp.color_of(1)
-    colored = [(cp.rects[oid], cp.colors[oid]) for oid in cp.rects]
+    assert cp.colors[0] != cp.colors[1]
+    colored = [(cp.objects[oid], cp.colors[oid]) for oid in cp.objects]
     assert check_cf_probes(colored) is None
 
 
@@ -52,12 +52,12 @@ def test_common_point_matches_definitional_and_pair_budget():
     for oid in range(512):
         cp.insert(rect(-rng.uniform(0.1, 50), rng.uniform(0.1, 50),
                        -rng.uniform(0.1, 50), rng.uniform(0.1, 50), oid))
-    assert cp.colors == recompute_common_point_colors(cp.east, cp.west)
-    h_e = cp.east.root.height
-    h_w = cp.west.root.height
+    assert cp.colors == recompute_common_point_colors(cp.trees[0], cp.trees[1])
+    h_e = cp.trees[0].root.height
+    h_w = cp.trees[1].root.height
     distinct_pairs = len(set(cp.colors.values()))
     assert distinct_pairs <= (2 * h_e + 2) * (2 * h_w + 2)
-    colored = [(cp.rects[oid], cp.colors[oid]) for oid in cp.rects]
+    colored = [(cp.objects[oid], cp.colors[oid]) for oid in cp.objects]
     assert check_cf(colored) is None
 
 
@@ -74,9 +74,9 @@ def test_common_point_mixed_updates_definitional_equality():
                            -rng.uniform(0.1, 9), rng.uniform(0.1, 9), nid))
             live.append(nid)
             nid += 1
-        assert cp.colors == recompute_common_point_colors(cp.east, cp.west)
+        assert cp.colors == recompute_common_point_colors(cp.trees[0], cp.trees[1])
         if step % 25 == 0:
-            colored = [(cp.rects[oid], cp.colors[oid]) for oid in cp.rects]
+            colored = [(cp.objects[oid], cp.colors[oid]) for oid in cp.objects]
             assert check_cf(colored) is None
 
 
@@ -153,8 +153,8 @@ def test_same_class_bounded_cells_disjoint():
             for b in cells:
                 if a is b:
                     continue
-                for r1 in a.rects.values():
-                    for r2 in b.rects.values():
+                for r1 in a.objects.values():
+                    for r2 in b.objects.values():
                         assert (r1.x2 < r2.x1 or r2.x2 < r1.x1 or
                                 r1.y2 < r2.y1 or r2.y2 < r1.y1)
 
@@ -223,8 +223,8 @@ def test_universe_routing_soundness_random():
             for hx2, c2 in entries:
                 if hx1 >= hx2:
                     continue
-                for r1 in c1.rects.values():
-                    for r2 in c2.rects.values():
+                for r1 in c1.objects.values():
+                    for r2 in c2.objects.values():
                         assert r1.x2 < r2.x1 or r2.x2 < r1.x1
 
 

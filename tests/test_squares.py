@@ -4,15 +4,15 @@ import random
 import pytest
 
 from cfcolor.anchored import AnchoredCF
-from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, Pt, UnitSquare, UnknownId
+from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, Pt, UnknownId
 from cfcolor.oracle import check_cf
-from cfcolor.squares import GridSquareCF, PinnedSquareCF, class_tag, route_square
+from cfcolor.squares import GridSquareCF, PinnedSquareCF, class_tag, route_square, unit_square
 from reference import (category_heights, check_cf_probes, colored_rects, pinned_color,
                        recompute_pinned_square_colors)
 
 
 def sq(x, y, oid):
-    return UnitSquare(float(x), float(y), oid)
+    return unit_square(float(x), float(y), oid)
 
 
 def test_routing_lexicographically_smallest_grid_point():
@@ -53,7 +53,7 @@ def test_delete_from_two_square_cell_matches_recompute():
     assert len(s.cells) == 1
     s.delete(0)
     cell = s.cells[(1, 1)]
-    assert cell.colors == recompute_pinned_square_colors(cell.tree)
+    assert cell.colors == recompute_pinned_square_colors(cell.trees[0])
 
 
 def test_random_squares_cf_at_probes():
@@ -63,7 +63,7 @@ def test_random_squares_cf_at_probes():
         s.insert(sq(rng.uniform(0, 10), rng.uniform(0, 10), oid))
     assert check_cf(colored_rects(s)) is None
     for key, cell in s.cells.items():
-        assert cell.colors == recompute_pinned_square_colors(cell.tree)
+        assert cell.colors == recompute_pinned_square_colors(cell.trees[0])
 
 
 def test_alternating_updates_cf_after_every_step():
@@ -81,7 +81,7 @@ def test_alternating_updates_cf_after_every_step():
         if step % 10 == 0 or step > 1980:
             assert check_cf(colored_rects(s)) is None
         for cell in s.cells.values():
-            assert cell.colors == recompute_pinned_square_colors(cell.tree)
+            assert cell.colors == recompute_pinned_square_colors(cell.trees[0])
     assert s.audit() is None
 
 
@@ -94,7 +94,7 @@ def test_pinned_color_formula_and_priority():
     rng = random.Random(2)
     for oid in range(1, 40):
         cell.insert(sq(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), oid))
-    for oid in list(cell.squares):
+    for oid in list(cell.objects):
         h, j = pinned_color(cell, oid)
         cat = category_heights(cell, oid)
         order = ["ne", "se", "sw", "nw"]
@@ -103,7 +103,7 @@ def test_pinned_color_formula_and_priority():
         else:
             assert cat[order[j]] == h == max(cat.values())
             assert all(cat[name] < h for name in order[:j])
-    assert cell.colors == recompute_pinned_square_colors(cell.tree)
+    assert cell.colors == recompute_pinned_square_colors(cell.trees[0])
 
 
 def test_same_class_cells_never_intersect():
@@ -119,10 +119,10 @@ def test_same_class_cells_never_intersect():
             for b in cells:
                 if a is b:
                     continue
-                for s1 in a.squares.values():
-                    for s2 in b.squares.values():
-                        disjoint = (s1.x + 1 < s2.x or s2.x + 1 < s1.x or
-                                    s1.y + 1 < s2.y or s2.y + 1 < s1.y)
+                for s1 in a.objects.values():
+                    for s2 in b.objects.values():
+                        disjoint = (s1.x2 < s2.x1 or s2.x2 < s1.x1 or
+                                    s1.y2 < s2.y1 or s2.y2 < s1.y1)
                         assert disjoint
 
 
@@ -136,9 +136,9 @@ def test_quadrant_restriction_matches_anchored_scheme():
     for oid in range(60):
         q = sq(rng.uniform(-0.95, -0.05), rng.uniform(-0.95, -0.05), oid)
         cell.insert(q)
-        anch.insert(AxisRect(0.0, q.x + 1.0, 0.0, q.y + 1.0, oid))
-    for oid in cell.squares:
-        assert category_heights(cell, oid)["ne"] == anch.color_of(oid)
+        anch.insert(AxisRect(0.0, q.x2, 0.0, q.y2, oid))
+    for oid in cell.objects:
+        assert category_heights(cell, oid)["ne"] == anch.colors[oid]
 
 
 def test_distinct_color_budget():
@@ -147,7 +147,7 @@ def test_distinct_color_budget():
     for oid in range(400):
         s.insert(sq(rng.uniform(0, 8), rng.uniform(0, 8), oid))
     n = len(s)
-    h_max = max(cell.tree.root.height for cell in s.cells.values())
+    h_max = max(cell.trees[0].root.height for cell in s.cells.values())
     distinct = len(set(s.global_colors().values()))
     assert h_max <= 2 * math.log2(n + 1)
     assert distinct <= 9 * (4 * h_max + 4)

@@ -1,4 +1,4 @@
-"""What one verified step reads: a geometric structure's box view once,
+"""What one verified step reads: a geometric structure's view once,
 handed over by its passing audit and shared by the colors check and the
 oracle, an engine's locate/actual maps in one pass that words a fault as
 the object-by-object loop does, and the unimax range check only on pieces
@@ -10,32 +10,32 @@ import pytest
 
 from cfcolor import harness
 from cfcolor.framework import SETTLED, FullyDynamicEngine, SemiDynamicEngine
-from cfcolor.geom import GlobalColor, UnitSquare
+from cfcolor.geom import GlobalColor
 from cfcolor.harness import generate_workload, run_workload
 from cfcolor.oracle import check_unimax_intervals
 from cfcolor.rects import BoundedRectCF
-from cfcolor.squares import GridSquareCF
+from cfcolor.squares import GridSquareCF, unit_square
 from cfcolor.unimax import IntervalPointColorer
 from reference import locate_actual_report
 
 
 def _counting(cls):
     """A structure class whose two read paths, audited_view() and
-    colored_boxes(), record their name and the live size at each call."""
+    colored_objects(), record their name and the live size at each call."""
     class Counting(cls):
         def audited_view(self):
             self.calls.append(("audited_view", len(self)))
             return super().audited_view()
 
-        def colored_boxes(self):
-            self.calls.append(("colored_boxes", len(self)))
-            return super().colored_boxes()
+        def colored_objects(self):
+            self.calls.append(("colored_objects", len(self)))
+            return super().colored_objects()
     return Counting
 
 
 COUNTED = {
     "squares": ("unit_square", {}, lambda c: _counting(GridSquareCF)(),
-                lambda oid, p: UnitSquare(p["x"], p["y"], oid)),
+                lambda oid, p: unit_square(p["x"], p["y"], oid)),
     "bounded": ("bounded_rect", {"c": 3.0}, lambda c: _counting(BoundedRectCF)(c),
                 harness._payload_to_rect),
 }
@@ -64,7 +64,7 @@ def test_a_verified_step_reads_the_box_view_once(name, verify, monkeypatch):
     else:
         assert len(verified) == len(events)
     (structure,) = made
-    # a passing audit hands over the view: colored_boxes() is never read
+    # a passing audit hands over the view: colored_objects() is never read
     assert structure.calls == [("audited_view", row["n"]) for row in verified]
 
 
