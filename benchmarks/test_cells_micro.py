@@ -82,7 +82,7 @@ def test_adapter_updates(benchmark, name):
 def _tree_replay(ops):
     tree = AugTree()
     for op, key, oid, y in ops:
-        dirty_candidates(tree.insert(key, oid, y, y) if op == "insert" else tree.delete(key))
+        dirty_candidates(tree.insert(key, oid, y, y) if op == "insert" else tree.delete(oid))
     return tree
 
 

@@ -41,4 +41,4 @@ def test_engine_stream(benchmark, name):
     ops = [(ev["id"], to_object(ev["object"]) if ev["op"] == "insert" else None)
            for ev in generate_workload(kind, N, delete_ratio, SEED)]
     engine = benchmark(_replay, engine_cls, colorer_cls, ops)
-    assert engine.check_invariants(unimax_limit=0) is None
+    assert engine.check_invariants() is None

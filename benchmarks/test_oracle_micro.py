@@ -95,7 +95,7 @@ def test_check_cf_intervals_failing(benchmark, n):
 
 def test_check_cf_rect_ranges(benchmark):
     colored = _final_state("full-2d-140")
-    assert benchmark(check_cf_rect_ranges, colored, samples=20_000) is None
+    assert benchmark(check_cf_rect_ranges, colored) is None
 
 
 @pytest.mark.parametrize("checker", ["incremental", "check_cf"])

@@ -107,16 +107,6 @@ class AugTree:
         # the nodes the last passing audit walked
         self.passed: list[Node] | None = None
 
-    # -- queries ---------------------------------------------------------
-
-    def find_leaf(self, key: KeyOrder) -> Node | None:
-        v = self.root
-        if v is None:
-            return None
-        while v.payload is None:
-            v = v.left if key <= v.key else v.right
-        return v if v.key == key else None
-
     # -- augmentation upkeep ----------------------------------------------
 
     def _refresh(self, v: Node, log: DirtyLog) -> bool:
@@ -228,17 +218,14 @@ class AugTree:
 
     # -- deletion -----------------------------------------------------------
 
-    def delete(self, key: KeyOrder, leaf: Node | None = None) -> DirtyLog:
-        """Remove the leaf holding key.  A caller that holds that leaf may
-        pass it: when it holds key and the payload index holds it, the walk
-        down from the root is skipped."""
-        if leaf is None or leaf.key != key or self.leaf_by_payload.get(leaf.payload) is not leaf:
-            leaf = self.find_leaf(key)
-            if leaf is None:
-                raise KeyNotFound(f"key not present: {key}")
+    def delete(self, payload: ObjectId) -> DirtyLog:
+        """Remove the leaf the payload index holds for payload; an absent
+        payload raises KeyNotFound and changes nothing."""
+        leaf = self.leaf_by_payload.pop(payload, None)
+        if leaf is None:
+            raise KeyNotFound(f"payload not present: {payload}")
         log = DirtyLog()
         log.remove(leaf)
-        del self.leaf_by_payload[leaf.payload]
         self.size -= 1
 
         parent = leaf.parent

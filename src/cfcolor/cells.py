@@ -60,6 +60,7 @@ that changed are joined anew, which are the recolored ones and a new one.
 from __future__ import annotations
 
 import gc
+import math
 from itertools import chain, compress
 from operator import attrgetter, is_not, itemgetter
 
@@ -175,8 +176,7 @@ class DirectionalCell:
             raise UnknownId(oid)
         dirty = []
         for tree in self.trees:
-            leaf = tree.leaf_by_payload[oid]
-            names = dirty_candidates(tree.delete(leaf.key, leaf))
+            names = dirty_candidates(tree.delete(oid))
             names.discard(oid)
             dirty.append(names)
         diff = self._recolor(dirty)
@@ -346,16 +346,20 @@ class _Fingerprints:
 class Partition:
     """Objects routed to DirectionalCells, one cell per routing key.
 
-    A subclass sets CELL, cell_key(obj), the key of the cell obj belongs
-    in, check(obj), which raises if obj may not join (no check by default),
-    and either class_tag(i, j) for cells keyed and pinned at integer grid
-    points or its own route(obj) -> (cell key, pin, tag).  A cell is created
-    on first use, the only time route() builds its pin and tag, and dropped
-    when it empties.  An update's diff is its cell's diff.  The audit checks
-    every held object against cell_key; MISROUTED words a miss.
+    A subclass sets CELL and check(obj), which raises if obj may not join
+    (no check by default).  cell_key(obj) is the key of the cell obj belongs
+    in: by default the lexicographically smallest integer grid point in its
+    rectangle, (ceil(x1), ceil(y1)), where route() pins the cell and tags it
+    with its grid class (i mod m, j mod m) for m = class_modulus.  A
+    subclass that keys cells otherwise sets its own cell_key(obj) and
+    route(obj) -> (cell key, pin, tag).  A cell is created on first use, the
+    only time route() builds its pin and tag, and dropped when it empties.
+    An update's diff is its cell's diff.  The audit checks every held object
+    against cell_key; MISROUTED words a miss.
     """
 
     CELL: type[DirectionalCell]
+    class_modulus: int
     MISROUTED = "object {} not in the cell route() gives it"
     # (copy of location, {cell key: (its cell's snapshot, its view)},
     # the cells' _Fingerprints) of the last passing audit
@@ -399,10 +403,14 @@ class Partition:
     def check(self, obj) -> None:
         """Raise if obj may not join the structure."""
 
+    def cell_key(self, obj) -> tuple[int, int]:
+        return math.ceil(obj.x1), math.ceil(obj.y1)
+
     def route(self, obj) -> tuple[object, Pt, int]:
         """(cell key, pin, tag) of obj's cell; a grid cell's pin is its key."""
         i, j = key = self.cell_key(obj)
-        return key, Pt(float(i), float(j)), self.class_tag(i, j)
+        m = self.class_modulus
+        return key, Pt(float(i), float(j)), (i % m) * m + (j % m)
 
     # -- verification views -------------------------------------------------
 

@@ -66,6 +66,8 @@ SETTLED = "full"          # the paper's full / non-empty state
 UP = "up-migration"
 DOWN = "down-migration"
 
+UNIMAX_CHECK_LIMIT = 32  # check_invariants range-checks pieces up to this many members
+
 
 class BoundExceeded(AssertionError):
     """An update broke one of the paper's per-update bounds.
@@ -412,9 +414,10 @@ class _EngineBase:
 
     # -- shared invariant checks ------------------------------------------------
 
-    def _check_pieces(self, unimax_limit: int) -> ViolationReport | None:
+    def _check_pieces(self) -> ViolationReport | None:
         """Every invariant on every call; range_checker only on a piece of at
-        most unimax_limit members whose pair is not the last that passed."""
+        most UNIMAX_CHECK_LIMIT members whose pair is not the last that
+        passed."""
         seen_palettes: set[PaletteKey] = set()
 
         def walk(piece: Piece) -> ViolationReport | None:
@@ -461,7 +464,7 @@ class _EngineBase:
                     return ViolationReport(None, "Inv-C-Mig-2: star is not the migration "
                                            "order's prefix plus the pinned object")
             if (self.range_checker is not None
-                    and len(piece.members) <= unimax_limit and piece.members):
+                    and len(piece.members) <= UNIMAX_CHECK_LIMIT and piece.members):
                 pair = ({o: self.objects[o] for o in piece.members}, dict(colors))
                 if pair != piece.checked:
                     witness = self.range_checker(*pair)
@@ -545,14 +548,14 @@ class SemiDynamicEngine(_EngineBase):
     def _insert_bound(self) -> int:
         return ceil_log2(len(self.objects))
 
-    def check_invariants(self, unimax_limit: int = 32) -> ViolationReport | None:
+    def check_invariants(self) -> ViolationReport | None:
         for i, (piece, state) in enumerate(zip(self.levels, self.set_states())):
             if state not in (EMPTY, SETTLED, UP):
                 return ViolationReport(None, f"level {i} in state {state}")
             if piece is not None and len(piece.members) != 2 ** i:
                 return ViolationReport(
                     None, f"level {i} holds {len(piece.members)} != 2^{i} objects")
-        return self._check_pieces(unimax_limit)
+        return self._check_pieces()
 
 
 class FullyDynamicEngine(_EngineBase):
@@ -628,7 +631,7 @@ class FullyDynamicEngine(_EngineBase):
         self._open(target, DOWN, palette, colorer, members, parts)
         return cands
 
-    def check_invariants(self, unimax_limit: int = 32) -> ViolationReport | None:
+    def check_invariants(self) -> ViolationReport | None:
         last = self.ell
         for i, (piece, state) in enumerate(zip(self.levels, self.set_states())):
             if state == DOWN and i != last:
@@ -640,4 +643,4 @@ class FullyDynamicEngine(_EngineBase):
             return ViolationReport(None, "Inv-S: last set over capacity")
         if len(self.objects) > 1 and last_size < 2 ** (last - 2):
             return ViolationReport(None, "Inv-S: last set below quarter capacity")
-        return self._check_pieces(unimax_limit)
+        return self._check_pieces()

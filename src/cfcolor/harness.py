@@ -230,7 +230,7 @@ _cf_boxes = lambda: IncrementalCF(lambda colored: check_cf(colored)).check
 _insert_keyed = lambda engine, oid, obj: engine.insert(oid, obj)
 _levels = lambda engine: (engine.ell, ",".join(engine.set_states()))
 _cf_intervals = lambda: lambda view: check_cf_intervals(list(map(_second, view)))
-_cf_rects = lambda: lambda view: check_cf_rect_ranges(list(map(_second, view)), samples=20_000)
+_cf_rects = lambda: lambda view: check_cf_rect_ranges(list(map(_second, view)))
 _interval_checker = lambda points, colors: check_unimax_intervals(
     [(points[o], colors[o]) for o in points])
 _rect_checker = lambda points, colors: check_unimax_rect_ranges(

@@ -27,10 +27,11 @@ Two families of checks:
   stack pass over the coordinate groups' maxima.  A set a decider fails
   names as its witness the first bad window by start, then end
   (`_first_bad_window`), up to EXHAUSTIVE_1D_LIMIT points, and the
-  decider's own window beyond that.  The exhaustive rectangle ranges, up
-  to a size cutoff, judge and word each x-strip by the same rule; beyond
-  the cutoff, deterministic random ranges are checked in vectorized
-  batches.
+  decider's own window beyond that.  The exhaustive rectangle ranges judge
+  and word each x-strip by the same rule.  The unimax rectangle check is
+  exhaustive at every size; the CF one up to EXHAUSTIVE_2D_LIMIT points,
+  and beyond it checks SAMPLED_RANGES ranges drawn from seed 0 in
+  vectorized batches.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ import numpy as np
 
 from .geom import Pt
 
-EXHAUSTIVE_2D_LIMIT = 40      # exhaustive canonical rectangles up to this many points
+EXHAUSTIVE_2D_LIMIT = 40      # exhaustive CF canonical rectangles up to this many points
 EXHAUSTIVE_1D_LIMIT = 640     # 1-D witnesses are the first bad window up to this many points
-SAMPLED_RANGES = 100_000      # ranges drawn beyond the exhaustive cutoffs
+SAMPLED_RANGES = 20_000       # seeded CF rectangle ranges drawn beyond EXHAUSTIVE_2D_LIMIT
 CF_BLOCK_PAIRS = 4096         # (rect, probe row) pairs per check_cf block
 BLOCK_CELLS = 1 << 15         # (window, point) cells per block of range checks
 
@@ -73,16 +74,11 @@ def _between(a: float, b: float) -> float:
     return m if a < m < b else math.nextafter(a, b)
 
 
-def _dense_codes(colors: list, ordered: bool = False) -> tuple[np.ndarray, int]:
+def _dense_codes(colors: list) -> tuple[np.ndarray, int]:
     """Colors as ints 0..k-1 for k distinct colors, equal colors to equal
-    ints.  Numbered in first-seen order, or, when `ordered`, in the colors'
-    own order, so that a maximum carries over to the codes too."""
+    ints, numbered in first-seen order."""
     code: dict = {}
     dense = np.array([code.setdefault(c, len(code)) for c in colors], dtype=np.int32)
-    if ordered:
-        rank = np.empty(len(code), dtype=np.int32)
-        rank[sorted(range(len(code)), key=list(code).__getitem__)] = np.arange(len(code))
-        dense = rank[dense]
     return dense, len(code)
 
 
@@ -435,26 +431,21 @@ def _first_bad_window(pts: list[tuple[float, object]], unimax: bool) -> tuple[in
     return None
 
 
-def check_cf_rect_ranges(points: list[tuple[Pt, object]],
-                         samples: int = SAMPLED_RANGES,
-                         seed: int = 0) -> Witness | None:
+def check_cf_rect_ranges(points: list[tuple[Pt, object]]) -> Witness | None:
     """Conflict-freeness of colored 2-D points w.r.t. canonical rectangles.
 
     Exhaustive over all coordinate-pair ranges up to EXHAUSTIVE_2D_LIMIT
-    points; beyond that, `samples` seeded random canonical ranges checked
-    in vectorized batches.
+    points; beyond that, SAMPLED_RANGES random canonical ranges, always
+    drawn from seed 0, checked in vectorized batches.
     """
     if len(points) <= EXHAUSTIVE_2D_LIMIT:
         return _exhaustive_rect_ranges(points, unimax=False)
-    return _sampled_rect_ranges(points, samples, seed, unimax=False)
+    return _sampled_rect_ranges(points)
 
 
-def check_unimax_rect_ranges(points: list[tuple[Pt, object]],
-                             samples: int = SAMPLED_RANGES,
-                             seed: int = 0) -> Witness | None:
-    if len(points) <= EXHAUSTIVE_2D_LIMIT:
-        return _exhaustive_rect_ranges(points, unimax=True)
-    return _sampled_rect_ranges(points, samples, seed, unimax=True)
+def check_unimax_rect_ranges(points: list[tuple[Pt, object]]) -> Witness | None:
+    """Unique-maximum over every canonical rectangle; exact at every size."""
+    return _exhaustive_rect_ranges(points, unimax=True)
 
 
 def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Witness | None:
@@ -471,19 +462,20 @@ def _exhaustive_rect_ranges(points: list[tuple[Pt, object]], unimax: bool) -> Wi
     return None
 
 
-def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
-                         seed: int, unimax: bool) -> Witness | None:
+def _sampled_rect_ranges(points: list[tuple[Pt, object]]) -> Witness | None:
+    """The first of SAMPLED_RANGES canonical rectangles drawn from seed 0
+    without a color that occurs once in it, as a Witness; None if none."""
     px = np.array([p.x for p, _ in points])
     py = np.array([p.y for p, _ in points])
-    codes, _ = _dense_codes([c for _, c in points], ordered=unimax)
+    codes, _ = _dense_codes([c for _, c in points])
     xs, ys = np.unique(px), np.unique(py)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     step = max(1, BLOCK_CELLS // len(points))
     batch = 4096
     done = 0
-    while done < samples:
-        b = min(batch, samples - done)
+    while done < SAMPLED_RANGES:
+        b = min(batch, SAMPLED_RANGES - done)
         done += b
         ax = np.sort(rng.integers(0, len(xs), size=(b, 2)), axis=1)
         ay = np.sort(rng.integers(0, len(ys), size=(b, 2)), axis=1)
@@ -494,7 +486,7 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
             rows = slice(r0, r0 + step)
             mask = ((px >= xlo[rows, None]) & (px <= xhi[rows, None]) &
                     (py >= ylo[rows, None]) & (py <= yhi[rows, None]))
-            r = _first_bad_row(mask, codes, unimax)
+            r = _first_bad_row(mask, codes)
             if r is not None:
                 k = r0 + r
                 return Witness((xlo[k].item(), xhi[k].item(), ylo[k].item(), yhi[k].item()),
@@ -502,10 +494,9 @@ def _sampled_rect_ranges(points: list[tuple[Pt, object]], samples: int,
     return None
 
 
-def _first_bad_row(mask: np.ndarray, codes: np.ndarray, unimax: bool) -> int | None:
+def _first_bad_row(mask: np.ndarray, codes: np.ndarray) -> int | None:
     """The first nonempty row of mask whose points' codes include none seen
-    exactly once or, when unimax, whose largest code is not seen exactly
-    once; None if there is none."""
+    exactly once; None if there is none."""
     covered = np.where(mask, codes, -1)
     covered.sort(axis=1)
     # a code seen once differs from both neighbours in its sorted row
@@ -514,7 +505,5 @@ def _first_bad_row(mask: np.ndarray, codes: np.ndarray, unimax: bool) -> int | N
     single = covered >= 0
     single &= differs[:, :-1]
     single &= differs[:, 1:]
-    # a nonempty row's largest code sorts last
-    good = single[:, -1] if unimax else single.any(axis=1)
-    bad = np.flatnonzero(mask.any(axis=1) & ~good)
+    bad = np.flatnonzero(mask.any(axis=1) & ~single.any(axis=1))
     return int(bad[0]) if len(bad) else None

@@ -92,13 +92,6 @@ class BoundedRectCF(Partition):
         self.c = float(c)
         self.class_modulus = 2 * math.ceil(c) + 1
 
-    def class_tag(self, ci: int, cj: int) -> int:
-        m = self.class_modulus
-        return (ci % m) * m + (cj % m)
-
-    def cell_key(self, r: AxisRect) -> tuple[int, int]:
-        return math.ceil(r.x1), math.ceil(r.y1)
-
     def check(self, r: AxisRect) -> None:
         check_sides(r.x2 - r.x1, r.y2 - r.y1, self.c)
 

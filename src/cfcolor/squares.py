@@ -16,8 +16,6 @@ squares, so the 9 classes reuse the same color sets; a global color is
 
 from __future__ import annotations
 
-import math
-
 from .cells import NE, NW, SE, SW, DirectionalCell, Partition, tuple_new
 from .geom import AxisRect, KeyOrder, ObjectId
 
@@ -45,22 +43,11 @@ class PinnedSquareCF(DirectionalCell):
         return ((tuple_new(KeyOrder, (sq.x1, oid)), y, y),)
 
 
-def route_square(sq: AxisRect) -> tuple[int, int]:
-    """Lexicographically smallest integer grid point inside the closed square."""
-    return math.ceil(sq.x1), math.ceil(sq.y1)
-
-
-def class_tag(ci: int, cj: int) -> int:
-    m = GRID_CLASS_MODULUS
-    return (ci % m) * m + (cj % m)
-
-
 class GridSquareCF(Partition):
     """CF-coloring of arbitrary unit squares via the integer-grid cells."""
 
     CELL = PinnedSquareCF
-    cell_key = staticmethod(route_square)
-    class_tag = staticmethod(class_tag)
+    class_modulus = GRID_CLASS_MODULUS
 
     def check(self, sq: AxisRect) -> None:
         if sq != unit_square(sq.x1, sq.y1, sq.id):

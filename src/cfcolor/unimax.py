@@ -158,8 +158,7 @@ class RectPointColorer(_RunColorer):
 
     def __init__(self, points: dict[ObjectId, Pt]) -> None:
         # each chain is x-ordered, so it behaves 1-D in its x-order
-        self.chains = chain_decompose(points)
-        super().__init__(self.chains)
+        super().__init__(chain_decompose(points))
 
     @staticmethod
     def check_point(p: Pt) -> None:

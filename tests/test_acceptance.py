@@ -85,8 +85,8 @@ def test_criterion_2_semi_dynamic_recolorings():
             assert diff.recolorings <= ceil_log2(n), \
                 f"seed {seed}: {diff.recolorings} recolorings at n={n}"
             if oid % 512 == 0:
-                assert engine.check_invariants(unimax_limit=16) is None
-        assert engine.check_invariants(unimax_limit=16) is None
+                assert engine.check_invariants() is None
+        assert engine.check_invariants() is None
     print("\nACCEPTANCE 2: PASS - semi-dynamic recolorings <= ceil(log2 n) "
           "for every insertion up to n=4096 (3 seeds)")
 
@@ -117,7 +117,7 @@ def test_criterion_3_fully_dynamic_invariants():
             if is_down and not was_down:
                 down_onsets += 1
             was_down = is_down
-            assert engine.check_invariants(unimax_limit=12) is None, \
+            assert engine.check_invariants() is None, \
                 f"invariant violation at update {updates}"
     assert updates >= 20_000
     assert down_onsets >= 5, "scripted plan must force downward migrations"
@@ -140,7 +140,7 @@ def test_criterion_3_fully_dynamic_invariants_2d():
             live.append(nid)
             nid += 1
             assert diff.recolorings <= 2 * (engine.ell + 1)
-        assert engine.check_invariants(unimax_limit=10) is None
+        assert engine.check_invariants() is None
     print("\nACCEPTANCE 3 [2d colorer]: PASS - 2500 scripted updates with the "
           "rectangle colorer, invariants verified after every one")
 

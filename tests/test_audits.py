@@ -23,7 +23,7 @@ def _tree(seed, n=40):
     live = []
     for oid in range(n + n // 3):
         if live and rng.random() < 0.25:
-            tree.delete(live.pop(rng.randrange(len(live))))
+            tree.delete(live.pop(rng.randrange(len(live))).tiebreak)
         else:
             key = KeyOrder(float(rng.randrange(20)), oid)
             y = float(rng.randrange(20))
@@ -266,7 +266,9 @@ def test_bounded_audit_sees_a_rect_outside_its_routed_cell():
     assert s.location == {0: (1, 1)} and s.audit() is None
     # into a new cell at (2, 2), whose pin it contains
     s.cells.pop((1, 1)).delete(0)
-    cell = CommonPointCF(Pt(2.0, 2.0), s.class_tag(2, 2))
+    _, pin, tag = s.route(AxisRect(2.0, 3.0, 2.0, 3.0, 1))
+    assert pin == Pt(2.0, 2.0)
+    cell = CommonPointCF(pin, tag)
     cell.insert(moved)
     s.cells[(2, 2)] = cell
     s.location[0] = (2, 2)

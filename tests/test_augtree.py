@@ -131,7 +131,7 @@ def test_dirty_candidates_match_reference_on_seeded_stream():
     live: list[KeyOrder] = []
     for oid in range(1500):
         if live and (rng.random() < 0.45 or len(live) > 200):
-            log = tree.delete(live.pop(rng.randrange(len(live))))
+            log = tree.delete(live.pop(rng.randrange(len(live))).tiebreak)
         else:
             key = xk(rng.randrange(300), oid)  # repeated coordinates
             log = insert_obj(tree, oid, key.coordinate, rng.randrange(100))
@@ -142,7 +142,7 @@ def test_dirty_candidates_match_reference_on_seeded_stream():
 def test_delete_only_key_empties_tree():
     tree = AugTree()
     insert_obj(tree, 1, 5.0, 7.0)
-    log = tree.delete(xk(5.0, 1))
+    log = tree.delete(1)
     assert tree.root is None
     assert tree.size == 0
     assert any(e.removed for e in dirty_entries(log))
@@ -150,25 +150,22 @@ def test_delete_only_key_empties_tree():
 
 def test_delete_missing_key():
     tree = AugTree()
-    insert_obj(tree, 1, 5.0, 7.0)
     with pytest.raises(KeyNotFound):
-        tree.delete(xk(6.0, 2))
-
-
-def test_delete_from_a_held_leaf_skips_the_descent_only_when_the_leaf_is_there():
-    """delete(key, leaf) starts from the leaf when it holds key and the
-    index holds it; any other leaf is ignored and key is found from the
-    root, as delete(key) does."""
-    for hint in ("own", "other", "detached", "none"):
-        tree = AugTree()
-        for oid, (x, y) in enumerate([(1.0, 10.0), (2.0, 20.0), (3.0, 15.0), (4.0, 5.0)]):
-            insert_obj(tree, oid, x, y)
-        leaf = {"own": tree.leaf_by_payload[2], "other": tree.leaf_by_payload[0],
-                "detached": Node(xk(3.0, 2), 2, xk(3.0, 2), xk(3.0, 2), False),
-                "none": None}[hint]
-        tree.delete(xk(3.0, 2), leaf)
+        tree.delete(1)
+    assert tree.root is None and tree.size == 0 and tree.leaf_by_payload == {}
+    for oid in range(6):
+        insert_obj(tree, oid, oid, 10 - oid)
+    root = tree.root
+    index = dict(tree.leaf_by_payload)
+    shape = [(v.key, v.height, v.color, v.ymax, v.ymin) for v in nodes(tree)]
+    for payload in (99, -1, None):
+        with pytest.raises(KeyNotFound):
+            tree.delete(payload)
         assert tree.audit() is None
-        assert sorted(tree.leaf_by_payload) == [0, 1, 3]
+        assert tree.root is root and tree.size == 6
+        assert tree.leaf_by_payload == index
+        assert all(tree.leaf_by_payload[oid] is leaf for oid, leaf in index.items())
+        assert [(v.key, v.height, v.color, v.ymax, v.ymin) for v in nodes(tree)] == shape
 
 
 def test_delete_from_three_leaf_tree_matches_recompute():
@@ -177,7 +174,7 @@ def test_delete_from_three_leaf_tree_matches_recompute():
     insert_obj(tree, 2, 2.0, 20.0)
     insert_obj(tree, 3, 3.0, 15.0)
     before = snapshot(tree)
-    log = tree.delete(xk(2.0, 2))
+    log = tree.delete(2)
     assert tree.audit() is None
     assert_log_covers_changes(tree, before, log)
     assert tree.root.ymax.tiebreak == 3
@@ -205,7 +202,7 @@ def test_interleaved_updates_pass_full_audit_and_log_bound():
             if live and rng.random() < 0.5:
                 oid = rng.choice(sorted(live))
                 before = snapshot(tree)
-                log = tree.delete(live.pop(oid))
+                log = tree.delete(live.pop(oid).tiebreak)
             else:
                 oid = next_id
                 next_id += 1
@@ -263,7 +260,7 @@ def test_random_operation_sequences_stay_consistent(ops):
         if is_delete and live:
             oid = sorted(live)[x % len(live)]
             before = snapshot(tree)
-            log = tree.delete(live.pop(oid))
+            log = tree.delete(live.pop(oid).tiebreak)
         else:
             oid = next_id
             next_id += 1

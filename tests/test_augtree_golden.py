@@ -26,7 +26,7 @@ def stream_logs(seed: int = 17):
     for oid in range(UPDATES):
         if live and (rng.random() < 0.45 or len(live) > 300):
             key = live.pop(rng.randrange(len(live)))
-            log = tree.delete(key)
+            log = tree.delete(key.tiebreak)
         else:
             key = KeyOrder(float(rng.randrange(400)), oid)  # repeated coordinates
             y = rng.randrange(100)

@@ -52,7 +52,7 @@ def combined_cf_1d(engine):
 
 def combined_cf_2d(engine):
     colored = [(engine.objects[o], c) for o, c in engine.actual.items()]
-    return check_cf_rect_ranges(colored, samples=4000)
+    return check_cf_rect_ranges(colored)
 
 
 # -- semi-dynamic hand traces --------------------------------------------------
@@ -258,9 +258,9 @@ def test_full_2d_mixed_workload():
             live.append(nid)
             nid += 1
         if step % 40 == 0:
-            assert e.check_invariants(unimax_limit=24) is None
+            assert e.check_invariants() is None
             assert combined_cf_2d(e) is None
-    assert e.check_invariants(unimax_limit=24) is None
+    assert e.check_invariants() is None
 
 
 def test_full_color_budget_rect_colorer():

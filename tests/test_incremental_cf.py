@@ -8,7 +8,7 @@ import pytest
 
 from cfcolor.geom import AxisRect, Pt
 from cfcolor.harness import generate_workload, make_structure
-from cfcolor.oracle import IncrementalCF, check_cf, check_unimax_rect_ranges
+from cfcolor.oracle import IncrementalCF, check_cf, check_cf_rect_ranges
 from cfcolor.unimax import RectPointColorer
 from reference import colored_rects
 
@@ -175,7 +175,7 @@ def test_sampled_rect_ranges_memory_stays_bounded():
     colored = [(pts[oid], c) for oid, c in RectPointColorer(pts).colors.items()]
     tracemalloc.start()
     try:
-        assert check_unimax_rect_ranges(colored, samples=4096, seed=0) is None
+        assert check_cf_rect_ranges(colored) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 import random
@@ -13,6 +14,7 @@ from cfcolor.anchored import AnchoredCF
 from cfcolor.augtree import AugTree
 from cfcolor.cells import NE, NW, SE, SW
 from cfcolor.geom import AxisRect, GlobalColor, KeyOrder, Pt
+from cfcolor.unimax import RectPointColorer
 from cfcolor import oracle
 from cfcolor.oracle import (
     check_cf,
@@ -235,26 +237,26 @@ def test_rect_ranges_sampled_path_finds_planted_violation():
     # plant two same-colored points very close together, far from the rest
     pts.append((Pt(500.0, 500.0), 99))
     pts.append((Pt(500.5, 500.5), 99))
-    w = check_cf_rect_ranges(pts, samples=60_000, seed=1)
+    w = check_cf_rect_ranges(pts)
     assert w is not None
 
 
 def test_rect_ranges_sampled_path_accepts_distinct_colors():
     rng = random.Random(4)
     pts = [(Pt(rng.random() * 100, rng.random() * 100), k) for k in range(60)]
-    assert check_cf_rect_ranges(pts, samples=20_000, seed=1) is None
-    assert check_unimax_rect_ranges(pts, samples=20_000, seed=1) is None
+    assert check_cf_rect_ranges(pts) is None
+    assert check_unimax_rect_ranges(pts) is None
 
 
-def _sampled_ranges_reference(points, samples, seed, unimax):
+def _sampled_ranges_reference(points):
     """The same seeded ranges as the sampled path, each checked on its own."""
     px = np.array([p.x for p, _ in points])
     py = np.array([p.y for p, _ in points])
     xs, ys = np.unique(px), np.unique(py)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     done = 0
-    while done < samples:
-        b = min(4096, samples - done)
+    while done < oracle.SAMPLED_RANGES:
+        b = min(4096, oracle.SAMPLED_RANGES - done)
         done += b
         ax = np.sort(rng.integers(0, len(xs), size=(b, 2)), axis=1)
         ay = np.sort(rng.integers(0, len(ys), size=(b, 2)), axis=1)
@@ -264,7 +266,7 @@ def _sampled_ranges_reference(points, samples, seed, unimax):
                            if box[0] <= p.x <= box[1] and box[2] <= p.y <= box[3])
             if not cover:
                 continue
-            if cover.count(cover[-1]) != 1 if unimax else 1 not in Counter(cover).values():
+            if 1 not in Counter(cover).values():
                 return box, cover
     return None
 
@@ -272,19 +274,20 @@ def _sampled_ranges_reference(points, samples, seed, unimax):
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 999)),
                 min_size=1, max_size=20),
-       st.sampled_from([3, 1000]), st.integers(0, 5), st.booleans())
-def test_sampled_rect_ranges_agree_with_per_range_reference(raw, palette, seed, unimax):
+       st.sampled_from([3, 1000]))
+def test_sampled_rect_ranges_agree_with_per_range_reference(raw, palette):
     points = [(Pt(float(x), float(y)), c % palette) for x, y, c in raw]
-    w = oracle._sampled_rect_ranges(points, 4500, seed, unimax=unimax)
-    want = _sampled_ranges_reference(points, 4500, seed, unimax)
+    w = oracle._sampled_rect_ranges(points)
+    want = _sampled_ranges_reference(points)
     assert (None if w is None else (w.probe, w.colors)) == want
 
 
 def test_sampled_unimax_sees_a_repeated_maximum():
-    # the maximum 5 is seen first and repeats; the lower 3 is unique
+    # the maximum 5 is seen first and repeats; the lower 3 is unique.  Past
+    # EXHAUSTIVE_2D_LIMIT points, which the unimax check covers exactly too
     pts = [(Pt(0.0, 0.0), 5), (Pt(1.0, 1.0), 5), (Pt(0.5, 0.5), 3)]
     pts += [(Pt(10.0 + i, 10.0 + i), 100 + i) for i in range(45)]
-    w = check_unimax_rect_ranges(pts, samples=20_000, seed=0)
+    w = check_unimax_rect_ranges(pts)
     assert w is not None and w.colors == [3, 5, 5]
 
 
@@ -347,8 +350,8 @@ def test_definitional_matches_brute_force_on_tied_random_trees(seed):
     for oid in range(40):
         if live and rng.random() < 0.3:
             east_key, west_key = live.pop(rng.randrange(len(live)))
-            east.delete(east_key)
-            west.delete(west_key)
+            east.delete(east_key.tiebreak)
+            west.delete(west_key.tiebreak)
         # few distinct coordinates, so keys and summaries tie on them
         ymax = KeyOrder(float(rng.randrange(4)), oid)
         ymin = KeyOrder(float(rng.randrange(4)), oid)
@@ -395,7 +398,7 @@ def test_sampled_witness_prints_plain_numbers():
     # a corrupted coloring past the exhaustive limit: every point one color
     rng = random.Random(5)
     pts = [(Pt(rng.random() * 10, rng.random() * 10), 0) for _ in range(50)]
-    w = check_cf_rect_ranges(pts, samples=1000, seed=0)
+    w = check_cf_rect_ranges(pts)
     assert w is not None
     assert "np." not in str(w)
     assert all(type(v) is float for v in w.probe)
@@ -404,6 +407,44 @@ def test_sampled_witness_prints_plain_numbers():
 def _colored_grid_points(rng, n, grid):
     """n points on a small grid (so coordinates repeat) with distinct colors."""
     return [(Pt(float(rng.randrange(grid)), float(rng.randrange(grid))), k) for k in range(n)]
+
+
+def _unimax_rect_brute_force(points) -> bool:
+    """Whether some canonical rectangle, rebuilt from scratch, covers a
+    repeated maximum color."""
+    xs = sorted({p.x for p, _ in points})
+    ys = sorted({p.y for p, _ in points})
+    for xlo, xhi in itertools.combinations_with_replacement(xs, 2):
+        for ylo, yhi in itertools.combinations_with_replacement(ys, 2):
+            cover = [c for p, c in points if xlo <= p.x <= xhi and ylo <= p.y <= yhi]
+            if cover and cover.count(max(cover)) != 1:
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=41, max_size=60),
+       st.sampled_from(["palette", "colorer", "colorer with a copied color"]),
+       st.integers(0, 10**6))
+def test_unimax_rect_ranges_exact_past_the_exhaustive_limit(cells, coloring, seed):
+    """Past EXHAUSTIVE_2D_LIMIT points on a 7x7 grid, so coordinates tie and
+    there are at most 784 canonical rectangles, the unimax check fails
+    exactly when a brute force over every canonical rectangle does."""
+    assert len(cells) > oracle.EXHAUSTIVE_2D_LIMIT
+    rng = random.Random(seed)
+    pts = {oid: Pt(float(x), float(y)) for oid, (x, y) in enumerate(cells)}
+    if coloring == "palette":
+        colors = {oid: rng.randrange(4) for oid in pts}
+    else:
+        colors = dict(RectPointColorer(pts).colors)
+        if coloring == "colorer with a copied color":
+            colors[rng.choice(list(pts))] = colors[rng.choice(list(pts))]
+    points = [(pts[oid], colors[oid]) for oid in pts]
+    w = check_unimax_rect_ranges(points)
+    assert (w is not None) == _unimax_rect_brute_force(points)
+    assert w == exhaustive_rect_ranges(points, unimax=True)
+    if coloring == "colorer":
+        assert w is None
 
 
 @pytest.mark.parametrize("unimax", [False, True])

@@ -146,8 +146,8 @@ def test_same_class_bounded_cells_disjoint():
         y1 = rng.uniform(0, 20)
         s.insert(rect(x1, x1 + rng.uniform(1, 1.5), y1, y1 + rng.uniform(1, 1.5), oid))
     by_class: dict[int, list] = {}
-    for key, cell in s.cells.items():
-        by_class.setdefault(s.class_tag(*key), []).append(cell)
+    for cell in s.cells.values():
+        by_class.setdefault(cell.tag, []).append(cell)
     for cells in by_class.values():
         for a in cells:
             for b in cells:

@@ -6,7 +6,7 @@ import pytest
 from cfcolor.anchored import AnchoredCF
 from cfcolor.geom import AxisRect, DuplicateId, GlobalColor, Pt, UnknownId
 from cfcolor.oracle import check_cf
-from cfcolor.squares import GridSquareCF, PinnedSquareCF, class_tag, route_square, unit_square
+from cfcolor.squares import GridSquareCF, PinnedSquareCF, unit_square
 from reference import (category_heights, check_cf_probes, colored_rects, pinned_color,
                        recompute_pinned_square_colors)
 
@@ -16,16 +16,17 @@ def sq(x, y, oid):
 
 
 def test_routing_lexicographically_smallest_grid_point():
-    assert route_square(sq(0.3, 0.4, 0)) == (1, 1)
-    assert route_square(sq(0.0, 0.0, 0)) == (0, 0)  # contains four grid points
-    assert route_square(sq(-0.5, 2.25, 0)) == (0, 3)
+    cell_key = GridSquareCF().cell_key
+    assert cell_key(sq(0.3, 0.4, 0)) == (1, 1)
+    assert cell_key(sq(0.0, 0.0, 0)) == (0, 0)  # contains four grid points
+    assert cell_key(sq(-0.5, 2.25, 0)) == (0, 3)
 
 
 def test_first_square_gets_color_zero_and_class():
     s = GridSquareCF()
     diff = s.insert(sq(0.3, 0.4, 0))
     assert (1, 1) in s.cells
-    assert diff.assigned == (0, GlobalColor(class_tag(1, 1), 0))
+    assert diff.assigned == (0, GlobalColor(4, 0))  # class (1 mod 3, 1 mod 3)
     assert diff.recolorings == 0
 
 
@@ -112,8 +113,8 @@ def test_same_class_cells_never_intersect():
     for oid in range(300):
         s.insert(sq(rng.uniform(0, 12), rng.uniform(0, 12), oid))
     by_class: dict[int, list] = {}
-    for key, cell in s.cells.items():
-        by_class.setdefault(class_tag(*key), []).append(cell)
+    for cell in s.cells.values():
+        by_class.setdefault(cell.tag, []).append(cell)
     for cells in by_class.values():
         for a in cells:
             for b in cells:

@@ -131,9 +131,9 @@ def test_chain_bound_random_instances():
 # -- rectangle colorer ----------------------------------------------------------
 
 def test_single_point_one_chain():
-    c = RectPointColorer({0: Pt(1, 1)})
-    assert c.colors == {0: 0}
-    assert len(c.chains) == 1
+    pts = {0: Pt(1, 1)}
+    assert RectPointColorer(pts).colors == {0: 0}
+    assert len(chain_decompose(pts)) == 1
 
 
 def test_small_sets_unimax_over_all_canonical_rectangles():
@@ -176,7 +176,7 @@ def test_monotone_input_palette_budget_holds():
     for n in (2, 3, 4, 8, 16, 17):
         pts = {i: Pt(float(i), float(i)) for i in range(n)}
         c = RectPointColorer(pts)
-        assert len(c.chains) == 1
+        assert len(chain_decompose(pts)) == 1
         assert c.palette_used <= 2 * math.ceil(math.sqrt(n)) * max(1, math.ceil(math.log2(n)))
 
 
