@@ -67,9 +67,7 @@ def _pairs(view):
 
 def _final_state(name):
     *_, adapter = _replayed(name)
-    if adapter.framework_info() is None:
-        return _pairs(adapter.structure.colored_objects())
-    return [(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
+    return _pairs(adapter.structure.colored_objects())
 
 
 @pytest.mark.parametrize("name", ["squares-200", "bounded-200", "anchored-700"])
@@ -115,8 +113,7 @@ def test_per_step_check_cf(benchmark, name, checker):
 def test_per_step_check_cf_intervals(benchmark):
     """check_cf_intervals on the final coloring after each event of the
     full-1d-150 replay."""
-    steps = [[(adapter.structure.objects[o], c) for o, c in adapter.structure.actual.items()]
-             for adapter in _replayed("full-1d-150")]
+    steps = [_pairs(adapter.structure.colored_objects()) for adapter in _replayed("full-1d-150")]
 
     def replay():
         return [check_cf_intervals(colored) for colored in steps]
@@ -186,7 +183,7 @@ def test_per_step_verification(benchmark, name):
     def replay():
         if name.startswith("full-1d"):
             return [(s.check_invariants(), len(s.global_colors()),
-                     check_cf_intervals([(s.objects[o], c) for o, c in s.actual.items()]))
+                     check_cf_intervals(list(s.live.values())))
                     for s in states]
         cf = IncrementalCF()
         out = []

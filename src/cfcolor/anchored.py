@@ -13,8 +13,8 @@ exact.
 
 from __future__ import annotations
 
-from .cells import NE, DirectionalCell, tuple_new
-from .geom import AxisRect, KeyOrder, Pt
+from .cells import NE, DirectionalCell
+from .geom import AxisRect, KeyOrder, Pt, tuple_new
 
 ANCHORED_SCHEME_TAG = 0
 

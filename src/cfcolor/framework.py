@@ -6,16 +6,17 @@ color set C(i, t) plus the machinery to migrate objects toward it a few
 recolorings at a time.
 
 An engine keeps the sets as a list, `levels`: levels[i] is S_i's Piece, or
-None while S_i is empty.  A Piece is the final colorer over all members,
-the subset `star` already wearing final colors, an optional pinned object
-(the insertion that created the migration, always worn final), and child
-Pieces carrying the temporary colorings the remaining members still wear.
-A settled set is a Piece with star == members and no children.  Upward
-migrations absorb settled pieces as children; the downward migration of
-the last set may absorb pieces frozen mid-upward-migration, which keeps
-the recursion depth bounded.  No set state is stored: set_states() reads
-EMPTY for None, SETTLED for a piece without an order, and otherwise the
-piece's migration direction, UP or DOWN.
+None while S_i is empty.  A Piece is the final colorer, whose colors dict
+is keyed by the set's members, and, while the set migrates, the subset
+`star` already wearing final colors, an optional pinned object (the
+insertion that created the migration, always worn final), and child Pieces
+carrying the temporary colorings the remaining members still wear.  A
+settled set's Piece keeps none of these.  Upward migrations absorb settled
+pieces as children; the downward migration of the last set may absorb
+pieces frozen mid-upward-migration, which keeps the recursion depth
+bounded.  No set state is stored: set_states() reads EMPTY for None,
+SETTLED for a piece without an order, and otherwise the piece's migration
+direction, UP or DOWN.
 
 Apart from the pinned object, the star is always a prefix of the members
 in (-final color, id) order.  A migrating or frozen Piece keeps that order
@@ -24,7 +25,7 @@ set(order[:cut]) | {pinned}.  A migration step takes the entry at the cut
 (skipping the pinned object) and advances it, in O(1).  A weak deletion
 changes at most a few final colors, so the star repair re-sorts only those
 members and compares the old and new stars only near the new cut.
-Settled pieces drop the order: they never migrate or repair again.
+Settling drops the star, the order and the pinned object for good.
 
 One insertion serves both engines: merge the sets below the first empty
 one, plus the new object, into S_j with j = ceil(log2(merged size)),
@@ -129,12 +130,13 @@ class Piece:
     An engine's levels[i] is S_i's piece; a child holds the temporary
     coloring of members that have not migrated yet.
 
-    `colors` is the colorer's own colors dict, bound once: the colorer
-    updates it in place, and the hot paths read it directly.
+    `colors`, keyed by the members, is the colorer's own colors dict, bound
+    once: the colorer updates it in place, and the hot paths read it directly.
 
-    While the piece migrates or is frozen, `order` lists the members by
-    rank(colors) and star == set(order[:cut]) | {pinned}; a settled piece
-    has order None.  `direction`, UP or DOWN, is the migration that opened
+    `star`, `order` and `pinned` exist only while the piece migrates or is
+    frozen: then `order` lists the members by rank(colors) and star ==
+    set(order[:cut]) | {pinned}.  A settled piece has all three None and
+    no children.  `direction`, UP or DOWN, is the migration that opened
     the piece, and means something only while the order is kept: S_i's
     state is SETTLED when its piece has no order, and its direction otherwise.
 
@@ -145,8 +147,7 @@ class Piece:
     palette: PaletteKey
     colorer: object
     colors: dict[ObjectId, int]
-    members: set[ObjectId]
-    star: set[ObjectId]
+    star: set[ObjectId] | None
     pinned: ObjectId | None
     direction: str
     children: list["Piece"] = field(default_factory=list)
@@ -178,15 +179,14 @@ class _EngineBase:
         self.range_checker = range_checker  # (points, colors) -> Witness | None
         self.pool = PalettePool()
         self.levels: list[Piece | None] = [None]
-        self.objects: dict[ObjectId, object] = {}
-        self.locate: dict[ObjectId, int] = {}
-        self.actual: dict[ObjectId, GlobalColor] = {}
+        self.live: dict[ObjectId, tuple] = {}  # id -> (point, worn GlobalColor)
+        self.locate: dict[ObjectId, int] = {}  # id -> index of the level holding it
         self.total_recolorings = 0
 
     # -- views ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.live)
 
     @property
     def ell(self) -> int:
@@ -197,12 +197,11 @@ class _EngineBase:
                 for piece in self.levels]
 
     def global_colors(self) -> dict[ObjectId, GlobalColor]:
-        return dict(self.actual)
+        return {oid: color for oid, (_, color) in self.live.items()}
 
     def colored_objects(self) -> list[tuple[ObjectId, tuple]]:
-        """(id, (object, color)) per live object, in actual's order."""
-        actual = self.actual
-        return list(zip(actual, zip(map(self.objects.__getitem__, actual), actual.values())))
+        """(id, (object, color)) per live object, in insertion order."""
+        return list(self.live.items())
 
     def audited_view(self) -> tuple[ViolationReport | None, list]:
         """check_invariants() and colored_objects(), whatever the verdict."""
@@ -211,9 +210,9 @@ class _EngineBase:
     # -- piece helpers ---------------------------------------------------------
 
     def _resolve(self, piece: Piece, oid: ObjectId) -> GlobalColor:
-        while oid not in piece.star:
+        while piece.star is not None and oid not in piece.star:
             for child in piece.children:
-                if oid in child.members:
+                if oid in child.colors:
                     piece = child
                     break
             else:
@@ -227,12 +226,11 @@ class _EngineBase:
 
     def _settle_if_done(self, piece: Piece) -> None:
         # the star is a subset of the members
-        if len(piece.star) == len(piece.members):
+        if piece.star is not None and len(piece.star) == len(piece.colors):
             for ch in piece.children:
                 self._release_piece(ch)
             piece.children = []
-            piece.pinned = None
-            piece.order = None
+            piece.star = piece.order = piece.pinned = None
 
     def _progress_one(self, piece: Piece) -> set[ObjectId]:
         """Recolor the pending object with maximal final color (ties: lowest
@@ -298,16 +296,15 @@ class _EngineBase:
             # sets the cut afresh
             key = rank(piece.colors)
             del order[bisect_left(order, key(oid), key=key)]
-        piece.members.remove(oid)
-        piece.star.discard(oid)
-        if piece.pinned == oid:
-            piece.pinned = None
+            piece.star.discard(oid)
+            if piece.pinned == oid:
+                piece.pinned = None
         cands: set[ObjectId] = set()
         # temporary coloring first (the hosting child), then the final coloring
-        child = next((c for c in piece.children if oid in c.members), None)
+        child = next((c for c in piece.children if oid in c.colors), None)
         if child is not None:
             cands |= self._piece_delete(child, oid)
-            if not child.members:
+            if not child.colors:
                 piece.children.remove(child)
                 self._release_piece(child)
         changed_final = piece.colorer.weak_delete(oid)
@@ -316,56 +313,51 @@ class _EngineBase:
             cands |= self._repair_cut(piece, changed_final)
         else:
             # every member wears its final color: the piece has settled
-            piece.order = None
+            piece.star = piece.order = piece.pinned = None
         return cands
 
     def _reconcile(self, cands: set[ObjectId], diff: RecolorDiff,
                    assigned: ObjectId | None = None) -> None:
-        objects, levels, locate, actual = self.objects, self.levels, self.locate, self.actual
+        live, levels, locate = self.live, self.levels, self.locate
         resolve = self._resolve
         changed = diff.changed
         for oid in sorted(cands):
-            if oid not in objects:
+            entry = live.get(oid)
+            if entry is None:
                 continue
+            point, old = entry
             new = resolve(levels[locate[oid]], oid)
             if oid == assigned:
-                actual[oid] = new
+                live[oid] = (point, new)
                 diff.assigned = (oid, new)
-            else:
-                old = actual.get(oid)
-                if old != new:
-                    actual[oid] = new
-                    changed[oid] = (old, new)
+            elif old != new:
+                live[oid] = (point, new)
+                changed[oid] = (old, new)
         self.total_recolorings += len(changed)
 
-    def _take_levels(self, lo: int, hi: int) -> tuple[list[Piece], set[ObjectId]]:
-        """Empty levels lo..hi-1: their non-empty pieces, lowest level
-        first, and the union of their members."""
+    def _take_levels(self, lo: int, hi: int) -> list[Piece]:
+        """Empty levels lo..hi-1: their non-empty pieces, lowest level first."""
         pieces: list[Piece] = []
-        members: set[ObjectId] = set()
         for piece in self.levels[lo:hi]:
             if piece is not None:
-                if piece.members:
+                if piece.colors:
                     pieces.append(piece)
-                    members |= piece.members
                 else:
                     self._release_piece(piece)
         self.levels[lo:hi] = [None] * (hi - lo)
-        return pieces, members
+        return pieces
 
     def _open(self, index: int, direction: str, palette: PaletteKey, colorer,
-              members: set[ObjectId], children: list[Piece],
-              pinned: ObjectId | None = None) -> None:
-        """Start a migration of `members` at levels[index] toward the colorer's coloring."""
+              children: list[Piece], pinned: ObjectId | None = None) -> None:
+        """Start a migration of the colorer's points at levels[index] toward its coloring."""
         colors = colorer.colors
         # by id, then stably by falling color: the order rank(colors) gives
-        order = sorted(members)
+        order = sorted(colors)
         order.sort(key=colors.__getitem__, reverse=True)
         piece = self.levels[index] = Piece(
-            palette, colorer, colors, members, star=set() if pinned is None else {pinned},
+            palette, colorer, colors, star=set() if pinned is None else {pinned},
             pinned=pinned, direction=direction, children=children, order=order)
-        for o in members:
-            self.locate[o] = index
+        self.locate.update(dict.fromkeys(colors, index))
         self._settle_if_done(piece)
 
     # -- updates ------------------------------------------------------------------
@@ -373,7 +365,7 @@ class _EngineBase:
     def insert(self, oid: ObjectId, obj) -> RecolorDiff:
         """Merge the sets below the first empty one, plus oid, into S_j with
         j = ceil(log2(merged size)), then advance every migrating set."""
-        if oid in self.objects:
+        if oid in self.live:
             raise DuplicateId(oid)
         self.colorer_cls.check_point(obj)
         levels = self.levels
@@ -382,7 +374,8 @@ class _EngineBase:
         for piece in below:
             if piece.order is not None:
                 raise InvariantBroken("sets below the first empty one must be non-empty and settled")
-        points = {o: self.objects[o] for piece in below for o in piece.members}
+        live = self.live
+        points = {o: live[o][0] for piece in below for o in piece.colors}
         points[oid] = obj
         j = ceil_log2(len(points))
         colorer = self.colorer_cls(points)
@@ -390,12 +383,9 @@ class _EngineBase:
 
         if i == len(levels):
             levels.append(None)
-        # members by union, not set(points): at a merge of 2**k points, about
-        # half the table size
-        children, members = self._take_levels(0, i)
-        members.add(oid)
-        self.objects[oid] = obj
-        self._open(j, UP, palette, colorer, members, children, pinned=oid)
+        children = self._take_levels(0, i)
+        live[oid] = (obj, None)  # _reconcile below assigns its color
+        self._open(j, UP, palette, colorer, children, pinned=oid)
         # when the merge consumed every set, the merged one is the new last set
         while len(levels) > j + 1 and levels[-1] is None:
             levels.pop()
@@ -419,53 +409,53 @@ class _EngineBase:
         most UNIMAX_CHECK_LIMIT members whose pair is not the last that
         passed."""
         seen_palettes: set[PaletteKey] = set()
+        live = self.live
 
         def walk(piece: Piece) -> ViolationReport | None:
             if piece.palette in seen_palettes:
                 return ViolationReport(None, f"palette {piece.palette} used twice")
             seen_palettes.add(piece.palette)
-            colors = piece.colors
-            if set(colors) != piece.members:
-                return ViolationReport(None, "final coloring out of sync with members")
-            if not piece.star <= piece.members:
+            colors, star, order = piece.colors, piece.star, piece.order
+            if (star is None) != (order is None):
+                return ViolationReport(None, "piece keeps a star but no migration order"
+                                       if order is None else "piece keeps an order but no star")
+            if bool(piece.children) == (order is None):
+                return ViolationReport(None, "piece with children keeps no migration order"
+                                       if order is None else
+                                       "piece without children keeps a migration order")
+            if star is not None and not star <= colors.keys():
                 return ViolationReport(None, "star not a subset of members")
-            if piece.pinned is not None and piece.pinned not in piece.star:
-                return ViolationReport(None, "pinned object not wearing final color")
+            if piece.pinned is not None and (star is None or piece.pinned not in star):
+                return ViolationReport(None, "pinned object outside the star")
             hosted: set[ObjectId] = set()
             for ch in piece.children:
-                if hosted & ch.members:
+                if not hosted.isdisjoint(ch.colors):
                     return ViolationReport(None, "children overlap")
-                hosted |= ch.members
+                hosted.update(ch.colors)
                 bad = walk(ch)
                 if bad is not None:
                     return bad
             levels_used = [ch.level for ch in piece.children]
             if len(set(levels_used)) != len(levels_used):
                 return ViolationReport(None, "two children share a color-set level")
-            extra = piece.members - hosted
+            extra = colors.keys() - hosted
             allowed_extra = {piece.pinned} if piece.pinned is not None else set()
             if piece.children and not extra <= allowed_extra:
                 return ViolationReport(
                     None, "Inv-C-Mig-2: member without a temporary color is not the pinned one")
-            order = piece.order
-            if piece.children and order is None:
-                return ViolationReport(None, "piece with children keeps no migration order")
-            if not piece.children and piece.star != piece.members:
-                return ViolationReport(None, "settled piece with unworn members")
             if order is not None:
-                if len(order) != len(piece.members) or set(order) != piece.members:
+                if len(order) != len(colors) or set(order) != colors.keys():
                     return ViolationReport(
                         None, "migration order is not a permutation of the members")
                 # one pairwise pass, no sort
                 keys = list(map(rank(colors), order))
                 if any(map(tuple.__gt__, keys, keys[1:])):
                     return ViolationReport(None, "migration order not sorted by final color")
-                if set(order[:piece.cut]) | allowed_extra != piece.star:
+                if set(order[:piece.cut]) | allowed_extra != star:
                     return ViolationReport(None, "Inv-C-Mig-2: star is not the migration "
                                            "order's prefix plus the pinned object")
-            if (self.range_checker is not None
-                    and len(piece.members) <= UNIMAX_CHECK_LIMIT and piece.members):
-                pair = ({o: self.objects[o] for o in piece.members}, dict(colors))
+            if self.range_checker is not None and 0 < len(colors) <= UNIMAX_CHECK_LIMIT:
+                pair = ({o: live[o][0] for o in colors}, dict(colors))
                 if pair != piece.checked:
                     witness = self.range_checker(*pair)
                     if witness is not None:
@@ -479,48 +469,44 @@ class _EngineBase:
                 bad = walk(piece)
                 if bad is not None:
                     return bad
-                if not piece.members:
+                if not piece.colors:
                     return ViolationReport(None, f"level {i} holds an empty piece")
-                # walk passed, so a piece without children has star == members
-                if piece.order is not None and not piece.children:
-                    return ViolationReport(None, f"level {i} migration already complete")
         if seen_palettes != self.pool.in_use:
             return ViolationReport(None, "palette pool out of sync with live colorings")
         # Counter equality treats a level whose load fell to 0 as absent
         if Counter(self.pool.load) != Counter(lv for lv, _ in seen_palettes):
             return ViolationReport(None, "palette pool level loads out of sync")
-        if self.locate.keys() != self.objects.keys():
+        if self.locate.keys() != live.keys():
             return ViolationReport(None, "locate out of sync with the live objects")
-        if self.actual.keys() != self.objects.keys():
-            return ViolationReport(None, "actual colors out of sync with the live objects")
         # every member's level and resolved color, in one top-down pass; the
         # per-object loop below runs only to word a mismatch
         locate: dict[ObjectId, int] = {}
-        actual: dict[ObjectId, tuple[int, int]] = {}
+        worn: dict[ObjectId, tuple[int, int]] = {}
         resolved = True
         for i, piece in enumerate(self.levels):
             if piece is not None:
-                locate.update(dict.fromkeys(piece.members, i))
-                resolved = resolved and _resolve_all(piece, piece.members, actual)
+                locate.update(dict.fromkeys(piece.colors, i))
+                resolved = resolved and _resolve_all(piece, piece.colors, worn)
         # a plain (tag, color) tuple equals the GlobalColor of the same values
-        if resolved and locate == self.locate and actual == self.actual:
+        if resolved and locate == self.locate and worn == self.global_colors():
             return None
         for oid, i in self.locate.items():
             piece = self.levels[i] if 0 <= i < len(self.levels) else None
-            if piece is None or oid not in piece.members:
+            if piece is None or oid not in piece.colors:
                 return ViolationReport(
                     None, f"locate puts {oid} at level {i}, which does not hold it")
-            if self._resolve(piece, oid) != self.actual[oid]:
-                return ViolationReport(None, f"actual color of {oid} out of sync")
+            if self._resolve(piece, oid) != live[oid][1]:
+                return ViolationReport(None, f"worn color of {oid} out of sync")
         return None
 
 
 def _resolve_all(piece: Piece, todo, out: dict) -> bool:
     """Put in out the color _EngineBase._resolve(piece, o) gives each o of
     todo, as a (tag, color) tuple; False if one has no hosting child."""
-    star = piece.star
     tag = piece.tag
     colors = piece.colors
+    # a settled piece keeps no star: every member wears its final color
+    star = colors if piece.star is None else piece.star
     rest = []
     for o in todo:
         if o in star:
@@ -530,7 +516,7 @@ def _resolve_all(piece: Piece, todo, out: dict) -> bool:
     for ch in piece.children:
         if not rest:
             break
-        members = ch.members
+        members = ch.colors
         hosted = [o for o in rest if o in members]
         if hosted and not _resolve_all(ch, hosted, out):
             return False
@@ -546,15 +532,15 @@ class SemiDynamicEngine(_EngineBase):
         return ell - level
 
     def _insert_bound(self) -> int:
-        return ceil_log2(len(self.objects))
+        return ceil_log2(len(self.live))
 
     def check_invariants(self) -> ViolationReport | None:
         for i, (piece, state) in enumerate(zip(self.levels, self.set_states())):
             if state not in (EMPTY, SETTLED, UP):
                 return ViolationReport(None, f"level {i} in state {state}")
-            if piece is not None and len(piece.members) != 2 ** i:
+            if piece is not None and len(piece.colors) != 2 ** i:
                 return ViolationReport(
-                    None, f"level {i} holds {len(piece.members)} != 2^{i} objects")
+                    None, f"level {i} holds {len(piece.colors)} != 2^{i} objects")
         return self._check_pieces()
 
 
@@ -570,28 +556,27 @@ class FullyDynamicEngine(_EngineBase):
         return 2 * (self.ell + 1)
 
     def delete(self, oid: ObjectId) -> RecolorDiff:
-        if oid not in self.objects:
+        if oid not in self.live:
             raise UnknownId(oid)
         i = self.locate[oid]
         piece = self.levels[i]
         last = self.ell
-        at_minimum = (i == last and len(piece.members) == 2 ** (last - 2)
+        at_minimum = (i == last and len(piece.colors) == 2 ** (last - 2)
                       and last >= 2)
-        old_color = self.actual[oid]
+        old_color = self.live[oid][1]
         cands: set[ObjectId] = set()
 
         if not at_minimum:
             cands |= self._piece_delete(piece, oid)
-            if not piece.members:
+            if not piece.colors:
                 self._take_levels(i, i + 1)
             else:
                 self._settle_if_done(piece)
         else:
             cands |= self._merge_last_three(oid)
 
-        del self.objects[oid]
+        del self.live[oid]
         del self.locate[oid]
-        del self.actual[oid]
 
         # two recolorings in the last set when the deletion touched it
         last_piece = self.levels[-1]
@@ -601,7 +586,7 @@ class FullyDynamicEngine(_EngineBase):
         diff = RecolorDiff()
         self._reconcile(cands - {oid}, diff)
         diff.removed = (oid, old_color)
-        r = self.colorer_cls.max_recolorings(len(self.objects) + 1)
+        r = self.colorer_cls.max_recolorings(len(self.live) + 1)
         if diff.recolorings > 6 * r + 2:
             raise BoundExceeded("recoloring bound per deletion exceeded")
         return diff
@@ -614,21 +599,21 @@ class FullyDynamicEngine(_EngineBase):
             raise InvariantBroken(
                 "last set must not be in migration when a downward migration starts")
         cands = self._piece_delete(last, oid)
-        parts, members = self._take_levels(ell_prime - 2, ell_prime + 1)
-        if not members:
+        parts = self._take_levels(ell_prime - 2, ell_prime + 1)
+        if not parts:
             # the engine emptied out entirely
-            if self.objects.keys() != {oid}:
+            if self.live.keys() != {oid}:
                 raise InvariantBroken("no set holds a member, but other objects are live")
             self.levels = [None]
             return cands
 
-        fits = len(members) <= 2 ** (ell_prime - 1)
-        if fits:
+        points = {o: self.live[o][0] for piece in parts for o in piece.colors}
+        if len(points) <= 2 ** (ell_prime - 1):
             self.levels.pop()
         target = self.ell
-        colorer = self.colorer_cls({o: self.objects[o] for o in members})
+        colorer = self.colorer_cls(points)
         palette = self.pool.allocate(target, target + 1)
-        self._open(target, DOWN, palette, colorer, members, parts)
+        self._open(target, DOWN, palette, colorer, parts)
         return cands
 
     def check_invariants(self) -> ViolationReport | None:
@@ -636,11 +621,11 @@ class FullyDynamicEngine(_EngineBase):
         for i, (piece, state) in enumerate(zip(self.levels, self.set_states())):
             if state == DOWN and i != last:
                 return ViolationReport(None, "downward migration below the last set")
-            if i < last and piece is not None and len(piece.members) > 2 ** i:
+            if i < last and piece is not None and len(piece.colors) > 2 ** i:
                 return ViolationReport(None, f"Inv-S: level {i} over capacity")
-        last_size = len(self.levels[-1].members) if self.levels[-1] is not None else 0
+        last_size = len(self.levels[-1].colors) if self.levels[-1] is not None else 0
         if last_size > 2 ** last:
             return ViolationReport(None, "Inv-S: last set over capacity")
-        if len(self.objects) > 1 and last_size < 2 ** (last - 2):
+        if len(self.live) > 1 and last_size < 2 ** (last - 2):
             return ViolationReport(None, "Inv-S: last set below quarter capacity")
         return self._check_pieces()

@@ -224,15 +224,16 @@ class IncrementalCF:
     The input is one (id, (rectangle, color)) pair per rectangle, read as
     check_cf reads it, and the snapshot is the last passing input as a
     dict.  Let D be the old and new entries of the ids whose entry
-    changed, appeared or disappeared since.  A point outside every rectangle of D has the colored cover it
-    had then, so it is still fine, and any violation lies in B, the
-    bounding box of D.  Clipped to B, the rectangles that meet it cover
-    each point of B as before and nothing else, so sweeping them finds a
-    violation exactly when sweeping all of them does.  The first call, a
-    call after a failing one and a call whose input repeats an id sweep
-    everything, and so does one whose clipped sweep fails: the witness is
-    check_cf's.  A set to sweep whose colors are all distinct passes
-    without one, and a swept pair goes to the sweep as it is.
+    changed, appeared or disappeared since.  A point outside every
+    rectangle of D has the colored cover it had then, so it is still fine,
+    and any violation lies in B, the bounding box of D.  Clipped to B, the
+    rectangles that meet it cover each point of B as before and nothing
+    else, so sweeping them finds a violation exactly when sweeping all of
+    them does.  The first call, a call after a failing one and a call
+    whose input repeats an id sweep everything, and so does one whose
+    clipped sweep fails: the witness is check_cf's.  A set to sweep whose
+    colors are all distinct passes without one, and a swept pair goes to
+    the sweep as it is.
     """
 
     def __init__(self, sweep=check_cf):

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 
-from .cells import NE, NW, SE, SW, DirectionalCell, Partition, PinNotContained, tuple_new
-from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode
+from .cells import NE, NW, SE, SW, DirectionalCell, Partition
+from .geom import AxisRect, GlobalColor, KeyOrder, ObjectId, Pt, pair_encode, tuple_new
 
 
 class SizeOutOfRange(ValueError):

@@ -16,8 +16,8 @@ squares, so the 9 classes reuse the same color sets; a global color is
 
 from __future__ import annotations
 
-from .cells import NE, NW, SE, SW, DirectionalCell, Partition, tuple_new
-from .geom import AxisRect, KeyOrder, ObjectId
+from .cells import NE, NW, SE, SW, DirectionalCell, Partition
+from .geom import AxisRect, KeyOrder, ObjectId, tuple_new
 
 GRID_CLASS_MODULUS = 3
 

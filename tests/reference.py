@@ -300,7 +300,7 @@ def star_target(piece) -> set:
     current size: the pinned object plus the other members of top final
     colors, ranked by a full sort."""
     colors = piece.colors
-    ranked = sorted((o for o in piece.members if o != piece.pinned),
+    ranked = sorted((o for o in colors if o != piece.pinned),
                     key=lambda o: (-colors[o], o))
     target = set(ranked[:len(piece.star) - (piece.pinned is not None)])
     if piece.pinned is not None:
@@ -310,18 +310,16 @@ def star_target(piece) -> set:
 
 def locate_actual_report(engine) -> ViolationReport | None:
     """The last checks of an engine's check_invariants, object by object:
-    locate and actual against the live objects and the level pieces."""
-    if engine.locate.keys() != engine.objects.keys():
+    locate and the worn colors against the live objects and the level pieces."""
+    if engine.locate.keys() != engine.live.keys():
         return ViolationReport(None, "locate out of sync with the live objects")
-    if engine.actual.keys() != engine.objects.keys():
-        return ViolationReport(None, "actual colors out of sync with the live objects")
     for oid, i in engine.locate.items():
         piece = engine.levels[i] if 0 <= i < len(engine.levels) else None
-        if piece is None or oid not in piece.members:
+        if piece is None or oid not in piece.colors:
             return ViolationReport(
                 None, f"locate puts {oid} at level {i}, which does not hold it")
-        if engine._resolve(piece, oid) != engine.actual[oid]:
-            return ViolationReport(None, f"actual color of {oid} out of sync")
+        if engine._resolve(piece, oid) != engine.live[oid][1]:
+            return ViolationReport(None, f"worn color of {oid} out of sync")
     return None
 
 

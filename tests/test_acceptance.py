@@ -81,7 +81,7 @@ def test_criterion_2_semi_dynamic_recolorings():
         engine = SemiDynamicEngine(IntervalPointColorer, _interval_checker)
         for oid in range(4096):
             diff = engine.insert(oid, rng.uniform(0, 1e6))
-            n = len(engine.objects)
+            n = len(engine)
             assert diff.recolorings <= ceil_log2(n), \
                 f"seed {seed}: {diff.recolorings} recolorings at n={n}"
             if oid % 512 == 0:
@@ -202,7 +202,7 @@ def test_criterion_4_color_budget_fully_dynamic_rect():
             ell = engine.ell
             budget = sum((ell + 2) * 2 * math.ceil(math.sqrt(2 ** i)) *
                          math.ceil(math.log2(2 ** i)) for i in range(ell + 2))
-            assert len(set(engine.actual.values())) <= budget
+            assert len(set(engine.global_colors().values())) <= budget
     print("\nACCEPTANCE 4 [fully dynamic rect]: PASS - distinct colors within the "
           "sum_i (l+2) * 2 ceil(sqrt(2^i)) * ceil(log2 2^i) budget at every step")
 

@@ -17,7 +17,9 @@ GEOMETRIC = sorted(name for name, spec in STRUCTURES.items()
 
 def _stored(s):
     """Each stored object by id: a partition's from the cells that hold
-    them, a cell's or an engine's from its own objects."""
+    them, a cell's from its own objects, an engine's from its live map."""
+    if hasattr(s, "live"):
+        return {oid: obj for oid, (obj, _) in s.live.items()}
     cells = s.cells.values() if hasattr(s, "cells") else [s]
     return {oid: obj for cell in cells for oid, obj in cell.objects.items()}
 

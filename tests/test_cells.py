@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcolor.anchored import AnchoredCF, NotAnchored
-from cfcolor.cells import NE, NW, SE, SW, compile_selectors, tree_color
+from cfcolor.cells import NE, NW, SE, SW, PinNotContained, compile_selectors, tree_color
 from cfcolor.geom import AxisRect, DuplicateId, Pt, UnknownId
 from cfcolor.rects import (
     BoundedRectCF,
     CommonPointCF,
     CoordinateOutOfUniverse,
-    PinNotContained,
     SizeOutOfRange,
     UniverseRectCF,
 )

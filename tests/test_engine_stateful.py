@@ -2,9 +2,11 @@
 them (make_structure), over coordinates from a small grid so that ties
 and integer corners repeat: an integer corner is where ceil routing puts
 a square or a bounded rectangle on a cell boundary.  After each accepted
-update the structure's audit and its registry oracle must pass; after
-each refused one (a repeated id, an unknown id, a NaN coordinate, or an
-object the structure's rule forbids) the structure must be as it was."""
+update the structure's audit and its registry oracle must pass, and its
+view, colored_objects(), must list each live id once, with the object its
+insert built and the color the update diffs give it; after each refused
+one (a repeated id, an unknown id, a NaN coordinate, or an object the
+structure's rule forbids) the structure must be as it was."""
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -105,10 +107,13 @@ class StructureMachine(RuleBasedStateMachine):
         super().__init__()
         self.adapter = make_structure(self.NAME, **PARAMS.get(self.NAME, {}))
         self.structure = self.adapter.structure
-        self.fields = KINDS[STRUCTURES[self.NAME].kind].fields
+        kind = KINDS[STRUCTURES[self.NAME].kind]
+        self.fields, self.to_object = kind.fields, kind.to_object
         self.next_id = 0
         self.live: set[int] = set()
         self.deleted: list[int] = []
+        self.objects: dict = {}   # live id -> the object its insert built
+        self.model: dict = {}     # live id -> color, from the accepted diffs
 
     def coordinates(self, data, nan_field=None):
         coordinates = VALID[self.NAME](data.draw)
@@ -116,9 +121,22 @@ class StructureMachine(RuleBasedStateMachine):
             coordinates[nan_field] = float("nan")
         return coordinates
 
-    def accepted(self):
+    def accepted(self, diff):
+        for oid, (old, new) in diff.changed.items():
+            assert self.model[oid] == old
+            self.model[oid] = new
+        if diff.assigned is not None:
+            oid, color = diff.assigned
+            self.model[oid] = color
+        if diff.removed is not None:
+            oid, color = diff.removed
+            assert self.model.pop(oid) == color
         assert self.adapter.check_invariants() is None
         assert self.adapter.check_oracle() is None
+        view = self.structure.colored_objects()
+        assert sorted(oid for oid, _ in view) == sorted(self.live)
+        assert all(obj == self.objects[oid] for oid, (obj, _) in view)
+        assert {oid: color for oid, (_, color) in view} == self.model
 
     def state(self):
         s = self.structure
@@ -126,7 +144,7 @@ class StructureMachine(RuleBasedStateMachine):
         if hasattr(s, "cells"):
             state += [dict(s.location), list(s.cells)]
         if hasattr(s, "set_states"):
-            state += [s.set_states(), dict(s.actual), dict(s.locate), set(s.pool.in_use)]
+            state += [s.set_states(), dict(s.locate), set(s.pool.in_use)]
         return state
 
     def refused(self, exc, update):
@@ -140,20 +158,23 @@ class StructureMachine(RuleBasedStateMachine):
     @rule(data=st.data(), count=st.integers(1, 6))
     def insert(self, data, count):
         for _ in range(count):
-            self.adapter.insert(self.next_id, self.coordinates(data))
-            self.live.add(self.next_id)
+            oid, coordinates = self.next_id, self.coordinates(data)
+            diff = self.adapter.insert(oid, coordinates)
+            self.live.add(oid)
+            self.objects[oid] = self.to_object(oid, coordinates)
             self.next_id += 1
-            self.accepted()
+            self.accepted(diff)
 
     @precondition(lambda self: self.adapter.supports_delete and self.live)
     @rule(data=st.data(), count=st.integers(1, 6))
     def delete(self, data, count):
         for _ in range(min(count, len(self.live))):
             oid = data.draw(st.sampled_from(sorted(self.live)))
-            self.adapter.delete(oid)
+            diff = self.adapter.delete(oid)
             self.live.discard(oid)
+            del self.objects[oid]
             self.deleted.append(oid)
-            self.accepted()
+            self.accepted(diff)
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())

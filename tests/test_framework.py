@@ -46,13 +46,11 @@ def full_2d():
 
 
 def combined_cf_1d(engine):
-    colored = [(engine.objects[o], c) for o, c in engine.actual.items()]
-    return check_cf_intervals(colored)
+    return check_cf_intervals(list(engine.live.values()))
 
 
 def combined_cf_2d(engine):
-    colored = [(engine.objects[o], c) for o, c in engine.actual.items()]
-    return check_cf_rect_ranges(colored)
+    return check_cf_rect_ranges(list(engine.live.values()))
 
 
 # -- semi-dynamic hand traces --------------------------------------------------
@@ -83,7 +81,7 @@ def test_semi_third_insert_fills_level_zero():
     diff = e.insert(2, 3.0)
     assert diff.recolorings == 0
     assert e.set_states() == [SETTLED, SETTLED]
-    assert len(e.levels[1].members) == 2
+    assert len(e.levels[1].colors) == 2
     assert e.check_invariants() is None
 
 
@@ -100,7 +98,7 @@ def test_semi_recoloring_bound_and_cf():
     rng = random.Random(2)
     for oid in range(600):
         diff = e.insert(oid, rng.uniform(0, 1000))
-        n = len(e.objects)
+        n = len(e)
         assert diff.recolorings <= ceil_log2(n)
         if oid % 25 == 0:
             assert e.check_invariants() is None
@@ -117,7 +115,7 @@ def test_semi_color_budget():
     ell = e.ell
     budget = sum((ell - i + 1) * interval_palette_size(2 ** i)
                  for i in range(ell + 1))
-    assert len(set(e.actual.values())) <= budget
+    assert len(set(e.global_colors().values())) <= budget
 
 
 def test_semi_rejects_duplicate_id():
@@ -158,7 +156,7 @@ def test_full_merge_into_sublast_level_one_recoloring_there():
     lvl2 = e.levels[2]
     assert e.set_states()[2] == UP
     assert {ch.level for ch in lvl2.children} == {0, 1}
-    assert len(lvl2.members) == 4
+    assert len(lvl2.colors) == 4
     assert diff.recolorings <= 1  # S_2 is below the last set: one recoloring
     assert e.check_invariants() is None
 
@@ -191,10 +189,10 @@ def test_delete_from_settled_sublast_set_weak_deletion_only():
     # pick a set below the last one and delete an object from it
     states = e.set_states()
     target = next(piece for i, piece in enumerate(e.levels)
-                  if states[i] == SETTLED and i < e.ell and len(piece.members) > 0)
-    victim = sorted(target.members)[0]
+                  if states[i] == SETTLED and i < e.ell and len(piece.colors) > 0)
+    victim = sorted(target.colors)[0]
     diff = e.delete(victim)
-    assert diff.recolorings <= IntervalPointColorer.max_recolorings(len(target.members) + 1)
+    assert diff.recolorings <= IntervalPointColorer.max_recolorings(len(target.colors) + 1)
     assert e.check_invariants() is None
 
 
@@ -209,15 +207,15 @@ def test_forced_downward_migration_state_machine():
     nid = 32
     for _ in range(200):
         last = e.levels[e.ell]
-        size = len(last.members) if last is not None else 0
+        size = len(last.colors) if last is not None else 0
         if size == 2 ** (e.ell - 2) and e.set_states()[e.ell] == SETTLED and e.ell >= 2:
-            victim = sorted(last.members)[0]
+            victim = sorted(last.colors)[0]
             e.delete(victim)
             assert e.set_states()[e.ell] in (DOWN, SETTLED)
             downs += 1
             assert e.check_invariants() is None
             break
-        pool = sorted(last.members) if size else sorted(e.objects)
+        pool = sorted(last.colors) if size else sorted(e.live)
         e.delete(pool[0])
         assert e.check_invariants() is None
     assert downs == 1
@@ -279,7 +277,7 @@ def test_full_color_budget_rect_colorer():
         budget = sum((ell + 2) * 2 * math.ceil(math.sqrt(2 ** i)) * i
                      for i in range(ell + 2))
         if len(e) > 1:
-            assert len(set(e.actual.values())) <= budget
+            assert len(set(e.global_colors().values())) <= budget
 
 
 def test_invariant_checker_catches_star_corruption():
@@ -295,7 +293,7 @@ def test_invariant_checker_catches_star_corruption():
                 continue
             star = sorted((o for o in piece.star if o != piece.pinned),
                           key=lambda o: (-piece.colorer.colors[o], o))
-            if len(star) >= 3 and piece.members - piece.star:
+            if len(star) >= 3 and piece.colors.keys() - piece.star:
                 victim = star[0]
                 below = [o for o in star[1:]
                          if piece.colorer.colors[o] < piece.colorer.colors[victim]]
@@ -331,7 +329,36 @@ def test_invariant_checker_catches_children_without_an_order():
     assert e.check_invariants() is None
     piece.order = None
     report = e.check_invariants()
-    assert report is not None and "keeps no migration order" in report.reason
+    assert report is not None and report.reason == "piece keeps a star but no migration order"
+    piece.star = None
+    report = e.check_invariants()
+    assert report is not None and report.reason == "piece with children keeps no migration order"
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("settled piece given a star", "piece keeps a star but no migration order"),
+    ("settled piece given a pinned object", "pinned object outside the star"),
+    ("migrating piece without a star", "piece keeps an order but no star"),
+])
+def test_invariant_checker_catches_migration_state_on_the_wrong_piece(fault, reason):
+    # star, order and pinned exist only while a piece migrates or is frozen
+    if fault.startswith("migrating"):
+        e, piece = _migrating_piece_with_pending(14)
+        assert e.check_invariants() is None
+        piece.star = None
+    else:
+        e = full_1d()
+        for oid in range(3):
+            e.insert(oid, float(oid))
+        assert e.set_states() == [SETTLED, SETTLED] and e.check_invariants() is None
+        piece = e.levels[1]
+        assert piece.star is piece.order is piece.pinned is None and not piece.children
+        if fault.endswith("star"):
+            piece.star = set(piece.colors)
+        else:
+            piece.pinned = min(piece.colors)
+    report = e.check_invariants()
+    assert report is not None and report.reason == reason
 
 
 def test_invariant_checker_catches_a_level_holding_an_empty_piece():
@@ -340,8 +367,6 @@ def test_invariant_checker_catches_a_level_holding_an_empty_piece():
         e.insert(oid, float(oid))
     assert e.set_states() == [SETTLED, SETTLED]
     # an emptied piece left in place of None: its palette stays in use
-    e.levels[0].members.clear()
-    e.levels[0].star.clear()
     e.levels[0].colors.clear()
     report = e.check_invariants()
     assert report is not None and "level 0 holds an empty piece" in report.reason
@@ -364,8 +389,7 @@ def test_invariant_checker_catches_shifted_cut():
     assert report is not None and "prefix" in report.reason
 
 
-@pytest.mark.parametrize("fault", ["wrong level", "missing id", "no such level",
-                                   "missing color"])
+@pytest.mark.parametrize("fault", ["wrong level", "missing id", "no such level"])
 def test_invariant_checker_reports_corrupt_index(fault):
     # a checker must report a broken index, not raise while following it
     e = full_1d()
@@ -376,13 +400,10 @@ def test_invariant_checker_reports_corrupt_index(fault):
         e.locate[0] = 1  # level 1 holds 4 and 5, not 0
     elif fault == "missing id":
         del e.locate[3]
-    elif fault == "no such level":
-        e.locate[2] = len(e.levels)
     else:
-        del e.actual[3]
+        e.locate[2] = len(e.levels)
     report = e.check_invariants()
-    assert report is not None
-    assert ("actual" if fault == "missing color" else "locate") in report.reason
+    assert report is not None and "locate" in report.reason
 
 
 def _migrating_or_frozen(engine):
@@ -418,12 +439,17 @@ def test_migration_matches_the_definitional_rules(structure):
                       if state in (UP, DOWN)}
             adapter.insert(ev["id"], ev["object"])
             for index, (piece, star) in before.items():
+                members = piece.colors.keys()
                 for _ in range(e.LAST_STEPS if index == e.ell else 1):
-                    if star != piece.members:
-                        star.add(next_pending(piece.members, star, piece.colors))
-                assert piece.star == star
+                    if star != members:
+                        star.add(next_pending(members, star, piece.colors))
+                # a settled piece keeps no star: all its members wear final colors
+                assert (members if piece.star is None else piece.star) == star
         else:
             adapter.delete(ev["id"])
+        for piece, state in zip(e.levels, e.set_states()):
+            if state == SETTLED:
+                assert piece.star is piece.pinned is None and not piece.children
         for piece in _migrating_or_frozen(e):
             assert piece.star == star_target(piece)
             checked += 1
@@ -509,18 +535,18 @@ def test_precondition_checks_survive_python_O():
         "        adapter.delete(ev['id'])\n"
         "print('optimized', not __debug__, 'deletions',\n"
         "      sum(ev['op'] == 'delete' for ev in events), 'clean', e.check_invariants() is None)\n"
-        "live = sorted(e.objects)\n"
-        "e.levels[0].order = sorted(e.levels[0].members)\n"
+        "live = sorted(e.live)\n"
+        "e.levels[0].order = sorted(e.levels[0].colors)\n"
         "try:\n"
         "    adapter.insert(10_000, {'kind': 'point_1d', 'x': 0.5})\n"
         "except InvariantBroken as exc:\n"
-        "    print('insert:', exc, sorted(e.objects) == live)\n"
+        "    print('insert:', exc, sorted(e.live) == live)\n"
         "e.levels[0].order = None\n"
-        "e.levels[e.ell].order = sorted(e.levels[e.ell].members)\n"
+        "e.levels[e.ell].order = sorted(e.levels[e.ell].colors)\n"
         "try:\n"
         "    e._merge_last_three(live[0])\n"
         "except InvariantBroken as exc:\n"
-        "    print('merge:', exc, sorted(e.objects) == live)\n"
+        "    print('merge:', exc, sorted(e.live) == live)\n"
         "last = FullyDynamicEngine(IntervalPointColorer)\n"
         "for oid in range(4):\n"
         "    last.insert(oid, float(oid))\n"
@@ -532,7 +558,7 @@ def test_precondition_checks_survive_python_O():
         "except InvariantBroken as exc:\n"
         "    print('settled last:', exc, len(last) == 1)\n"
         "last.levels[-1].order = None\n"
-        "last.objects[99] = 9.0\n"
+        "last.live[99] = (9.0, None)\n"
         "try:\n"
         "    last.delete(3)\n"
         "except InvariantBroken as exc:\n"
@@ -564,10 +590,10 @@ def test_delete_refused_by_its_bound_leaves_the_engine_unchanged():
     e = FullyDynamicEngine(_Overpromising)
     e.insert(0, 0.0)
     e.insert(1, 1.0)
-    before = (len(e), e.set_states(), dict(e.actual))
+    before = (len(e), e.set_states(), e.colored_objects())
     with pytest.raises(BoundExceeded, match="per deletion"):
         e.delete(0)
-    assert (len(e), e.set_states(), dict(e.actual)) == before
+    assert (len(e), e.set_states(), e.colored_objects()) == before
 
 
 class _NoRecolorings(IntervalPointColorer):
@@ -601,10 +627,10 @@ class _InsertOverpromising(FullyDynamicEngine):
                    reason="the insertion bound is checked after the engine has changed")
 def test_insert_refused_by_its_bound_leaves_the_engine_unchanged():
     e = _InsertOverpromising(IntervalPointColorer)
-    before = (len(e), e.set_states(), dict(e.actual))
+    before = (len(e), e.set_states(), e.colored_objects())
     with pytest.raises(BoundExceeded, match="per insertion"):
         e.insert(0, 0.0)
-    assert (len(e), e.set_states(), dict(e.actual)) == before
+    assert (len(e), e.set_states(), e.colored_objects()) == before
 
 
 @pytest.mark.parametrize("engine_cls", [SemiDynamicEngine, FullyDynamicEngine])

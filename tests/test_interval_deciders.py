@@ -134,7 +134,7 @@ def _stream_states(structure, n, delete_ratio, seed):
 
 
 def _piece_points(engine, piece):
-    return [(engine.objects[o], piece.colors[o]) for o in piece.members]
+    return [(engine.live[o][0], c) for o, c in piece.colors.items()]
 
 
 STREAMS = [("semi-1d", 160, 0.0, 3), ("full-1d", 160, 0.3, 4), ("full-1d", 120, 0.9, 5)]
@@ -147,7 +147,7 @@ def test_stream_verdicts_equal_the_kernels():
     for structure, n, delete_ratio, seed in STREAMS:
         for engine in _stream_states(structure, n, delete_ratio, seed):
             steps += 1
-            colored = [(engine.objects[o], c) for o, c in engine.actual.items()]
+            colored = list(engine.live.values())
             assert check_cf_intervals(colored) == _kernel(colored, unimax=False) is None
             assert (oracle._cf_pass(_sorted(colored)) is None) == (
                 oracle._first_bad_window(_sorted(colored), unimax=False) is None)
@@ -165,9 +165,9 @@ def test_planted_recolorings_keep_the_kernels_witnesses():
     planted = found = 0
     for structure, n, delete_ratio, seed in STREAMS:
         for step, engine in enumerate(_stream_states(structure, n, delete_ratio, seed)):
-            if step % 4 or len(engine.actual) < 2:
+            if step % 4 or len(engine) < 2:
                 continue
-            colored = sorted((engine.objects[o], c) for o, c in engine.actual.items())
+            colored = sorted(engine.live.values())
             a, b = rng.sample(range(len(colored)), 2)
             colored[a] = (colored[a][0], colored[b][1])
             w = check_cf_intervals(colored)
@@ -175,7 +175,7 @@ def test_planted_recolorings_keep_the_kernels_witnesses():
             planted += 1
             found += w is not None
             for piece in _pieces(engine):
-                if len(piece.members) < 2:
+                if len(piece.colors) < 2:
                     continue
                 points = _piece_points(engine, piece)
                 top = max(c for _, c in points)

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
+from cfcolor.cells import PinNotContained
 from cfcolor.geom import AxisRect, GlobalColor, Pt, pair_encode
 from cfcolor.oracle import check_cf
 from cfcolor.rects import (
     BoundedRectCF,
     CommonPointCF,
     CoordinateOutOfUniverse,
-    PinNotContained,
     SizeOutOfRange,
     UniverseRectCF,
     skeleton_locate,

@@ -72,7 +72,8 @@ def test_engine_audited_view_failure_still_checks_colors(name, kind, monkeypatch
         def insert_then_plant(oid, obj):
             diff = insert(oid, obj)
             if oid == 20:
-                engine.actual[next(iter(engine.actual))] = GlobalColor(-1, -1)
+                first, (point, _) = next(iter(engine.live.items()))
+                engine.live[first] = (point, GlobalColor(-1, -1))
             return diff
         engine.insert = insert_then_plant
         return adapter

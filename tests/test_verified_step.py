@@ -1,6 +1,6 @@
 """What one verified step reads: a geometric structure's view once,
 handed over by its passing audit and shared by the colors check and the
-oracle, an engine's locate/actual maps in one pass that words a fault as
+oracle, an engine's locate and live maps in one pass that words a fault as
 the object-by-object loop does, and the unimax range check only on pieces
 whose points or final colors changed since they last passed it."""
 
@@ -83,14 +83,14 @@ def _engines():
 
 
 def _wrong_actual(engine, rng):
-    oid = rng.choice(sorted(engine.actual))
-    tag, local = engine.actual[oid]
-    engine.actual[oid] = GlobalColor(tag, local + 1)
+    oid = rng.choice(sorted(engine.live))
+    point, (tag, local) = engine.live[oid]
+    engine.live[oid] = (point, GlobalColor(tag, local + 1))
 
 
 def _actual_of_another(engine, rng):
-    a, b = rng.sample(sorted(engine.actual), 2)
-    engine.actual[a] = engine.actual[b]
+    a, b = rng.sample(sorted(engine.live), 2)
+    engine.live[a] = (engine.live[a][0], engine.live[b][1])
 
 
 def _two_wrong_actuals(engine, rng):
@@ -125,13 +125,13 @@ def test_engine_check_words_a_fault_as_the_per_object_loop(fault):
         if len(engine) < 2 or step % 3:
             continue
         assert engine.check_invariants() is None
-        saved = dict(engine.locate), dict(engine.actual)
+        saved = dict(engine.locate), dict(engine.live)
         FAULTS[fault](engine, rng)
         want = locate_actual_report(engine)
         if want is not None:
             planted += 1
             assert engine.check_invariants() == want
-        engine.locate, engine.actual = saved
+        engine.locate, engine.live = saved
     assert planted > 40
 
 
@@ -176,7 +176,7 @@ def _settled_piece(engine):
     """The largest settled piece below the last level."""
     return max((piece for piece, state in zip(engine.levels[:-1], engine.set_states())
                 if state == SETTLED),
-               key=lambda piece: len(piece.members))
+               key=lambda piece: len(piece.colors))
 
 
 def _swap_colors(engine, pieces, breaks):
@@ -185,13 +185,13 @@ def _swap_colors(engine, pieces, breaks):
     still unimax; the two ids, or None if no such swap exists."""
     for piece in pieces:
         colors = piece.colors
-        for a in sorted(piece.members):
-            for b in sorted(piece.members):
+        for a in sorted(colors):
+            for b in sorted(colors):
                 if colors[a] >= colors[b]:
                     continue
                 colors[a], colors[b] = colors[b], colors[a]
-                bad = check_unimax_intervals([(engine.objects[o], colors[o])
-                                              for o in piece.members])
+                bad = check_unimax_intervals([(engine.live[o][0], colors[o])
+                                              for o in colors])
                 if (bad is not None) == breaks:
                     return a, b
                 colors[a], colors[b] = colors[b], colors[a]
@@ -220,10 +220,10 @@ def test_a_weak_deletion_re_runs_the_checker_on_its_piece():
     engine = _loaded_engine(calls)
     assert engine.check_invariants() is None
     piece = _settled_piece(engine)
-    engine.delete(min(piece.members))
+    engine.delete(min(piece.colors))
     calls.clear()
     assert engine.check_invariants() is None
-    now = _pair({o: engine.objects[o] for o in piece.members}, piece.colors)
+    now = _pair({o: engine.live[o][0] for o in piece.colors}, piece.colors)
     assert now in calls
     # what passed now is the state a later fault is told apart from
     assert _swap_colors(engine, [piece], breaks=True)
@@ -252,12 +252,13 @@ def test_an_unchanged_piece_is_checked_once():
             swap = _swap_colors(engine, settled, breaks=False)
             if swap is not None:
                 a, b = swap
-                engine.actual[a], engine.actual[b] = engine.actual[b], engine.actual[a]
+                (pa, ca), (pb, cb) = engine.live[a], engine.live[b]
+                engine.live[a], engine.live[b] = (pa, cb), (pb, ca)
                 swapped += 1
         want = []
         for piece in _pieces(engine):
-            if 0 < len(piece.members) <= 32:
-                pair = _pair({o: engine.objects[o] for o in piece.members}, piece.colors)
+            if 0 < len(piece.colors) <= 32:
+                pair = _pair({o: engine.live[o][0] for o in piece.colors}, piece.colors)
                 if last.get(id(piece), (None, None))[1] == pair:
                     skipped += 1
                 else:
